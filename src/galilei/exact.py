@@ -1,11 +1,14 @@
 """Exact scalar, polynomial, rational-function and truncated-series arithmetic.
 
-Every coefficient in this package is an arbitrary-precision rational
-(`fractions.Fraction`); no floating point is used anywhere.  Polynomials are
-dense in a single formal variable (``q`` for counting series, ``x`` for edge
-labels), rational functions are kept in a canonical form with coprime
-numerator/denominator and monic denominator, and truncated power series carry
-their truncation degree explicitly.
+Every value here is exact; no floating point is used anywhere.  Polynomial
+and rational-function coefficients are arbitrary-precision rationals
+(`fractions.Fraction`).  Truncated-series coefficients are held as ``int``
+wherever they are integral and as ``Fraction`` only where a real denominator
+appears, since every counting series here has integer coefficients.
+Polynomials are dense in a single formal variable (``q`` for counting series,
+``x`` for edge labels), rational functions are kept in a canonical form with
+coprime numerator/denominator and monic denominator, and truncated power
+series carry their truncation degree explicitly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ def _as_scalar(c: ScalarLike) -> Fraction:
         return c
     if isinstance(c, int):
         return Fraction(c)
+    raise TypeError(f"not an exact scalar: {c!r}")
+
+
+def _as_series_scalar(c: ScalarLike) -> ScalarLike:
+    """c as an int when it is integral, else as a Fraction."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
@@ -384,8 +396,11 @@ class RationalFunction:
 class TruncatedSeries:
     """Power series known exactly up to a truncation degree.
 
+    Each coefficient is an ``int`` when it is integral and a ``Fraction``
+    otherwise, so series of integers are computed in integer arithmetic.
     Binary operations truncate to the smaller of the two truncation degrees.
-    Division requires the divisor to have a nonzero constant term.
+    Division requires the divisor to have a nonzero constant term; when that
+    term is 1 or -1, integer series divide without leaving the integers.
     """
 
     __slots__ = ("var", "coeffs")
@@ -394,7 +409,7 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         self.var = var
-        self.coeffs = tuple(_as_scalar(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is int else _as_series_scalar(c) for c in coeffs)
 
     @classmethod
     def zero(cls, var: str, truncation: int) -> "TruncatedSeries":
@@ -402,15 +417,16 @@ class TruncatedSeries:
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, truncation: int) -> "TruncatedSeries":
-        return cls(p.var, [p.coefficient(i) for i in range(truncation + 1)])
+        head = p.coeffs[: truncation + 1]
+        return cls(p.var, head + (0,) * (truncation + 1 - len(head)))
 
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> ScalarLike:
         if i < 0:
-            return Fraction(0)
+            return 0
         if i > self.truncation:
             raise IndexError(f"coefficient {i} beyond truncation {self.truncation}")
         return self.coeffs[i]
@@ -458,14 +474,15 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         n = min(self.truncation, other.truncation)
-        out = [Fraction(0)] * (n + 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b != 0]
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a == 0:
                 continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
+            for j, b in terms:
+                if i + j > n:
+                    break
+                out[i + j] += a * b
         return TruncatedSeries(self.var, out)
 
     __rmul__ = __mul__
@@ -474,15 +491,20 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.coeffs[0] == 0:
+        c0 = other.coeffs[0]
+        if c0 == 0:
             raise PoleAtOriginError("division by a series with zero constant term")
         n = min(self.truncation, other.truncation)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                acc -= other.coeffs[j] * out[i - j]
-            out[i] = acc / other.coeffs[0]
+        terms = [(j, c) for j, c in enumerate(other.coeffs[1 : n + 1], 1) if c != 0]
+        unit = c0 == 1 or c0 == -1
+        out = []
+        for i, acc in enumerate(self.coeffs[: n + 1]):
+            for j, c in terms:
+                if j > i:
+                    break
+                acc -= c * out[i - j]
+            # dividing by +-1 is multiplying by it, which keeps ints as ints
+            out.append(acc * c0 if unit else _as_series_scalar(Fraction(acc, c0)))
         return TruncatedSeries(self.var, out)
 
     def __eq__(self, other):

@@ -22,10 +22,9 @@ invariant ring.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exact import (
@@ -37,9 +36,6 @@ from .exact import (
 
 #: Default truncation degree; every claim checked here manifests by degree 36.
 DEFAULT_TRUNCATION = 60
-
-#: Environment variable naming an optional on-disk series cache directory.
-CACHE_DIR_ENV = "GALILEI_CACHE_DIR"
 
 
 class NoClosedFormError(ValueError):
@@ -107,29 +103,30 @@ def diophantine_solutions(k: int, l: int, max_degree: int) -> Iterator[Tuple[int
 # f_enum: dynamic-programming lattice-point count
 # ---------------------------------------------------------------------------
 
-_enum_tables: Dict[Tuple[int, int], List[List[int]]] = {}
+_enum_tables: Dict[int, List[List[int]]] = {}
 
 
 def _weight_degree_table(k: int, degree: int) -> List[List[int]]:
-    """table[n][l + k*degree] = number of degree-n monomials of weight l."""
-    key = (k, degree)
-    table = _enum_tables.get(key)
-    if table is not None:
+    """Weight counts of monomials of every degree n <= ``degree``, for k >= 1.
+
+    Row n has width 2*k*n + 1 and table[n][l + k*n] is the number of degree-n
+    monomials of weight l.  One table is kept per k: it serves every smaller
+    degree and is rebuilt only when a larger degree is asked for.
+    """
+    table = _enum_tables.get(k)
+    if table is not None and len(table) > degree:
         return table
-    offset = k * degree
-    width = 2 * offset + 1
-    table = [[0] * width for _ in range(degree + 1)]
-    table[0][offset] = 1
+    table = [[0] * (2 * k * n + 1) for n in range(degree + 1)]
+    table[0][0] = 1
+    # Adding one factor of weight k - 2i moves a count from column c of row
+    # n - 1 to column c + 2k - 2i of row n (the row offset grows by k).
     for i in range(k + 1):
-        w = k - 2 * i
+        s = 2 * k - 2 * i
         for n in range(1, degree + 1):
-            prev = table[n - 1]
-            cur = table[n]
-            for col in range(width):
-                src = col - w
-                if 0 <= src < width and prev[src]:
-                    cur[col] += prev[src]
-    _enum_tables[key] = table
+            prev, cur = table[n - 1], table[n]
+            end = s + len(prev)
+            cur[s:end] = map(add, cur[s:end], prev)
+    _enum_tables[k] = table
     return table
 
 
@@ -139,27 +136,22 @@ def _enum_coeffs(k: int, l: int, degree: int) -> List[int]:
     if l > k * degree:
         return [0] * (degree + 1)
     table = _weight_degree_table(k, degree)
-    col = l + k * degree
-    return [table[n][col] for n in range(degree + 1)]
+    return [table[n][l + k * n] if l <= k * n else 0 for n in range(degree + 1)]
 
 
 def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """F_l^(k) up to the given degree, by exact solution counting."""
     if k < 0 or l < 0 or degree < 0:
         raise ValueError("k, l, degree must be non-negative")
-    cached = _disk_cache_get("enum", k, l, degree)
-    if cached is not None:
-        return TruncatedSeries("q", cached)
-    coeffs = _enum_coeffs(k, l, degree)
-    _disk_cache_put("enum", k, l, degree, coeffs)
-    return TruncatedSeries("q", coeffs)
+    return TruncatedSeries("q", _enum_coeffs(k, l, degree))
 
 
 # ---------------------------------------------------------------------------
 # f_recur: the k -> k-2 recursion
 # ---------------------------------------------------------------------------
 
-_recur_cache: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
+#: (k, b, degree) -> stride-2 prefix sums of F_b^(k), or None when it is zero.
+_recur_prefixes: Dict[Tuple[int, int, int], Optional[List[int]]] = {}
 
 
 def _ground_coeffs(k: int, l: int, degree: int) -> List[int]:
@@ -170,51 +162,43 @@ def _ground_coeffs(k: int, l: int, degree: int) -> List[int]:
     return [1 if n >= l and (n - l) % 2 == 0 else 0 for n in range(degree + 1)]
 
 
-def _recur_coeffs(k: int, l: int, degree: int) -> Tuple[int, ...]:
-    key = (k, l, degree)
-    hit = _recur_cache.get(key)
-    if hit is not None:
-        return hit
+def _stride2_prefix(k: int, b: int, degree: int) -> Optional[List[int]]:
+    """P[r] = F[r] + F[r-2] + ... for F = F_b^(k), or None when F is zero.
 
-    def inner(b: int) -> Optional[Tuple[int, ...]]:
-        if b < 0:
-            return None
-        if k - 2 <= 1:
-            coeffs = _ground_coeffs(k - 2, b, degree)
-            return tuple(coeffs) if any(coeffs) else None
-        if b > (k - 2) * degree:
-            return None
-        return _recur_coeffs(k - 2, b, degree)
-
-    out = [0] * (degree + 1)
-
-    def accumulate(b: int, d: int):
-        # add sum over s = |d|, |d|+2, ... of q^s * F^(k-2)_b
-        series = inner(b)
-        if series is None or not any(series):
-            return
-        start = abs(d)
-        if start > degree:
-            return
-        # prefix sums of stride 2: P[r] = series[r] + series[r-2] + ...
-        prefix = list(series)
+    Computed once per (k, b, degree) and shared by every recursion step that
+    adds a shifted copy of it.
+    """
+    key = (k, b, degree)
+    if key in _recur_prefixes:
+        return _recur_prefixes[key]
+    prefix = _ground_coeffs(k, b, degree) if k <= 1 else _recur_coeffs(k, b, degree)
+    if any(prefix):
         for r in range(2, degree + 1):
             prefix[r] += prefix[r - 2]
-        for m in range(start, degree + 1):
-            out[m] += prefix[m - start]
+    else:
+        prefix = None
+    _recur_prefixes[key] = prefix
+    return prefix
 
-    # First sum: k*a + b - k*c = l with b >= 0; d = a - c ranges over
-    # integers with |d| <= degree and b = l - k*d >= 0.
-    for d in range(-degree, l // k + 1):
-        accumulate(l - k * d, d)
-    # Second sum: k*a - b - k*c = l + 1 with b >= 0, contributing F_{b+1}.
-    lo = -((-(l + 1)) // k)  # ceil((l+1)/k)
-    for d in range(lo, degree + 1):
-        accumulate(k * d - l, d)  # index b + 1
 
-    result = tuple(out)
-    _recur_cache[key] = result
-    return result
+def _recur_coeffs(k: int, l: int, degree: int) -> List[int]:
+    out = [0] * (degree + 1)
+    # F_b^(k-2) vanishes up to the degree once b > top, and a shift by
+    # q^|d| with |d| > degree is truncated away, so d is bounded on both ends.
+    top = (k - 2) * degree
+    # First sum: k*a + b - k*c = l with b >= 0; d = a - c and b = l - k*d.
+    first = range(max(-degree, -((top - l) // k)), min(l // k, degree) + 1)
+    # Second sum: k*a - b - k*c = l + 1 with b >= 0, contributing F_{b+1},
+    # whose index is k*d - l; d starts at ceil((l+1)/k).
+    second = range(-((-(l + 1)) // k), min((l + top) // k, degree) + 1)
+    terms = chain(((l - k * d, d) for d in first), ((k * d - l, d) for d in second))
+    for b, d in terms:
+        # add sum over s = |d|, |d|+2, ... of q^s * F^(k-2)_b
+        prefix = _stride2_prefix(k - 2, b, degree)
+        if prefix is not None:
+            start = abs(d)
+            out[start:] = map(add, out[start:], prefix)
+    return out
 
 
 def f_recur(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -223,12 +207,7 @@ def f_recur(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries
         raise ValueError("the recursion needs k >= 2")
     if l < 0 or degree < 0:
         raise ValueError("l, degree must be non-negative")
-    cached = _disk_cache_get("recur", k, l, degree)
-    if cached is not None:
-        return TruncatedSeries("q", cached)
-    coeffs = list(_recur_coeffs(k, l, degree))
-    _disk_cache_put("recur", k, l, degree, coeffs)
-    return TruncatedSeries("q", coeffs)
+    return TruncatedSeries("q", _recur_coeffs(k, l, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -446,40 +425,7 @@ def reconstruct_structure_series(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Optional on-disk cache (disabled unless GALILEI_CACHE_DIR is set)
-# ---------------------------------------------------------------------------
-
-def _cache_path(method: str, k: int, l: int, degree: int) -> Optional[str]:
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    key = f"{method}:k={k}:l={l}:N={degree}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return os.path.join(root, f"series-{digest}.json")
-
-
-def _disk_cache_get(method: str, k: int, l: int, degree: int) -> Optional[List[int]]:
-    path = _cache_path(method, k, l, degree)
-    if path is None or not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("key") != [method, k, l, degree]:
-        return None
-    return [int(c) for c in payload["coeffs"]]
-
-
-def _disk_cache_put(method: str, k: int, l: int, degree: int, coeffs: List[int]) -> None:
-    path = _cache_path(method, k, l, degree)
-    if path is None:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"key": [method, k, l, degree], "coeffs": [int(c) for c in coeffs]}, fh)
-
-
 def clear_memo_caches() -> None:
     """Drop in-process memo tables (mainly for tests)."""
     _enum_tables.clear()
-    _recur_cache.clear()
+    _recur_prefixes.clear()

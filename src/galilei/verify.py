@@ -42,17 +42,28 @@ def _verdict(name: str, passed: bool, detail: str = "") -> Verdict:
 # Criterion 1: triple agreement of the three series routes
 # ---------------------------------------------------------------------------
 
+def _series_mismatch(route: str, k: int, l: int, got, enum) -> str:
+    """Name the first coefficient where a route's series differs from enum."""
+    for i, (a, b) in enumerate(zip(got.coeffs, enum.coeffs)):
+        if a != b:
+            return f"{route} k={k} l={l}: q^{i} is {a}, enum has {b}"
+    return f"{route} k={k} l={l}: truncation {got.truncation}, enum has {enum.truncation}"
+
+
 def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) -> List[Verdict]:
     verdicts = []
     for k in range(k_max + 1):
         mismatches = []
         for l in range(l_max + 1):
             enum = genfun.f_enum(k, l, degree)
-            if k >= 2 and genfun.f_recur(k, l, degree) != enum:
-                mismatches.append(f"recur l={l}")
+            routes = []
+            if k >= 2:
+                routes.append(("recur", genfun.f_recur(k, l, degree)))
             if genfun.has_closed_form(k, l):
-                if series_expand(genfun.f_closed(k, l), degree) != enum:
-                    mismatches.append(f"closed l={l}")
+                routes.append(("closed", series_expand(genfun.f_closed(k, l), degree)))
+            for route, series in routes:
+                if series != enum:
+                    mismatches.append(_series_mismatch(route, k, l, series, enum))
         verdicts.append(
             _verdict(
                 f"series routes agree for k={k}, l<={l_max}, degree<={degree}",

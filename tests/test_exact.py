@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galilei.exact import (
     PoleAtOriginError,
@@ -131,6 +133,47 @@ def test_series_division_and_truncation_rules():
     assert quotient * b == a.truncate(2)
     with pytest.raises(PoleAtOriginError):
         a / TruncatedSeries("q", [0, 1, 1, 1, 1])
+
+
+_ints = st.integers(-50, 50)
+_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@st.composite
+def _series_pair(draw, coeff):
+    """(a, b) of one truncation; b's constant term includes -1 and 2."""
+    n = draw(st.integers(0, 12))
+    a = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
+    c0 = draw(st.one_of(st.sampled_from([1, -1, 2]), coeff.filter(bool)))
+    b = [c0] + draw(st.lists(coeff, min_size=n, max_size=n))
+    return TruncatedSeries("q", a), TruncatedSeries("q", b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pair(_ints))
+def test_series_product_divides_back_integers(pair):
+    a, b = pair
+    quotient = (a * b) / b
+    assert quotient == a
+    if b.coeffs[0] in (1, -1):
+        assert all(type(c) is int for c in quotient.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pair(_fractions))
+def test_series_product_divides_back_fractions(pair):
+    a, b = pair
+    assert (a * b) / b == a
+
+
+def test_series_coefficients_are_ints_where_integral():
+    series = TruncatedSeries("q", [Fraction(2), 3, Fraction(1, 2)])
+    assert [type(c) for c in series.coeffs] == [int, int, Fraction]
+    expanded = series_expand(RationalFunction(q(1), q(1, -1)), 4)
+    assert all(type(c) is int for c in expanded.coeffs)
+    # a constant term other than +-1 falls back to exact Fractions
+    halves = TruncatedSeries("q", [1, 0, 0]) / TruncatedSeries("q", [2, 0, 0])
+    assert halves.coeffs == (Fraction(1, 2), 0, 0)
 
 
 def test_first_negative_coefficient():

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from galilei import genfun
+from galilei import genfun, verify
 from galilei.exact import Polynomial, RationalFunction, series_expand
 
 
@@ -21,12 +21,30 @@ def test_stream_satisfies_constraints():
 
 
 def test_enum_counts_match_stream():
-    for k in range(0, 5):
+    n_max = 8
+    for k in range(0, 6):
         for l in range(0, 2 * k + 2):
-            n = 7
-            counts = Counter(sum(t) for t in genfun.diophantine_solutions(k, l, n))
-            series = genfun.f_enum(k, l, n)
-            assert [int(c) for c in series.coeffs] == [counts.get(m, 0) for m in range(n + 1)]
+            counts = Counter(sum(t) for t in genfun.diophantine_solutions(k, l, n_max))
+            expected = [counts.get(m, 0) for m in range(n_max + 1)]
+            # the largest degree first, then smaller ones served by the same table
+            genfun.clear_memo_caches()
+            for n in (n_max, 3, 0):
+                assert list(genfun.f_enum(k, l, n).coeffs) == expected[: n + 1], (k, l, n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 7])
+def test_enum_table_order_independent(k):
+    small, large = 3, 40
+    weights = range(0, 2 * k + 3)
+    genfun.clear_memo_caches()
+    small_first = [genfun.f_enum(k, l, small) for l in weights]
+    small_first_large = [genfun.f_enum(k, l, large) for l in weights]
+    genfun.clear_memo_caches()
+    large_first_large = [genfun.f_enum(k, l, large) for l in weights]
+    large_first = [genfun.f_enum(k, l, small) for l in weights]
+    assert small_first == large_first
+    assert small_first_large == large_first_large
+    assert [s.truncate(small) for s in large_first_large] == large_first
 
 
 def test_enum_examples():
@@ -43,6 +61,23 @@ def test_recursion_examples():
     assert genfun.f_recur(5, 0, 20) == series_expand(genfun.f_closed(5, 0), 20)
     with pytest.raises(ValueError):
         genfun.f_recur(1, 0, 5)
+
+
+def test_planted_closed_form_defect_fails_criterion_1(monkeypatch):
+    original = genfun._closed_k5
+
+    def planted(l):
+        if l != 0:
+            return original(l)
+        # the k=5, l=0 transcription with its q^8 numerator coefficient 12 -> 13
+        num = Polynomial("q", (1, 0, 1, 0, 6, 0, 9, 0, 13, 0, 9, 0, 6, 0, 1, 0, 1))
+        return RationalFunction(num, genfun.geometric_den(2, 2, 4, 6, 8))
+
+    monkeypatch.setattr(genfun, "_closed_k5", planted)
+    verdicts = verify.check_triple_agreement(degree=30, k_max=5, l_max=3)
+    assert [v.passed for v in verdicts] == [True] * 5 + [False]
+    enum = genfun.f_enum(5, 0, 30).coeffs[8]
+    assert verdicts[5].detail == f"closed k=5 l=0: q^8 is {enum + 1}, enum has {enum}"
 
 
 def test_triple_agreement_small():
@@ -175,12 +210,3 @@ def test_telescoping_and_total_dimension():
                 total_dim += 2 * genfun.f_enum(k, l, n).coeffs[n]
             assert total_dim == comb(n + k, k), (k, n)
 
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(genfun.CACHE_DIR_ENV, str(tmp_path))
-    genfun.clear_memo_caches()
-    first = genfun.f_enum(3, 1, 12)
-    cached = genfun.f_enum(3, 1, 12)
-    assert first == cached
-    assert list(tmp_path.glob("series-*.json"))
-    genfun.clear_memo_caches()
