@@ -13,7 +13,6 @@ from .exact import (
     RationalFunction,
     TruncatedSeries,
     PoleAtOriginError,
-    first_negative_coefficient,
     polynomial_gcd,
     series_expand,
 )

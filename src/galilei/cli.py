@@ -87,7 +87,7 @@ class Report:
 
 def _series_ints(series) -> List:
     # every exposed series has integer coefficients; keep fractions printable
-    return [int(c) if c.denominator == 1 else str(c) for c in series.coeffs]
+    return [c if type(c) is int else str(c) for c in series.coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
 """Exact scalar, polynomial, rational-function and truncated-series arithmetic.
 
-Every value here is exact; no floating point is used anywhere.  Polynomial
-and rational-function coefficients are arbitrary-precision rationals
-(`fractions.Fraction`).  Truncated-series coefficients are held as ``int``
-wherever they are integral and as ``Fraction`` only where a real denominator
-appears, since every counting series here has integer coefficients.
-Polynomials are dense in a single formal variable (``q`` for counting series,
-``x`` for edge labels), rational functions are kept in a canonical form with
-coprime numerator/denominator and monic denominator, and truncated power
-series carry their truncation degree explicitly.
+Every value here is exact; no floating point is used anywhere.  Polynomial,
+rational-function and truncated-series coefficients are held as ``int``
+wherever they are integral and as ``fractions.Fraction`` only where a real
+denominator appears, since every counting series and every edge label here
+has integer coefficients.  ``_as_scalar`` is the one place that rule lives,
+and every division is an exact ``Fraction(a, b)`` normalised by it, so
+callers take ints as they come.  Polynomials are dense in a single formal
+variable (``q`` for counting series, ``x`` for edge labels), rational
+functions are kept in a canonical form with coprime numerator/denominator and
+monic denominator, and truncated power series carry their truncation degree
+explicitly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-#: Scalars are plain Fractions: always in lowest terms, positive denominator.
-Scalar = Fraction
 
 ScalarLike = Union[int, Fraction]
 
@@ -26,15 +25,7 @@ class PoleAtOriginError(ZeroDivisionError):
     """Raised when expanding at q=0 something whose denominator vanishes there."""
 
 
-def _as_scalar(c: ScalarLike) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
-
-
-def _as_series_scalar(c: ScalarLike) -> ScalarLike:
+def _as_scalar(c: ScalarLike) -> ScalarLike:
     """c as an int when it is integral, else as a Fraction."""
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
@@ -44,16 +35,18 @@ def _as_series_scalar(c: ScalarLike) -> ScalarLike:
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with exact coefficients.
 
-    The coefficient list never has trailing zeros; the zero polynomial has an
-    empty coefficient tuple and degree ``-1`` (sentinel).
+    Each coefficient is an ``int`` when it is integral and a ``Fraction``
+    otherwise, as in ``TruncatedSeries``.  The coefficient list never has
+    trailing zeros; the zero polynomial has an empty coefficient tuple and
+    degree ``-1`` (sentinel).
     """
 
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Iterable[ScalarLike] = ()):
-        cs = [_as_scalar(c) for c in coeffs]
+        cs = [c if type(c) is int else _as_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.var = var
@@ -81,7 +74,7 @@ class Polynomial:
     def monomial(cls, var: str, degree: int, coeff: ScalarLike = 1) -> "Polynomial":
         if degree < 0:
             raise ValueError("monomial degree must be non-negative")
-        return cls(var, (0,) * degree + (_as_scalar(coeff),))
+        return cls(var, (0,) * degree + (coeff,))
 
     # -- basic queries ------------------------------------------------------
 
@@ -94,22 +87,23 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> ScalarLike:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> ScalarLike:
         if self.is_zero:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
-    def __call__(self, point: ScalarLike) -> Fraction:
-        point = _as_scalar(point)
-        acc = Fraction(0)
+    def __call__(self, point: ScalarLike) -> ScalarLike:
+        if type(point) is not int:
+            point = _as_scalar(point)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc
+        return acc if type(acc) is int else _as_scalar(acc)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -155,7 +149,7 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -184,7 +178,7 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d, lead = other.degree, other.leading_coefficient()
         while len(rem) - 1 >= d and any(c != 0 for c in rem):
             while rem and rem[-1] == 0:
@@ -192,7 +186,7 @@ class Polynomial:
             if len(rem) - 1 < d:
                 break
             shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
+            factor = _as_scalar(Fraction(rem[-1], lead))
             quot[shift] = factor
             for i, c in enumerate(other.coeffs):
                 rem[shift + i] -= factor * c
@@ -213,7 +207,7 @@ class Polynomial:
         if self.is_zero:
             return self
         lead = self.leading_coefficient()
-        return Polynomial(self.var, [c / lead for c in self.coeffs])
+        return Polynomial(self.var, [Fraction(c, lead) for c in self.coeffs])
 
     def scale(self, c: ScalarLike) -> "Polynomial":
         c = _as_scalar(c)
@@ -299,8 +293,8 @@ class RationalFunction:
                 den = den.exact_div(g)
             lead = den.leading_coefficient()
             if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                num = num.scale(Fraction(1, lead))
+                den = den.scale(Fraction(1, lead))
         self.num = num
         self.den = den
 
@@ -409,7 +403,7 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         self.var = var
-        self.coeffs = tuple(c if type(c) is int else _as_series_scalar(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is int else _as_scalar(c) for c in coeffs)
 
     @classmethod
     def zero(cls, var: str, truncation: int) -> "TruncatedSeries":
@@ -504,7 +498,7 @@ class TruncatedSeries:
                     break
                 acc -= c * out[i - j]
             # dividing by +-1 is multiplying by it, which keeps ints as ints
-            out.append(acc * c0 if unit else _as_series_scalar(Fraction(acc, c0)))
+            out.append(acc * c0 if unit else _as_scalar(Fraction(acc, c0)))
         return TruncatedSeries(self.var, out)
 
     def __eq__(self, other):
@@ -556,8 +550,3 @@ def series_expand(rf: RationalFunction, truncation: int) -> TruncatedSeries:
     num = TruncatedSeries.from_polynomial(rf.num, truncation)
     den = TruncatedSeries.from_polynomial(rf.den, truncation)
     return num / den
-
-
-def first_negative_coefficient(series: TruncatedSeries) -> Optional[int]:
-    """Smallest degree carrying a negative coefficient, or None."""
-    return series.first_negative()

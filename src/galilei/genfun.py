@@ -27,12 +27,7 @@ from itertools import chain
 from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .exact import (
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    first_negative_coefficient,
-)
+from .exact import Polynomial, RationalFunction, TruncatedSeries
 
 #: Default truncation degree; every claim checked here manifests by degree 36.
 DEFAULT_TRUNCATION = 60
@@ -343,7 +338,7 @@ def freeness_quotient(
     """
     numerator = f_enum(k, l, degree) - f_enum(k, l + 2, degree)
     quotient = numerator / invariant_series(k, degree)
-    return quotient, first_negative_coefficient(quotient)
+    return quotient, quotient.first_negative()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Exact linear algebra: fraction-free elimination and polynomial determinants.
 
 Rank and determinant computations run over arbitrary-precision integers
-(Bareiss elimination, whose interior divisions are exact).  Determinants of
-matrices with polynomial entries are recovered by evaluating at enough
-integer points and interpolating, which keeps all arithmetic in the integers
-until the final exact interpolation step.
+(Bareiss elimination, whose interior divisions are exact); a non-integer
+entry is an error, never truncated.  Determinants of matrices with
+integer-coefficient polynomial entries are recovered by evaluating at the
+integer nodes 0..D and Newton-interpolating, which keeps every step in the
+integers: each divided difference on consecutive integer nodes is an integer,
+and every division is checked to be exact.
 """
 
 from __future__ import annotations
@@ -16,9 +18,17 @@ from typing import List, Sequence
 from .exact import Polynomial
 
 
+def _int_rows(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
+    """A mutable copy of an integer matrix; any other entry is a TypeError."""
+    m = [list(row) for row in matrix]
+    if any(type(x) is not int for row in m for x in row):
+        raise TypeError("Bareiss elimination needs int entries")
+    return m
+
+
 def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix via fraction-free Gaussian elimination."""
-    m = [[int(x) for x in row] for row in matrix]
+    m = _int_rows(matrix)
     if not m or not m[0]:
         return 0
     n_rows, n_cols = len(m), len(m[0])
@@ -45,7 +55,7 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     n = len(matrix)
     if n == 0:
         return 1
-    m = [[int(x) for x in row] for row in matrix]
+    m = _int_rows(matrix)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     sign = 1
@@ -75,49 +85,43 @@ def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return bareiss_rank(cleared)
 
 
-def poly_matrix_rank_at(matrix: Sequence[Sequence[Polynomial]], point) -> int:
-    """Rank of a polynomial matrix after evaluating the variable at a point."""
-    values = [[entry(point) for entry in row] for row in matrix]
-    return rational_rank(values)
-
-
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square matrix of integer-coefficient polynomials.
 
-    Evaluates at integer nodes 0..D (D = a degree bound from row maxima) and
-    Lagrange-interpolates.  The evaluations are plain integer determinants.
+    Evaluates at the integer nodes 0..D (D = a degree bound from row maxima)
+    and Newton-interpolates.  The evaluations are plain integer determinants;
+    ``bareiss_det`` rejects a non-integer value.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     var = matrix[0][0].var
     bound = sum(max((e.degree for e in row), default=0) for row in matrix)
-    nodes = list(range(bound + 1))
-    values = []
-    for t in nodes:
-        numeric = [[entry(t) for entry in row] for row in matrix]
-        ints = []
-        for row in numeric:
-            if any(c.denominator != 1 for c in row):
-                raise ValueError("poly_det expects integer-coefficient entries")
-            ints.append([c.numerator for c in row])
-        values.append(bareiss_det(ints))
-    return _lagrange_interpolate(var, nodes, values)
+    values = [
+        bareiss_det([[entry(t) for entry in row] for row in matrix]) for t in range(bound + 1)
+    ]
+    return _newton_interpolate(var, values)
 
 
-def _lagrange_interpolate(var: str, nodes: Sequence[int], values: Sequence[int]) -> Polynomial:
+def _newton_interpolate(var: str, values: Sequence[int]) -> Polynomial:
+    """The integer-coefficient polynomial taking values[t] at t = 0..D.
+
+    On consecutive integer nodes the j-th divided difference is
+    Delta^j f / j!, an integer whenever f has integer coefficients; a
+    division that leaves a remainder raises ArithmeticError.
+    """
+    diffs = list(values)
+    for j in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, j - 1, -1):
+            q, r = divmod(diffs[i] - diffs[i - 1], j)
+            if r:
+                raise ArithmeticError("values do not come from an integer-coefficient polynomial")
+            diffs[i] = q
+    # Horner over the Newton basis x(x-1)...(x-t+1)
+    x = Polynomial.variable(var)
     result = Polynomial.zero(var)
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        if yi == 0:
-            continue
-        basis = Polynomial.one(var)
-        denom = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            basis = basis * Polynomial(var, (-xj, 1))
-            denom *= xi - xj
-        result = result + basis.scale(Fraction(yi) / denom)
+    for t in range(len(diffs) - 1, -1, -1):
+        result = result * (x - t) + diffs[t]
     return result
 
 

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Counter as CounterT, Dict
+from typing import Counter as CounterT
 
 from . import genfun
 from .exact import TruncatedSeries
@@ -79,7 +79,7 @@ def sym_weight_dim(k: int, n: int, l: int) -> int:
     """Dimension of the l-weight space of the n-th symmetric power of L(k)."""
     if abs(l) > k * n:
         return 0
-    return genfun.f_enum(k, abs(l), n).coeffs[n].numerator
+    return genfun.f_enum(k, abs(l), n).coeffs[n]
 
 
 def sym_power_decompose(k: int, n: int) -> CounterT[int]:
@@ -96,10 +96,6 @@ def sym_power_decompose(k: int, n: int) -> CounterT[int]:
         if mult:
             out[l] = mult
     return out
-
-
-def dimension(k: int) -> int:
-    return k + 1
 
 
 def total_sym_dimension(k: int, n: int) -> int:
@@ -150,9 +146,6 @@ class WeightCharacter:
             )
         return j + 1
 
-    def as_dict(self) -> Dict[int, int]:
-        return {self.top - 2 * j: j + 1 for j in range(self.depth + 1)}
-
 
 def char_simple_hw(top: int, depth: int) -> WeightCharacter:
     """Character of the simple highest-weight module with the given top."""
@@ -194,7 +187,7 @@ def q00_degree_part(k: int) -> CounterT[int]:
         series = numerator * TruncatedSeries.from_polynomial(killer, k + 3)
         mult = series.coeffs[k]
         if mult:
-            out[l] = int(mult)
+            out[l] = mult
     return out
 
 

@@ -125,9 +125,6 @@ class SymElement:
     def __hash__(self):
         return hash((self.n, self.basis, frozenset(self.terms.items())))
 
-    def monomial_degree(self, exps: Exponents) -> int:
-        return sum(exps)
-
     def monomial_weight(self, exps: Exponents) -> int:
         return sum(e * (-self.n + 2 * i) for i, e in enumerate(exps))
 

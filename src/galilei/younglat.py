@@ -19,12 +19,11 @@ headline fact checked downstream: M_n evaluated at x = n has full rank n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import Polynomial
-from .linalg import bareiss_rank, poly_det, rational_rank
+from .linalg import bareiss_rank, poly_det
 
 MAX_PART = 4
 
@@ -139,12 +138,6 @@ class PathMatrix:
     cols: List[Partition]
     entries: List[List[Polynomial]] = field(repr=False)
 
-    def entry(self, row: Partition, col: Partition) -> Polynomial:
-        return self.entries[self.rows.index(row)][self.cols.index(col)]
-
-    def evaluated(self, point) -> List[List[Fraction]]:
-        return [[e(point) for e in row] for row in self.entries]
-
 
 def _path_weights_from(start: Partition, level: int) -> Dict[Partition, Polynomial]:
     """Sum of edge-label products over all paths from start to each partition
@@ -178,14 +171,7 @@ def path_matrix(n: int) -> PathMatrix:
 def rank_at(n: int) -> int:
     """Rank of M_n after evaluating x = n, over the exact integers."""
     m = path_matrix(n)
-    values = [[int(e(n)) for e in row] for row in m.entries]
-    return bareiss_rank(values)
-
-
-def rank_at_point(n: int, point: Fraction) -> int:
-    """Rank of M_n at an arbitrary exact evaluation point."""
-    m = path_matrix(n)
-    return rational_rank([[e(point) for e in row] for row in m.entries])
+    return bareiss_rank([[e(n) for e in row] for row in m.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +204,15 @@ def build_psi(n: int) -> Dict[Partition, Partition]:
     return psi
 
 
-def dominance_extension(
-    items: Sequence[Partition], special: Optional[Partition] = None
-) -> List[Partition]:
+def dominance_extension(items: Sequence[Partition]) -> List[Partition]:
     """A linear extension of dominance order, smallest first.
 
-    The special partition is emitted as early as dominance allows; remaining
-    ties break lexicographically on part tuples.
+    Lexicographic order on part tuples refines dominance: if lam dominates
+    mu and lam != mu, the partial sums agree up to the first index where the
+    parts differ, so lam's part there is the larger one.  A sort is therefore
+    enough.
     """
-    remaining = list(items)
-    order: List[Partition] = []
-    while remaining:
-        minimal = [
-            p
-            for p in remaining
-            if not any(q != p and p.dominates(q) for q in remaining)
-        ]
-        if special is not None and special in minimal:
-            pick = special
-        else:
-            pick = min(minimal, key=lambda p: p.parts)
-        order.append(pick)
-        remaining.remove(pick)
-    return order
+    return sorted(items)
 
 
 def edge_label(source: Partition, target: Partition) -> Optional[Polynomial]:
@@ -254,14 +226,13 @@ def edge_label(source: Partition, target: Partition) -> Optional[Polynomial]:
 def build_Nn(n: int) -> PathMatrix:
     """The square matrix N_n of single-edge labels.
 
-    Rows are indexed by the psi-images of level n-1 (a dominance linear
-    extension with the special partition as early as possible), columns by
-    level n-1 (dominance linear extension); the (psi(mu), nu) entry is the
+    Rows are indexed by the psi-images of level n-1, columns by level n-1,
+    both in a dominance linear extension; the (psi(mu), nu) entry is the
     label of the edge nu -> psi(mu), zero when there is none.
     """
     psi = build_psi(n)
     cols = dominance_extension(list(psi.keys()))
-    rows = dominance_extension(list(psi.values()), special=special_partition(n))
+    rows = dominance_extension(list(psi.values()))
     zero = Polynomial.zero("x")
     entries = []
     for r in rows:
@@ -322,12 +293,7 @@ def verify_det_factorization(n: int, root_search_bound: Optional[int] = None) ->
             residue = residue.exact_div(factor)
             roots.append(i)
     fully = residue.degree == 0
-    integer_factor = 0
-    if fully:
-        lead = residue.coefficient(0)
-        if lead.denominator != 1:
-            raise AssertionError("determinant content is not an integer")
-        integer_factor = lead.numerator
+    integer_factor = residue.coefficient(0) if fully else 0
     return DetFactorization(n, det, integer_factor, tuple(sorted(roots)), fully)
 
 

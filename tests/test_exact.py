@@ -11,7 +11,6 @@ from galilei.exact import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
-    first_negative_coefficient,
     polynomial_gcd,
     series_expand,
 )
@@ -65,6 +64,47 @@ def test_polynomial_divmod_property():
         quot, rem = divmod(a, b)
         assert quot * b + rem == a
         assert rem.degree < b.degree
+
+
+def _ints_where_integral(p):
+    """No float anywhere, and every integral coefficient held as an int."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in p.coeffs
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["int", "fraction"]))
+def test_polynomial_ring_laws_and_divmod(data, kind):
+    coeff = _ints if kind == "int" else st.one_of(_ints, _fractions)
+    a, b, c = (data.draw(st.lists(coeff, max_size=6).map(lambda cs: q(*cs))) for _ in range(3))
+    assert a + b == b + a and a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero and a + (-a) == q()
+    results = [a + b, a * b, a - c, a * (b + c)]
+    if not b.is_zero:
+        quot, rem = divmod(a, b)
+        assert quot * b + rem == a
+        assert rem.degree < b.degree
+        results += [quot, rem, b.monic()]
+    for p in (a, b, c, *results):
+        assert _ints_where_integral(p)
+        assert _ints_where_integral(q(p(3), p(Fraction(1, 2))))
+    if kind == "int":
+        assert all(type(p(t)) is int for p in (a, b, a * b) for t in range(-3, 4))
+
+
+def test_polynomial_divisions_stay_exact():
+    # a bare / on two ints would give floats; every division is exact
+    quot, rem = divmod(q(1, 0, 1), q(0, 2))
+    assert quot == q(0, Fraction(1, 2)) and rem == q(1)
+    assert q(3, 6).monic().coeffs == (Fraction(1, 2), 1)
+    assert q(4, 6).scale(Fraction(1, 2)).coeffs == (2, 3)
+    rf = RationalFunction(q(1), q(1, 3))
+    assert rf.num.coeffs == (Fraction(1, 3),) and rf.den.coeffs == (Fraction(1, 3), 1)
+    assert [type(c) for c in RationalFunction(q(2, 4), q(-2, 2)).num.coeffs] == [int, int]
 
 
 def test_variable_mismatch_rejected():
@@ -177,15 +217,15 @@ def test_series_coefficients_are_ints_where_integral():
 
 
 def test_first_negative_coefficient():
-    assert first_negative_coefficient(TruncatedSeries("q", [1, 1, 1])) is None
+    assert TruncatedSeries("q", [1, 1, 1]).first_negative() is None
     # q^5 (1+q^2) / (1 - q^6 + q^12): sign first turns at degree 23
     rf = RationalFunction(
         q(0, 0, 0, 0, 0, 1, 0, 1),
         q(1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1),
     )
     series = series_expand(rf, 30)
-    assert first_negative_coefficient(series) == 23
+    assert series.first_negative() == 23
     assert series.coeffs[23] < 0
     # q^3 (1+q+q^2) / (1 + q - q^3 - q^4 - q^5 + q^7 + q^8): turns at 18
     rf = RationalFunction(q(0, 0, 0, 1, 1, 1), q(1, 1, 0, -1, -1, -1, 0, 1, 1))
-    assert first_negative_coefficient(series_expand(rf, 30)) == 18
+    assert series_expand(rf, 30).first_negative() == 18

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from galilei import verify
 from galilei import younglat as yl
 from galilei.exact import Polynomial
 from galilei.linalg import (
+    _newton_interpolate,
     bareiss_det,
     bareiss_rank,
     poly_bareiss_det,
@@ -29,6 +33,30 @@ def test_bareiss_basics():
     assert bareiss_det([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
     assert rational_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]) == 1
     assert rational_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(1)]]) == 2
+
+
+def test_bareiss_rejects_non_integers():
+    # int(x) would truncate these to 0 and report rank 0 / det 0
+    with pytest.raises(TypeError):
+        bareiss_det([[Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        bareiss_rank([[Fraction(1, 2), Fraction(1, 3)]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=10), st.integers(0, 4))
+def test_newton_interpolation_round_trip(coeffs, extra_nodes):
+    p = Polynomial("x", coeffs)
+    values = [p(t) for t in range(max(p.degree, 0) + 1 + extra_nodes)]
+    got = _newton_interpolate("x", values)
+    assert got == p
+    assert all(type(c) is int for c in got.coeffs)
+
+
+def test_newton_interpolation_rejects_non_integer_coefficients():
+    # x(x-1)/2 is integer-valued, but its coefficients are not integers
+    with pytest.raises(ArithmeticError):
+        _newton_interpolate("x", [t * (t - 1) // 2 for t in range(5)])
 
 
 def test_poly_det_routes_agree():
@@ -187,6 +215,50 @@ def test_N6_matches_rule_application():
         [z, z, const(2), const(2), x_minus(2), z],
         [z, z, z, const(1), z, x_minus(2)],
     ]
+
+
+def test_Nn_orders_are_dominance_linear_extensions():
+    # smallest first: a partition strictly dominating another comes after it
+    for n in range(2, 17):
+        matrix = yl.build_Nn(n)
+        for order in (matrix.rows, matrix.cols):
+            for i, later in enumerate(order):
+                for earlier in order[:i]:
+                    assert not (earlier != later and earlier.dominates(later)), (n, earlier, later)
+
+
+def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
+    clean = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
+    original = yl.edges_from
+
+    def planted(p, *args, **kwargs):
+        edges = original(p, *args, **kwargs)
+        if p == partition(2):
+            # the edge (2) -> (3) is labelled by one part equal to 2, i.e. 1
+            edges = [
+                yl.LabeledEdge(e.source, e.target, const(2)) if e.target == partition(3) else e
+                for e in edges
+            ]
+        return edges
+
+    monkeypatch.setattr(yl, "edges_from", planted)
+    failing = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
+    assert "M_3 matches the reference matrix entry-for-entry" in failing - clean
+
+
+def test_det_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sum((sympy.Integer(c) * x**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+    for n in range(2, 11):
+        entries = yl.build_Nn(n).entries
+        oracle = sympy.Matrix([[to_sympy(e) for e in row] for row in entries]).det()
+        assert sympy.expand(oracle - to_sympy(poly_det(entries))) == 0, n
+        if n == 6:
+            assert sympy.factor(oracle) == 15 * (x - 2) ** 2 * (x - 3)
 
 
 def test_even_special_row_single_one():
