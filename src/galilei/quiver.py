@@ -148,73 +148,31 @@ def radical_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
 def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
     """Predicted radical layers, built from the two-branch picture.
 
-    The right branch of P(V(k)) climbs V(k+4), V(k+8), ...; the left branch
-    walks down the block until it bounces: through the V(3)-V(1) bend in the
-    odd block, through the loop at V(2), or through the {V'(0), V'(2)} pair
-    (which then merges into a single V(4)).  P(V'(0)) and P(V'(2)) are
-    uniserial with layers V(4), V(8), V(12), ...  Used as an independent
-    oracle against the path-counting computation.
+    Layer l of P(V(k)) is the right branch V(k + 4l) plus layer l of the left
+    branch.  The left branch descends V(k-4), V(k-8), ... to the bottom
+    b = k mod 4 (b = 4 when 4 divides k); for b = 4 it then passes the pair
+    {V'(0), V'(2)}; then it climbs by 4, from V(4 - b) for odd b (the
+    V(3)-V(1) bend) and from V(b) for even b (the loop at V(2), or the pair
+    merging into V(4)).  P(V'(0)) and P(V'(2)) are uniserial with layers
+    V(4), V(8), V(12), ...  Shares no code with ``arrows_from``, so it is an
+    independent oracle against the path-counting computation.
     """
     layers: List[CounterT[SimpleHC]] = [Counter({top: 1})]
     if top.primed:
-        for l in range(1, depth + 1):
-            layers.append(Counter({V(4 * l): 1}))
+        layers += [Counter({V(4 * l): 1}) for l in range(1, depth + 1)]
         return RadicalFiltration(top, layers)
 
     k = top.index
-    # walk the left branch one step per layer, remembering where we came from
-    left: List[CounterT[SimpleHC]] = []
-    prev: SimpleHC = top
-    prev_was_loop = False
-    cur = top
-    for _ in range(depth):
-        if cur == Vp(0):  # paired with Vp(2); both step to V(4)
-            step: CounterT[SimpleHC] = Counter({V(4): 1})
-            nxt = V(4)
-        elif cur.index % 4 == 0 and not cur.primed and cur.index == 4 and prev == V(8):
-            step = Counter({Vp(0): 1, Vp(2): 1})
-            nxt = Vp(0)
-        elif not cur.primed and cur.index == 2:
-            if prev_was_loop:
-                step = Counter({V(6): 1})
-                nxt = V(6)
-            else:
-                step = Counter({V(2): 1})
-                nxt = V(2)
-        elif not cur.primed and cur.index % 2 == 1:
-            if cur.index == 1:
-                nxt = V(3) if prev != V(3) else V(5)
-            elif cur.index == 3:
-                nxt = V(1) if prev != V(1) else V(7)
-            else:
-                nxt = V(cur.index - 4) if prev != V(cur.index - 4) else V(cur.index + 4)
-            step = Counter({nxt: 1})
-        else:
-            down = cur.index - 4
-            if down >= 1 and prev != V(down):
-                nxt = V(down)
-            else:
-                nxt = V(cur.index + 4)
-            step = Counter({nxt: 1})
-        left.append(step)
-        prev_was_loop = (cur == V(2) and nxt == V(2))
-        prev, cur = cur, nxt
-
-    # special case: the top V(4) itself bounces immediately into the pair
-    if k == 4:
-        left = []
-        chain = [Counter({Vp(0): 1, Vp(2): 1}), Counter({V(4): 1})]
-        idx = 8
-        while len(chain) < depth:
-            chain.append(Counter({V(idx): 1}))
-            idx += 4
-        left = chain[:depth]
-
+    bottom = k % 4 or 4
+    left = [Counter({V(j): 1}) for j in range(k - 4, bottom - 1, -4)]
+    if bottom == 4:
+        left.append(Counter({Vp(0): 1, Vp(2): 1}))
+    climb = 4 - bottom if bottom % 2 else bottom
+    while len(left) < depth:
+        left.append(Counter({V(climb): 1}))
+        climb += 4
     for l in range(1, depth + 1):
-        layer: CounterT[SimpleHC] = Counter()
-        layer.update(left[l - 1])
-        layer[V(k + 4 * l)] += 1
-        layers.append(layer)
+        layers.append(left[l - 1] + Counter({V(k + 4 * l): 1}))
     return RadicalFiltration(top, layers)
 
 

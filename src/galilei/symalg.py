@@ -8,12 +8,16 @@ derivations extending their action on the basis:
     f . v_j = (n-j+2)/2 * v_{j-2}   (0 on the bottom vector),
     h . v_j = j * v_j.
 
-The e-coefficients are the fixed convention; the f-coefficients are forced by
-the sl2 relations and certified by the commutator property tests.  A rescaled
-"w" basis in which e steps along the chain with coefficient 1 is computed on
-demand; in that basis the action of e on monomials reproduces the edge labels
-of the restricted Young lattice, which is what the linear-independence
-certificate below exploits.
+Every weight of L(n) has the parity of n, so these coefficients are
+integers.  The e-coefficients are the fixed convention; the f-coefficients are
+forced by the sl2 relations and certified by the commutator property tests.
+In the rescaled "w" basis, w_j = c_j * v_j with c_j the product of the
+v-basis raising coefficients below j, e steps along the chain with
+coefficient 1 and f steps from w_j with the integer coefficient
+(n-j+2)/2 * (n+j)/2.  In that basis the action of e on monomials reproduces
+the edge labels of the restricted Young lattice, which is what the integer
+linear-independence certificate below exploits.  Element coefficients follow
+``exact``'s rule: an int when integral, a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .linalg import rational_rank
+from .exact import ScalarLike, _as_scalar
+from .linalg import bareiss_rank
 
 Exponents = Tuple[int, ...]
 
@@ -29,25 +34,27 @@ Exponents = Tuple[int, ...]
 class SymElement:
     """Element of Sym(L(n)) over the v- or w-basis.
 
-    ``terms`` maps exponent tuples to nonzero Fractions; position i of an
-    exponent tuple refers to the basis vector of weight -n + 2i (lowest
-    weight first).
+    ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
+    when it is integral and a ``Fraction`` otherwise (anything else is a
+    ``TypeError``); position i of an exponent tuple refers to the basis vector
+    of weight -n + 2i (lowest weight first).
     """
 
     __slots__ = ("n", "basis", "terms")
 
-    def __init__(self, n: int, terms: Dict[Exponents, Fraction] = None, basis: str = "v"):
+    def __init__(self, n: int, terms: Dict[Exponents, ScalarLike] = None, basis: str = "v"):
         if n < 0:
             raise ValueError("ambient highest weight must be non-negative")
         if basis not in ("v", "w"):
             raise ValueError("basis must be 'v' or 'w'")
         self.n = n
         self.basis = basis
-        clean: Dict[Exponents, Fraction] = {}
+        clean: Dict[Exponents, ScalarLike] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != n + 1:
                 raise ValueError("exponent tuple has wrong length")
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = _as_scalar(coeff)
             if coeff != 0:
                 clean[tuple(exps)] = coeff
         self.terms = clean
@@ -60,7 +67,7 @@ class SymElement:
 
     @classmethod
     def one(cls, n: int, basis: str = "v") -> "SymElement":
-        return cls(n, {(0,) * (n + 1): Fraction(1)}, basis)
+        return cls(n, {(0,) * (n + 1): 1}, basis)
 
     @classmethod
     def generator(cls, n: int, weight: int, basis: str = "v") -> "SymElement":
@@ -68,7 +75,7 @@ class SymElement:
         idx = _weight_index(n, weight)
         exps = [0] * (n + 1)
         exps[idx] = 1
-        return cls(n, {tuple(exps): Fraction(1)}, basis)
+        return cls(n, {tuple(exps): 1}, basis)
 
     # -- structure -----------------------------------------------------------
 
@@ -84,25 +91,25 @@ class SymElement:
         self._compatible(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
+            out[exps] = out.get(exps, 0) + c
         return SymElement(self.n, out, self.basis)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
         return self + other.scale(-1)
 
-    def scale(self, c) -> "SymElement":
-        c = Fraction(c)
+    def scale(self, c: ScalarLike) -> "SymElement":
+        c = _as_scalar(c)
         return SymElement(
             self.n, {e: v * c for e, v in self.terms.items()}, self.basis
         )
 
     def __mul__(self, other: "SymElement") -> "SymElement":
         self._compatible(other)
-        out: Dict[Exponents, Fraction] = {}
+        out: Dict[Exponents, ScalarLike] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return SymElement(self.n, out, self.basis)
 
     def __pow__(self, k: int) -> "SymElement":
@@ -142,7 +149,7 @@ class SymElement:
             raise ValueError("element is not an h-weight vector")
         return weights.pop()
 
-    def sorted_terms(self) -> List[Tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Exponents, ScalarLike]]:
         """Terms in lexicographic order of exponent tuples (lowest basis first)."""
         return sorted(self.terms.items())
 
@@ -177,49 +184,37 @@ def _weight_index(n: int, weight: int) -> int:
     return (weight + n) // 2
 
 
-def _raise_coefficient(n: int, basis: str, weight: int) -> Fraction:
-    """Coefficient of v_{weight+2} in e . v_weight (0 at the top)."""
+def _raise_coefficient(n: int, basis: str, weight: int) -> int:
+    """Coefficient of the weight+2 vector in e . (weight vector); 0 at the top."""
     if weight >= n:
-        return Fraction(0)
+        return 0
     if basis == "w":
-        return Fraction(1)
-    return Fraction(n + weight + 2, 2)
+        return 1
+    return (n + weight + 2) // 2
 
 
-def _lower_coefficient(n: int, basis: str, weight: int) -> Fraction:
-    """Coefficient of v_{weight-2} in f . v_weight (0 at the bottom)."""
-    if weight <= -n:
-        return Fraction(0)
-    if basis == "v":
-        return Fraction(n - weight + 2, 2)
-    scal = w_basis_scalars(n)
-    idx = _weight_index(n, weight)
-    return scal[idx] * Fraction(n - weight + 2, 2) / scal[idx - 1]
+def _lower_coefficient(n: int, basis: str, weight: int) -> int:
+    """Coefficient of the weight-2 vector in f . (weight vector); 0 at the bottom.
 
-
-def w_basis_scalars(n: int) -> Tuple[Fraction, ...]:
-    """Scalars c_i with w_i = c_i * v_i, computed by walking the e-chain up.
-
-    Normalised by c = 1 on the lowest vector; each step divides by the
-    v-basis raising coefficient so that e steps with coefficient 1.
+    In the w basis the v-basis coefficient is multiplied by c_weight /
+    c_{weight-2}, the v-basis raising coefficient (n + weight) / 2.
     """
-    scalars = [Fraction(1)]
-    weight = -n
-    while weight < n:
-        scalars.append(scalars[-1] * _raise_coefficient(n, "v", weight))
-        weight += 2
-    return tuple(scalars)
+    if weight <= -n:
+        return 0
+    if basis == "v":
+        return (n - weight + 2) // 2
+    return ((n - weight + 2) // 2) * ((n + weight) // 2)
 
 
 def adjoint_action(generator: str, p: SymElement) -> SymElement:
     """Apply e, f or h to an element, extending the basis action by Leibniz."""
     if generator not in ("e", "f", "h"):
         raise ValueError("generator must be one of 'e', 'f', 'h'")
-    out: Dict[Exponents, Fraction] = {}
+    out: Dict[Exponents, ScalarLike] = {}
 
-    def add(exps: Exponents, coeff: Fraction):
+    def add(exps: Exponents, coeff: ScalarLike):
         if coeff != 0:
-            out[exps] = out.get(exps, Fraction(0)) + coeff
+            out[exps] = out.get(exps, 0) + coeff
 
     for exps, coeff in p.terms.items():
         if generator == "h":
@@ -304,15 +299,13 @@ def independence_check(k: int) -> Tuple[bool, int]:
     """Whether the k iterated raisings are linearly independent, plus the rank.
 
     All k elements live in the degree-k, weight -2k component; their
-    coefficient vectors over the monomial basis of that component are
-    assembled into a matrix whose exact rank is returned.
+    integer coefficient vectors over the monomial basis of that component are
+    assembled into a matrix whose rank Bareiss elimination returns.
     """
     vectors = independence_vectors(k)
     monomials = sorted({m for p in vectors for m in p.terms})
-    matrix = [
-        [p.terms.get(m, Fraction(0)) for m in monomials] for p in vectors
-    ]
-    rank = rational_rank(matrix)
+    matrix = [[p.terms.get(m, 0) for m in monomials] for p in vectors]
+    rank = bareiss_rank(matrix)
     return rank == k, rank
 
 

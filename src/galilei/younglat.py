@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exact import Polynomial
 from .linalg import bareiss_rank, poly_det
@@ -84,8 +84,8 @@ def column(k: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def bounded_partitions(n: int, max_part: int = MAX_PART) -> Tuple[Partition, ...]:
-    """All partitions of n with parts <= max_part, in decreasing lex order."""
+def bounded_partitions(n: int) -> Tuple[Partition, ...]:
+    """All partitions of n with parts <= MAX_PART, in decreasing lex order."""
     out: List[Tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, acc: Tuple[int, ...]):
@@ -95,7 +95,7 @@ def bounded_partitions(n: int, max_part: int = MAX_PART) -> Tuple[Partition, ...
         for p in range(min(cap, remaining), 0, -1):
             rec(remaining - p, p, acc + (p,))
 
-    rec(n, max_part, ())
+    rec(n, MAX_PART, ())
     out.sort(reverse=True)
     return tuple(Partition(p) for p in out)
 
@@ -107,8 +107,8 @@ class LabeledEdge:
     label: Polynomial
 
 
-def edges_from(p: Partition, max_part: int = MAX_PART) -> List[LabeledEdge]:
-    """All labeled edges out of p (one per addable node, largest part capped)."""
+def edges_from(p: Partition) -> List[LabeledEdge]:
+    """All labeled edges out of p (one per addable node, parts <= MAX_PART)."""
     x = Polynomial.variable("x")
     edges: List[LabeledEdge] = []
     parts = p.parts
@@ -119,7 +119,7 @@ def edges_from(p: Partition, max_part: int = MAX_PART) -> List[LabeledEdge]:
             if row > 0 and parts[row - 1] == parts[row]:
                 continue  # not addable: would break monotonicity
             new_value = parts[row] + 1
-        if new_value > max_part:
+        if new_value > MAX_PART:
             continue
         target = Partition(parts[:row] + (new_value,) + parts[row + 1 :])
         if new_value == 1:
@@ -215,14 +215,6 @@ def dominance_extension(items: Sequence[Partition]) -> List[Partition]:
     return sorted(items)
 
 
-def edge_label(source: Partition, target: Partition) -> Optional[Polynomial]:
-    """Label of the edge source -> target, or None if there is no edge."""
-    for edge in edges_from(source):
-        if edge.target == target:
-            return edge.label
-    return None
-
-
 def build_Nn(n: int) -> PathMatrix:
     """The square matrix N_n of single-edge labels.
 
@@ -233,14 +225,14 @@ def build_Nn(n: int) -> PathMatrix:
     psi = build_psi(n)
     cols = dominance_extension(list(psi.keys()))
     rows = dominance_extension(list(psi.values()))
+    row_index = {r: i for i, r in enumerate(rows)}
     zero = Polynomial.zero("x")
-    entries = []
-    for r in rows:
-        row_entries = []
-        for c in cols:
-            label = edge_label(c, r)
-            row_entries.append(zero if label is None else label)
-        entries.append(row_entries)
+    entries = [[zero] * len(cols) for _ in rows]
+    for j, c in enumerate(cols):
+        for edge in edges_from(c):
+            i = row_index.get(edge.target)
+            if i is not None:
+                entries[i][j] = edge.label
     return PathMatrix(rows, cols, entries)
 
 
@@ -273,21 +265,20 @@ class DetFactorization:
         return f"det N_{self.n} = {self.integer_factor} * {factors}{status}"
 
 
-def verify_det_factorization(n: int, root_search_bound: Optional[int] = None) -> DetFactorization:
+def verify_det_factorization(n: int) -> DetFactorization:
     """Compute det N_n exactly and factor out every linear factor x - i.
 
-    Integer roots are searched in 0..bound (default 2n, comfortably past any
-    label constant).  ``fully_factored`` reports whether the residue after
+    Integer roots are searched in 0..2n, comfortably past any label
+    constant.  ``fully_factored`` reports whether the residue after
     extraction is a constant, which is the shape the rank argument needs.
     """
     matrix = build_Nn(n)
     det = poly_det(matrix.entries)
     if det.is_zero:
         return DetFactorization(n, det, 0, (), False)
-    bound = root_search_bound if root_search_bound is not None else 2 * n
     roots: List[int] = []
     residue = det
-    for i in range(bound + 1):
+    for i in range(2 * n + 1):
         factor = Polynomial("x", (-i, 1))
         while residue.degree > 0 and residue(i) == 0:
             residue = residue.exact_div(factor)
@@ -297,5 +288,5 @@ def verify_det_factorization(n: int, root_search_bound: Optional[int] = None) ->
     return DetFactorization(n, det, integer_factor, tuple(sorted(roots)), fully)
 
 
-def count_partitions(n: int, max_part: int = MAX_PART) -> int:
-    return len(bounded_partitions(n, max_part))
+def count_partitions(n: int) -> int:
+    return len(bounded_partitions(n))

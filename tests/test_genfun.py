@@ -80,6 +80,25 @@ def test_planted_closed_form_defect_fails_criterion_1(monkeypatch):
     assert verdicts[5].detail == f"closed k=5 l=0: q^8 is {enum + 1}, enum has {enum}"
 
 
+def test_planted_invariant_target_defect_names_coefficient(monkeypatch):
+    original = verify._invariant_targets
+
+    def planted():
+        targets = original()
+        # the k=5 relation in degree 36 moved to degree 38
+        one = Polynomial.one("q")
+        targets[5] = RationalFunction(
+            one - Polynomial.monomial("q", 38), genfun.geometric_den(4, 8, 12, 18)
+        )
+        return targets
+
+    monkeypatch.setattr(verify, "_invariant_targets", planted)
+    verdicts = verify.check_closed_identities(degree=60)
+    assert [v.passed for v in verdicts] == [True, True, False, True]
+    got = genfun.invariant_series(5, 60).coeffs[36]
+    assert f"invariant series k=5: q^36 is {got}, target has {got + 1}" in verdicts[2].detail
+
+
 def test_triple_agreement_small():
     for k in range(0, 7):
         for l in range(0, 9):

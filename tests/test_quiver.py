@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from galilei import quiver, sl2rep
+from galilei import quiver, sl2rep, verify
 from galilei.sl2rep import V, Vp
 
 
@@ -93,6 +93,21 @@ def test_branch_endings_to_depth_eight():
         computed = quiver.radical_filtration(top, 8)
         predicted = quiver.expected_filtration(top, 8)
         assert computed.layers == predicted.layers, str(top)
+
+
+def test_planted_arrow_defect_fails_criterion_9(monkeypatch):
+    name = "path-counted filtrations match the branch picture"
+    assert all(v.passed for v in verify.check_quivers() if v.name.startswith(name))
+    original = quiver.arrows_from
+
+    def planted(s):
+        targets = original(s)
+        return [t for t in targets if t != V(8)] if s == V(4) else targets
+
+    monkeypatch.setattr(quiver, "arrows_from", planted)
+    verdicts = [v for v in verify.check_quivers() if v.name.startswith(name)]
+    assert len(verdicts) == 1 and not verdicts[0].passed
+    assert "V(4)" in verdicts[0].detail
 
 
 def test_composition_multisets():

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from galilei import genfun, sl2rep
+from galilei import genfun, sl2rep, verify
 from galilei.sl2rep import SimpleHC, V, Vp
 
 
@@ -192,6 +192,23 @@ def test_hc_tensor_type_multiset_oracle():
                     if l <= bound:
                         expected[l] += c0 * c
             assert got == expected, (k, str(s))
+
+
+def test_planted_tensor_branch_defect_fails_criterion_8(monkeypatch):
+    name = "tensor case split matches the type-multiset oracle"
+    assert all(v.passed for v in verify.check_tensor_calculus() if v.name.startswith(name))
+    original = sl2rep.hc_tensor
+
+    def planted(k, s):
+        out = original(k, s)
+        if not s.primed and k == s.index:
+            out = out - Counter({Vp(2): 1})
+        return out
+
+    monkeypatch.setattr(sl2rep, "hc_tensor", planted)
+    verdicts = [v for v in verify.check_tensor_calculus() if v.name.startswith(name)]
+    assert len(verdicts) == 1 and not verdicts[0].passed
+    assert "(1, 'V(1)')" in verdicts[0].detail
 
 
 def test_hc_tensor_coherence():

@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from galilei import symalg, younglat
 from galilei.symalg import SymElement, adjoint_action as act
 
@@ -90,9 +94,13 @@ def test_invariants():
 
 
 def test_w_basis_scalars():
-    # with w = c * v the raising operator steps with unit coefficients
-    scalars = symalg.w_basis_scalars(4)
-    assert scalars == (1, 1, 2, 6, 24)
+    # with w = c * v the raising operator steps with unit coefficients, and
+    # lowering steps by (n-j+2)/2 * (n+j)/2: f . w_j = 4, 6, 6, 4 * w_{j-2}
+    for weight, coeff in ((-2, 4), (0, 6), (2, 6), (4, 4)):
+        w = SymElement.generator(4, weight, basis="w")
+        down = SymElement.generator(4, weight - 2, basis="w")
+        assert act("f", w) == down.scale(coeff)
+    assert act("f", SymElement.generator(4, -4, basis="w")).is_zero
     for weight in (-4, -2, 0, 2):
         w = SymElement.generator(4, weight, basis="w")
         up = SymElement.generator(4, weight + 2, basis="w")
@@ -133,3 +141,42 @@ def test_weight_component_enumeration():
         monos = symalg.weight_component_monomials(k, n, l)
         assert len(monos) == int(genfun.f_enum(k, abs(l), n).coeffs[n])
         assert len(set(monos)) == len(monos)
+
+
+_ints = st.integers(-6, 6)
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _elements(coeff, basis):
+    exps = st.tuples(*[st.integers(0, 2)] * 5)
+    return st.dictionaries(exps, coeff, max_size=3).map(lambda t: SymElement(4, t, basis))
+
+
+def _assert_exact_coefficients(p):
+    for c in p.terms.values():
+        assert type(c) is int or (isinstance(c, Fraction) and c.denominator != 1), c
+
+
+@given(st.data(), st.sampled_from(["int", "fraction"]), st.sampled_from(["v", "w"]))
+def test_sym_element_arithmetic_keeps_ints(data, kind, basis):
+    coeff = _ints if kind == "int" else st.one_of(_ints, _fractions)
+    p, q = data.draw(_elements(coeff, basis)), data.draw(_elements(coeff, basis))
+    c = data.draw(coeff)
+    results = [p + q, p - q, p * q, p.scale(c)]
+    for generator in ("e", "f", "h"):
+        lhs = act(generator, p * q)
+        assert lhs == act(generator, p) * q + p * act(generator, q)
+        results.append(lhs)
+    for r in results:
+        _assert_exact_coefficients(r)
+        if kind == "int":
+            assert all(type(v) is int for v in r.terms.values())
+
+
+def test_float_and_string_scalars_are_rejected():
+    with pytest.raises(TypeError):
+        SymElement(4, {(1, 0, 0, 0, 0): 0.1})
+    with pytest.raises(TypeError):
+        SymElement.one(4).scale("1/3")
+    with pytest.raises(TypeError):
+        SymElement.one(4).scale(0.5)
