@@ -223,7 +223,18 @@ def _cmd_symalg_independence(args) -> Report:
     return rep
 
 
+# The Young-lattice commands are certified up to this level (det N_40 is a
+# 588x588 matrix); a larger request is refused before anything is built.
+YOUNG_MAX_N = 40
+
+
+def _young_bound(flag: str, value: int) -> None:
+    if value > YOUNG_MAX_N:
+        raise ValueError(f"{flag} {value} is above the Young-lattice limit {YOUNG_MAX_N}")
+
+
 def _cmd_young_matrix(args) -> Report:
+    _young_bound("--n", args.n)
     rep = Report("young matrix", dict(n=args.n, emit=bool(args.emit)))
     m = younglat.path_matrix(args.n)
     header = [""] + [str(c) for c in m.cols]
@@ -243,6 +254,7 @@ def _cmd_young_matrix(args) -> Report:
 
 
 def _cmd_young_rank(args) -> Report:
+    _young_bound("--upto", args.upto)
     rep = Report("young rank", dict(upto=args.upto))
     lines = []
     for n in range(1, args.upto + 1):
@@ -255,6 +267,7 @@ def _cmd_young_rank(args) -> Report:
 
 
 def _cmd_young_det(args) -> Report:
+    _young_bound("--upto", args.upto)
     rep = Report("young det", dict(upto=args.upto))
     lines = []
     for n in range(2, args.upto + 1):

@@ -3,10 +3,15 @@
 Rank and determinant computations run over arbitrary-precision integers
 (Bareiss elimination, whose interior divisions are exact); a non-integer
 entry is an error, never truncated.  Determinants of matrices with
-integer-coefficient polynomial entries are recovered by evaluating at the
-integer nodes 0..D and Newton-interpolating, which keeps every step in the
-integers: each divided difference on consecutive integer nodes is an integer,
-and every division is checked to be exact.
+integer-coefficient polynomial entries are found in two steps.  First every
+row or column with at most one nonzero entry is peeled off by Laplace
+expansion, which is exact for any matrix and leaves a smaller core (empty
+for a triangular matrix up to row and column order).  The core's determinant
+is then recovered by evaluating at the integer nodes 0..D and
+Newton-interpolating, which keeps every step in the integers: each divided
+difference on consecutive integer nodes is an integer, and every division is
+checked to be exact.  ``poly_bareiss_det`` is the independent cross-check:
+fraction-free elimination directly over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -88,19 +93,51 @@ def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square matrix of integer-coefficient polynomials.
 
-    Evaluates at the integer nodes 0..D (D = a degree bound from row maxima)
-    and Newton-interpolates.  The evaluations are plain integer determinants;
-    ``bareiss_det`` rejects a non-integer value.
+    First peels: while some row or column has at most one nonzero entry,
+    Laplace-expands along it.  An empty line makes the determinant zero;
+    a single entry goes into a running factor, with a sign flip when its
+    current (row + column) position is odd, and its row and column leave
+    the matrix.  What remains is the core (possibly 0x0).  The core is
+    evaluated at the integer nodes 0..D (D = the sum of its row maxima of
+    degree) and Newton-interpolated; the evaluations are plain integer
+    determinants, and ``bareiss_det`` rejects a non-integer value.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
     var = matrix[0][0].var
-    bound = sum(max((e.degree for e in row), default=0) for row in matrix)
-    values = [
-        bareiss_det([[entry(t) for entry in row] for row in matrix]) for t in range(bound + 1)
-    ]
-    return _newton_interpolate(var, values)
+    row_nz = [{j for j, e in enumerate(row) if not e.is_zero} for row in matrix]
+    col_nz = [{i for i in range(n) if j in row_nz[i]} for j in range(n)]
+    rows, cols = list(range(n)), list(range(n))
+    factor = Polynomial.one(var)
+    pending = [(True, i) for i in range(n)] + [(False, j) for j in range(n)]
+    while pending:
+        is_row, k = pending.pop()
+        line = row_nz[k] if is_row else col_nz[k]
+        if line is None or len(line) > 1:
+            continue
+        if not line:
+            return Polynomial.zero(var)
+        (other,) = line
+        i, j = (k, other) if is_row else (other, k)
+        factor = factor * matrix[i][j]
+        if (rows.index(i) + cols.index(j)) % 2:
+            factor = -factor
+        rows.remove(i)
+        cols.remove(j)
+        for jj in row_nz[i]:
+            col_nz[jj].discard(i)
+            pending.append((False, jj))
+        for ii in col_nz[j]:
+            row_nz[ii].discard(j)
+            pending.append((True, ii))
+        row_nz[i] = col_nz[j] = None
+    core = [[matrix[i][j] for j in cols] for i in rows]
+    bound = sum(max((e.degree for e in row), default=0) for row in core)
+    values = [bareiss_det([[entry(t) for entry in row] for row in core]) for t in range(bound + 1)]
+    return factor * _newton_interpolate(var, values)
 
 
 def _newton_interpolate(var: str, values: Sequence[int]) -> Polynomial:

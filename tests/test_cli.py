@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from galilei import younglat
 from galilei.cli import Report, main
 from galilei.verify import Verdict
 
@@ -97,6 +98,35 @@ def test_young_det(capsys):
     code, out, _ = run_cli(capsys, "young", "det", "--upto", "6")
     assert code == 0
     assert "det N_4 = 3 * (x-1)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("young", "rank", "--upto", "41"), "--upto 41"),
+        (("young", "det", "--upto", "41"), "--upto 41"),
+        (("young", "matrix", "--n", "41"), "--n 41"),
+        (("young", "det", "--upto", "2000000"), "--upto 2000000"),
+    ],
+)
+def test_young_inputs_above_the_limit_exit_2_before_building(capsys, monkeypatch, argv, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Young-lattice object for an oversized request")
+
+    for name in ("bounded_partitions", "path_matrix", "rank_at", "build_Nn",
+                 "verify_det_factorization"):
+        monkeypatch.setattr(younglat, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "limit 40" in err
+
+
+def test_young_limit_itself_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(younglat, "rank_at", lambda n: n)
+    code, out, _ = run_cli(capsys, "young", "rank", "--upto", "40")
+    assert code == 0
+    assert "n=40  rank = 40: PASS" in out
 
 
 def test_structured_round_trip(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galilei import verify
+from galilei import linalg, verify
 from galilei import younglat as yl
 from galilei.exact import Polynomial
 from galilei.linalg import (
@@ -59,13 +59,114 @@ def test_newton_interpolation_rejects_non_integer_coefficients():
         _newton_interpolate("x", [t * (t - 1) // 2 for t in range(5)])
 
 
-def test_poly_det_routes_agree():
+# Entries for random determinant checks: mostly zero, constant or linear.
+_coeff = st.integers(-4, 4)
+_entry = st.one_of(
+    st.just(()),
+    st.just(()),
+    st.tuples(_coeff),
+    st.tuples(_coeff, _coeff),
+    st.lists(_coeff, max_size=3),
+).map(lambda cs: Polynomial("x", cs))
+
+
+@st.composite
+def _square_poly_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [[draw(_entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square_poly_matrices())
+def test_poly_det_matches_ring_elimination_on_random_matrices(matrix):
+    assert poly_det(matrix) == poly_bareiss_det(matrix)
+
+
+def _permutation_sign(perm):
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _core_sizes(monkeypatch, matrix):
+    """poly_det of matrix, and the sizes of the integer matrices it evaluated."""
+    sizes = []
+    original = linalg.bareiss_det
+
+    def recording(m):
+        sizes.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "bareiss_det", recording)
+    return poly_det(matrix), sizes
+
+
+@pytest.mark.parametrize(
+    "row_perm, col_perm",
+    [
+        ((0, 1, 2, 3), (0, 1, 2, 3)),  # even, even
+        ((1, 0, 2, 3), (0, 1, 2, 3)),  # odd, even
+        ((0, 1, 2, 3), (3, 0, 1, 2)),  # even, odd
+        ((1, 2, 0, 3), (1, 0, 3, 2)),  # even, even
+        ((2, 0, 1, 3), (0, 1, 3, 2)),  # even, odd
+        ((3, 2, 1, 0), (1, 0, 2, 3)),  # even, odd
+        ((1, 0, 2, 3), (0, 2, 1, 3)),  # odd, odd
+    ],
+)
+def test_poly_det_peels_permuted_triangular_matrices(monkeypatch, row_perm, col_perm):
+    n = len(row_perm)
+    triangular = [
+        [x_minus(i) if i == j else const(i + 2 * j + 1) if j < i else const(0) for j in range(n)]
+        for i in range(n)
+    ]
+    matrix = [[triangular[row_perm[i]][col_perm[j]] for j in range(n)] for i in range(n)]
+    diagonal = Polynomial.one("x")
+    for i in range(n):
+        diagonal = diagonal * x_minus(i)
+    expected = diagonal * (_permutation_sign(row_perm) * _permutation_sign(col_perm))
+    det, sizes = _core_sizes(monkeypatch, matrix)
+    assert det == expected
+    assert det == poly_bareiss_det(matrix)
+    assert sizes == [0]  # peeled to an empty core: one node, det 1
+
+
+def test_poly_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        poly_det([[const(1), const(0), const(2)], [const(0), const(1), const(0)]])
+    with pytest.raises(ValueError):
+        poly_det([[const(1), const(0)], [const(1)]])
+
+
+def test_poly_det_zero_row_and_zero_column():
+    rows = [
+        [x_minus(1), const(2), const(3)],
+        [const(0), const(0), const(0)],
+        [const(4), x_minus(5), const(6)],
+    ]
+    columns = [list(col) for col in zip(*rows)]
+    for matrix in (rows, columns):
+        assert poly_det(matrix).is_zero
+        assert poly_bareiss_det(matrix).is_zero
+
+
+def test_poly_det_routes_agree(monkeypatch):
+    # no row or column has a single nonzero entry: nothing is peeled
     matrix = [
         [x_minus(1), const(2), const(0)],
         [const(1), x_minus(3), const(4)],
         [const(0), const(5), x_minus(2)],
     ]
-    assert poly_det(matrix) == poly_bareiss_det(matrix)
+    det, sizes = _core_sizes(monkeypatch, matrix)
+    assert det == poly_bareiss_det(matrix)
+    # degree bound 3: four nodes, each a full 3x3 determinant
+    assert sizes == [3, 3, 3, 3]
 
 
 def test_partition_invariants():
@@ -287,7 +388,7 @@ def test_det_factorizations_small():
 def test_det_factorizations_structural():
     # pinned regression values for the larger sizes (the n <= 6 cases above
     # were derived by hand; these are recorded outputs, cross-checked against
-    # the independent elimination route below for n <= 8)
+    # the independent elimination route below)
     pinned = {
         7: (210, [2, 2, 3, 3, 4]),
         8: (105, [2, 3, 3, 3, 4, 4, 5]),
@@ -306,9 +407,17 @@ def test_det_factorizations_structural():
             content, roots = pinned[n]
             assert abs(d.integer_factor) == content, n
             assert sorted(d.roots) == roots, n
-        # interpolation and ring elimination agree
-        if n <= 8:
-            assert d.determinant == poly_bareiss_det(yl.build_Nn(n).entries)
+        # peeling plus interpolation and ring elimination agree
+        assert d.determinant == poly_bareiss_det(yl.build_Nn(n).entries)
+
+
+def test_det_factorizations_past_the_acceptance_sizes():
+    # criterion 5 certifies n <= 12; the same shape holds further up
+    for n in range(13, 21):
+        d = yl.verify_det_factorization(n)
+        assert d.fully_factored, n
+        assert d.integer_factor_nonzero, n
+        assert d.all_roots_below_n, n
 
 
 def test_odd_case_reduced_block_roots():
