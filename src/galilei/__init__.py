@@ -23,7 +23,6 @@ from .genfun import (
     NoClosedFormError,
     StructureNotRecognizedError,
     detect_invariant_structure,
-    diophantine_solutions,
     f_closed,
     f_enum,
     f_recur,

