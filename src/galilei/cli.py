@@ -179,6 +179,7 @@ def _cmd_sl2_q0(args) -> Report:
         rep.results["multiplicity"] = sl2rep.q0_multiplicity(args.l)
         return rep
     upto = args.table if args.table is not None else 8
+    _nonnegative("--table", upto)
     _series_bound(4, upto + 3)  # degree part k reads the L(4) table to degree k + 3
     rep = Report("sl2 q0", dict(table=upto))
     rows = []
@@ -237,6 +238,11 @@ def _series_bound(k: int, degree: int) -> None:
         )
 
 
+def _nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} {value} must be non-negative")
+
+
 def _young_bound(flag: str, value: int) -> None:
     if value > YOUNG_MAX_N:
         raise ValueError(f"{flag} {value} is above the Young-lattice limit {YOUNG_MAX_N}")
@@ -263,6 +269,7 @@ def _cmd_young_matrix(args) -> Report:
 
 
 def _cmd_young_rank(args) -> Report:
+    _nonnegative("--upto", args.upto)
     _young_bound("--upto", args.upto)
     rep = Report("young rank", dict(upto=args.upto))
     lines = []
@@ -276,6 +283,7 @@ def _cmd_young_rank(args) -> Report:
 
 
 def _cmd_young_det(args) -> Report:
+    _nonnegative("--upto", args.upto)
     _young_bound("--upto", args.upto)
     rep = Report("young det", dict(upto=args.upto))
     lines = []

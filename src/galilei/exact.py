@@ -137,12 +137,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -158,18 +152,6 @@ class Polynomial:
         return Polynomial(self.var, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -298,10 +280,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_scalar(cls, var: str, c: ScalarLike) -> "RationalFunction":
-        return cls(Polynomial.constant(var, c))
-
     @property
     def var(self) -> str:
         return self.num.var
@@ -310,65 +288,35 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def _coerce(self, other) -> Optional["RationalFunction"]:
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_scalar(self.var, other)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -382,9 +330,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def series(self, truncation: int) -> "TruncatedSeries":
-        return series_expand(self, truncation)
 
 
 class TruncatedSeries:
@@ -406,10 +351,6 @@ class TruncatedSeries:
         self.coeffs = tuple(c if type(c) is int else _as_scalar(c) for c in coeffs)
 
     @classmethod
-    def zero(cls, var: str, truncation: int) -> "TruncatedSeries":
-        return cls(var, [0] * (truncation + 1))
-
-    @classmethod
     def from_polynomial(cls, p: Polynomial, truncation: int) -> "TruncatedSeries":
         head = p.coeffs[: truncation + 1]
         return cls(p.var, head + (0,) * (truncation + 1 - len(head)))
@@ -417,13 +358,6 @@ class TruncatedSeries:
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> ScalarLike:
-        if i < 0:
-            return 0
-        if i > self.truncation:
-            raise IndexError(f"coefficient {i} beyond truncation {self.truncation}")
-        return self.coeffs[i]
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if n > self.truncation:
@@ -435,12 +369,6 @@ class TruncatedSeries:
             if other.var != self.var:
                 raise ValueError("variable mismatch")
             return other
-        if isinstance(other, Polynomial):
-            return TruncatedSeries.from_polynomial(other, self.truncation)
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(
-                self.var, [other] + [0] * self.truncation
-            )
         return None
 
     def __add__(self, other):
@@ -451,8 +379,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.var, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
         )
-
-    __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries(self.var, [-c for c in self.coeffs])
@@ -478,8 +404,6 @@ class TruncatedSeries:
                     break
                 out[i + j] += a * b
         return TruncatedSeries(self.var, out)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -518,23 +442,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                mag = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                pw = self.var if i == 1 else f"{self.var}^{i}"
-                terms.append(f"{mag}{pw}")
-            if len(terms) >= 8:
-                terms.append("...")
-                break
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O({self.var}^{self.truncation + 1})"
 
     def __repr__(self):
         return f"TruncatedSeries({self.var!r}, {self.coeffs!r})"

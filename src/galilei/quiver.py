@@ -105,10 +105,6 @@ class RadicalFiltration:
     top: SimpleHC
     layers: List[CounterT[SimpleHC]]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers) - 1
-
     def describe(self) -> List[str]:
         lines = []
         for l, layer in enumerate(self.layers):

@@ -62,10 +62,6 @@ class SymElement:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, basis: str = "v") -> "SymElement":
-        return cls(n, {}, basis)
-
-    @classmethod
     def one(cls, n: int, basis: str = "v") -> "SymElement":
         return cls(n, {(0,) * (n + 1): 1}, basis)
 

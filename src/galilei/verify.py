@@ -181,15 +181,18 @@ _EXPECTED_STRUCTURE = {
 def check_structure_detection(degree: int = 60) -> List[Verdict]:
     verdicts = []
     for k, (gens, rel) in _EXPECTED_STRUCTURE.items():
-        st = genfun.detect_invariant_structure(k, degree)
-        ok = st.generator_degrees == gens and st.relation_degree == rel
+        expected = genfun.InvariantStructure(gens, rel)
+        try:
+            st = genfun.detect_invariant_structure(k, degree)
+            got = f"got {st.describe()}"
+        except genfun.StructureNotRecognizedError as exc:
+            st, got = None, str(exc)
         verdicts.append(
             _verdict(
                 f"invariant structure for k={k}: generators {list(gens)}"
                 + (f", relation degree {rel}" if rel else ", free"),
-                ok,
-                "" if ok else f"got {st.describe()}, expected "
-                + genfun.InvariantStructure(gens, rel).describe(),
+                st == expected,
+                "" if st == expected else f"{got}, expected {expected.describe()}",
             )
         )
     return verdicts

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from galilei import genfun, symalg, verify, younglat
+from galilei import genfun, sl2rep, symalg, verify, younglat
 from galilei.cli import SERIES_MAX_CELLS, Report, main
+from galilei.exact import Polynomial, RationalFunction, TruncatedSeries
 from galilei.verify import Verdict
 
 
@@ -202,8 +203,8 @@ def test_quick_verification_engine_shape():
             assert v.line().startswith(("PASS", "FAIL"))
 
 
-# Full text reports recorded before the handlers took their verdicts from
-# verify; only the wall_time_ms line is left out.
+# Full text reports recorded before a refactor of the code behind each
+# command; only the wall_time_ms line is left out.
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -284,12 +285,96 @@ PASS  recur agrees with enum
 PASS  closed agrees with enum
 """,
         ),
+        (
+            ("quiver", "decompose-q", "--k", "8"),
+            """\
+command: quiver decompose-q
+params: k=8
+decomposition:
+  P[V(2)] x 1
+  P[V(4)] x 1
+  P[V(6)] x 1
+  P[V(8)] x 1
+  P[V'(0)] x 1
+""",
+        ),
+        (
+            ("quiver", "blocks"),
+            "command: quiver blocks\n"
+            "blocks:\n"
+            "  block 1: vertices V(n) for odd n on the line ... V(11) - V(7) - V(3) - V(1)"
+            " - V(5) - V(9) ...; arrows both ways between neighbours; all 2-cycles are zero\n"
+            "  block 2: vertices V(2) - V(6) - V(10) - ... with a loop at V(2); all 2-cycles"
+            " are zero and the loop squares to zero\n"
+            "  block 3: vertices V'(0), V'(2) and V(4) - V(8) - V(12) - ...; arrows both ways"
+            " in the diamond {V'(0), V'(2)} <-> V(4) and along the half-line; the two 2-cycles"
+            " at V(4) through V'(0) and V'(2) are equal and nonzero, every other 2-cycle is"
+            " zero, and both length-2 routes between V'(0) and V'(2) are zero\n",
+        ),
+        (
+            ("young", "matrix", "--n", "3", "--emit"),
+            """\
+command: young matrix
+params: n=3 emit=True
+matrix:
+           (3)  (2,1)     (1,1,1)
+  (1)      1    -3 + 3*x  2 - 3*x + x^2
+  (1,1)    0    2         -2 + x
+  (1,1,1)  0    0         1
+entries: {"(1)": {"(1,1,1)": "2 - 3*x + x^2", "(2,1)": "-3 + 3*x", "(3)": "1"}, \
+"(1,1)": {"(1,1,1)": "-2 + x", "(2,1)": "2", "(3)": "0"}, \
+"(1,1,1)": {"(1,1,1)": "1", "(2,1)": "0", "(3)": "0"}}
+""",
+        ),
+        (
+            ("genfun", "freeness", "--k", "4", "--l", "0", "--degree", "12"),
+            """\
+command: genfun freeness
+params: k=4 l=0 degree=12
+quotient_coefficients: 1 0 0 0 0 0 0 0 0 0 0 0 0
+first_negative: first negative coefficient: none
+""",
+        ),
+        (("young", "rank", "--upto", "0"), "command: young rank\nparams: upto=0\ntable: \n"),
+        (("young", "det", "--upto", "1"), "command: young det\nparams: upto=1\nfactorizations: \n"),
+        (
+            ("sl2", "q0", "--table", "0"),
+            "command: sl2 q0\nparams: table=0\ngraded_table:\n  degree 0: L(0)\n",
+        ),
     ],
 )
 def test_transcripts_are_pinned(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert re.sub(r"^wall_time_ms: \d+\n", "", out, flags=re.M) == expected
+
+
+def test_recursion_route_below_k_2_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "genfun", "series", "--k", "1", "--l", "0", "--method", "recur")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the recursion route needs k >= 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("young", "rank", "--upto", "-3"), "--upto -3"),
+        (("young", "det", "--upto", "-3"), "--upto -3"),
+        (("sl2", "q0", "--table", "-2"), "--table -2"),
+    ],
+)
+def test_negative_sizes_exit_2_before_building(capsys, monkeypatch, argv, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an object for a negative size")
+
+    for name in ("rank_at", "verify_det_factorization"):
+        monkeypatch.setattr(younglat, name, refuse)
+    monkeypatch.setattr(sl2rep, "q00_degree_part", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be non-negative\n"
 
 
 def _structured_failures(out):
@@ -397,3 +482,73 @@ def test_series_budget_itself_passes_the_bound(capsys, monkeypatch, argv):
     _refuse_series(monkeypatch)
     with pytest.raises(_Built):
         main(list(argv))
+
+
+def _verify_all_structured(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--format", "structured")
+    payload = json.loads(out)
+    criteria = payload["results"]["criteria"]
+    assert [line.split(" (")[0] for line in criteria] == [f"criterion {n}" for n in range(1, 10)]
+    assert err.startswith("FAILED: ")
+    failing = {v["name"]: v["detail"] for v in payload["verdicts"] if not v["passed"]}
+    return code, failing
+
+
+def _strip_timing(out):
+    return re.sub(r"^wall_time_ms: \d+\n", "", out, flags=re.M)
+
+
+def test_planted_closed_form_defect_reaches_the_verdicts(capsys, monkeypatch):
+    enumeration_commands = (("genfun", "invariants", "--k", "5"),
+                            ("genfun", "freeness", "--k", "5", "--l", "1"))
+    enumerated = [_strip_timing(run_cli(capsys, *argv)[1]) for argv in enumeration_commands]
+    original = genfun._closed_k5
+
+    def planted(l):
+        if l != 0:
+            return original(l)
+        # the k=5, l=0 transcription with its q^16 numerator coefficient 1 -> 2
+        num = Polynomial("q", (1, 0, 1, 0, 6, 0, 9, 0, 12, 0, 9, 0, 6, 0, 1, 0, 2))
+        return RationalFunction(num, genfun.geometric_den(2, 2, 4, 6, 8))
+
+    monkeypatch.setattr(genfun, "_closed_k5", planted)
+    code, failing = _verify_all_structured(capsys)
+    assert code == 1
+    series_failures = {
+        name.split("]")[0] + "]": detail for name, detail in failing.items()
+        if name.startswith(tuple(f"[criterion {n}]" for n in range(1, 5)))
+    }
+    assert series_failures == {
+        "[criterion 1]": "closed k=5 l=0: q^16 is 650, enum has 649",
+        "[criterion 2]": "k=5: F_0 - F_2 differs from the target rational function",
+        "[criterion 3]": "quotient k=5: q^21 is -1, target has 0",
+    }
+    # the enumeration-only commands no longer consult the closed forms
+    for argv, expected in zip(enumeration_commands, enumerated):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert _strip_timing(out) == expected
+
+
+def test_unrecognised_invariant_ring_fails_criterion_4(capsys, monkeypatch):
+    original = genfun.invariant_series
+
+    def planted(k, degree):
+        series = original(k, degree)
+        if k != 5:
+            return series
+        # the k=5 relation 1 - q^36 becomes 1 - 2q^36
+        coeffs = list(series.coeffs)
+        coeffs[36] -= 1
+        return TruncatedSeries("q", coeffs)
+
+    monkeypatch.setattr(genfun, "invariant_series", planted)
+    code, failing = _verify_all_structured(capsys)
+    assert code == 1
+    name = ("[criterion 4] invariant structure for k=5: generators [4, 8, 12, 18], "
+            "relation degree 36")
+    assert failing[name] == (
+        "residual is neither 1 nor 1 - q^e for k=5, "
+        "expected generator degrees [4, 8, 12, 18] with one relation of degree 36"
+    )
+    assert not any(n.startswith("[criterion 4]") for n in failing if n != name)
