@@ -204,8 +204,6 @@ class Polynomial:
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.var, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.var == other.var and self.coeffs == other.coeffs

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import Polynomial
 from .linalg import bareiss_rank, poly_det
 
 MAX_PART = 4
+Weight = Union[Polynomial, int]
 
 
 @dataclass(frozen=True, order=True)
@@ -102,8 +103,14 @@ class LabeledEdge:
     label: Polynomial
 
 
-def edges_from(p: Partition) -> List[LabeledEdge]:
-    """All labeled edges out of p (one per addable node, parts <= MAX_PART)."""
+@lru_cache(maxsize=None)
+def edges_from(p: Partition) -> Tuple[LabeledEdge, ...]:
+    """All labeled edges out of p (one per addable node, parts <= MAX_PART).
+
+    Memoised: each partition's edges are built once per process, and every
+    caller shares the same tuple and the same label polynomials, which are
+    never mutated.
+    """
     x = Polynomial.variable("x")
     edges: List[LabeledEdge] = []
     parts = p.parts
@@ -122,51 +129,56 @@ def edges_from(p: Partition) -> List[LabeledEdge]:
         else:
             label = Polynomial.constant("x", p.count_part(new_value - 1))
         edges.append(LabeledEdge(p, target, label))
-    return edges
+    return tuple(edges)
 
 
 @dataclass
 class PathMatrix:
-    """Matrix of path-weight polynomials with explicit row/column indices."""
+    """Matrix of path weights with explicit row/column indices."""
 
     rows: List[Partition]
     cols: List[Partition]
-    entries: List[List[Polynomial]] = field(repr=False)
+    entries: List[List[Weight]] = field(repr=False)
 
 
-def _path_weights_from(start: Partition, level: int) -> Dict[Partition, Polynomial]:
+def _path_weights_from(start: Partition, level: int, at: Optional[int]) -> Dict[Partition, Weight]:
     """Sum of edge-label products over all paths from start to each partition
-    of the given size, accumulated level by level."""
-    current: Dict[Partition, Polynomial] = {start: Polynomial.one("x")}
+    of the given size, accumulated level by level: polynomials in x, or ints
+    with every label evaluated at x = at."""
+    one = Polynomial.one("x") if at is None else 1
+    current: Dict[Partition, Weight] = {start: one}
     for _ in range(level - start.size):
-        nxt: Dict[Partition, Polynomial] = {}
+        nxt: Dict[Partition, Weight] = {}
         for p, weight in current.items():
             for edge in edges_from(p):
                 acc = nxt.get(edge.target)
-                term = weight * edge.label
+                term = weight * (edge.label if at is None else edge.label(at))
                 nxt[edge.target] = term if acc is None else acc + term
         current = nxt
     return current
 
 
-def path_matrix(n: int) -> PathMatrix:
-    """M_n: rows (1^k) for k = 1..n, columns the partitions of n (parts <= 4)."""
+def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
+    """M_n: rows (1^k) for k = 1..n, columns the partitions of n (parts <= 4).
+
+    Entries are polynomials in x; with ``at`` they are the ints those
+    polynomials take at x = at, computed without building any polynomial.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     cols = list(bounded_partitions(n))
     rows = [column(k) for k in range(1, n + 1)]
-    zero = Polynomial.zero("x")
+    zero = Polynomial.zero("x") if at is None else 0
     entries = []
     for row in rows:
-        weights = _path_weights_from(row, n)
+        weights = _path_weights_from(row, n, at)
         entries.append([weights.get(c, zero) for c in cols])
     return PathMatrix(rows, cols, entries)
 
 
 def rank_at(n: int) -> int:
-    """Rank of M_n after evaluating x = n, over the exact integers."""
-    m = path_matrix(n)
-    return bareiss_rank([[e(n) for e in row] for row in m.entries])
+    """Rank of M_n at x = n over the exact integers, from the int path DP."""
+    return bareiss_rank(path_matrix(n, at=n).entries)
 
 
 # ---------------------------------------------------------------------------

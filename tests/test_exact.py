@@ -112,6 +112,13 @@ def test_variable_mismatch_rejected():
         q(1) + Polynomial("x", (1,))
 
 
+def test_polynomial_never_equals_a_scalar():
+    # equality is between polynomials only; a scalar is not coerced
+    assert (Polynomial.constant("x", 0) == 0) is False
+    assert (0 == Polynomial.zero("x")) is False
+    assert Polynomial.constant("x", 3) != Fraction(3)
+
+
 def test_rational_function_canonical_idempotent():
     rng = random.Random(7)
     for _ in range(60):

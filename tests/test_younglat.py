@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -277,6 +278,46 @@ def test_rank_at_full_range():
         assert yl.rank_at(n) == n
 
 
+def test_path_matrix_at_a_point_evaluates_the_polynomial_matrix():
+    for n in range(1, 13):
+        symbolic = yl.path_matrix(n)
+        for m in (0, 1, n, n + 5):
+            evaluated = yl.path_matrix(n, at=m)
+            assert (evaluated.rows, evaluated.cols) == (symbolic.rows, symbolic.cols)
+            assert evaluated.entries == [[e(m) for e in row] for row in symbolic.entries], (n, m)
+
+
+def test_rank_at_builds_no_polynomial_products_and_each_edge_once(monkeypatch):
+    products = []
+    original_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return original_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+    built = Counter()
+    original_edge = yl.LabeledEdge
+
+    def counting_edge(source, target, label):
+        built[source, target] += 1
+        return original_edge(source, target, label)
+
+    monkeypatch.setattr(yl, "LabeledEdge", counting_edge)
+    yl.edges_from.cache_clear()
+    assert yl.rank_at(12) == 12
+    assert products == []
+    assert max(built.values()) == 1
+    # the DP leaves every partition of size 1..11, so each one's edges were built
+    assert {source for source, _ in built} == {
+        p for size in range(1, 12) for p in yl.bounded_partitions(size)
+    }
+    # positive control: the polynomial route is counted
+    yl.path_matrix(3)
+    assert products
+
+
 def test_column_span_recursion():
     # deleting the full-column row/column of M_n leaves columns inside the
     # span of M_{n-1}, at a generic rational evaluation point
@@ -363,24 +404,41 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
             ]
         return edges
 
+    clean_at_3 = yl.path_matrix(3, at=3).entries
     monkeypatch.setattr(yl, "edges_from", planted)
     failing = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
     assert "M_3 matches the reference matrix entry-for-entry" in failing - clean
+    # the integer route reads the same label rule, through the same memo
+    assert yl.path_matrix(3, at=3).entries != clean_at_3
+
+
+def _to_sympy(sympy, x, p):
+    return sum((sympy.Integer(c) * x**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _sympy_matrix(sympy, x, entries):
+    return sympy.Matrix([[_to_sympy(sympy, x, e) for e in row] for row in entries])
 
 
 def test_det_matches_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-
-    def to_sympy(p):
-        return sum((sympy.Integer(c) * x**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
-
     for n in range(2, 11):
         entries = yl.build_Nn(n).entries
-        oracle = sympy.Matrix([[to_sympy(e) for e in row] for row in entries]).det()
-        assert sympy.expand(oracle - to_sympy(poly_det(entries))) == 0, n
+        oracle = _sympy_matrix(sympy, x, entries).det()
+        assert sympy.expand(oracle - _to_sympy(sympy, x, poly_det(entries))) == 0, n
         if n == 6:
             assert sympy.factor(oracle) == 15 * (x - 2) ** 2 * (x - 3)
+
+
+def test_rank_at_matches_sympy_oracle():
+    # sympy substitutes x = n into the polynomial M_n and takes the rank itself,
+    # sharing neither the integer path DP nor Bareiss elimination
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 11):
+        oracle = _sympy_matrix(sympy, x, yl.path_matrix(n).entries).subs(x, n)
+        assert oracle.rank() == yl.rank_at(n) == n
 
 
 def test_even_special_row_single_one():
