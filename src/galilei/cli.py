@@ -220,8 +220,11 @@ def _cmd_symalg_independence(args) -> Report:
 
 
 # The series commands read genfun's weight-by-degree table for L(k): rows
-# n = 0..degree, row n of width 2kn + 1.  Its peak at this many cells is
-# about 160 MB; a larger table is refused before anything is built.
+# n = 0..degree, row n holding the kn + 1 weights of the parity of kn.  The
+# budget counts (N+1)(kN+1) cells, the full weight range, about twice the
+# cells of that parity-halved table.  Peak RSS at the limit measured 142 MB
+# at k = 100 (CPython 3.11); a larger request is refused before anything is
+# built.
 SERIES_MAX_CELLS = 4_000_000
 
 # The Young-lattice commands are certified up to this level (det N_40 is a

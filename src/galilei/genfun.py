@@ -63,19 +63,21 @@ _enum_tables: Dict[int, List[List[int]]] = {}
 def _weight_degree_table(k: int, degree: int) -> List[List[int]]:
     """Weight counts of monomials of every degree n <= ``degree``, for k >= 1.
 
-    Row n has width 2*k*n + 1 and table[n][l + k*n] is the number of degree-n
-    monomials of weight l.  One table is kept per k: it serves every smaller
-    degree and is rebuilt only when a larger degree is asked for.
+    Every degree-n monomial has weight congruent to k*n mod 2, so only those
+    weights are stored: row n has width k*n + 1 and table[n][(l + k*n) // 2]
+    is the number of degree-n monomials of weight l (for l + k*n even).  One
+    table is kept per k: it serves every smaller degree and is rebuilt only
+    when a larger degree is asked for.
     """
     table = _enum_tables.get(k)
     if table is not None and len(table) > degree:
         return table
-    table = [[0] * (2 * k * n + 1) for n in range(degree + 1)]
+    table = [[0] * (k * n + 1) for n in range(degree + 1)]
     table[0][0] = 1
     # Adding one factor of weight k - 2i moves a count from column c of row
-    # n - 1 to column c + 2k - 2i of row n (the row offset grows by k).
+    # n - 1 to column c + k - i of row n (the row offset grows by k/2).
     for i in range(k + 1):
-        s = 2 * k - 2 * i
+        s = k - i
         for n in range(1, degree + 1):
             prev, cur = table[n - 1], table[n]
             end = s + len(prev)
@@ -90,7 +92,10 @@ def _enum_coeffs(k: int, l: int, degree: int) -> List[int]:
     if l > k * degree:
         return [0] * (degree + 1)
     table = _weight_degree_table(k, degree)
-    return [table[n][l + k * n] if l <= k * n else 0 for n in range(degree + 1)]
+    return [
+        table[n][(l + k * n) // 2] if l <= k * n and (l + k * n) % 2 == 0 else 0
+        for n in range(degree + 1)
+    ]
 
 
 def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -104,8 +109,11 @@ def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
 # f_recur: the k -> k-2 recursion
 # ---------------------------------------------------------------------------
 
-#: (k, b, degree) -> stride-2 prefix sums of F_b^(k), or None when it is zero.
-_recur_prefixes: Dict[Tuple[int, int, int], Optional[List[int]]] = {}
+#: (k, b) -> (built, head): the stride-2 prefix sums P of F_b^(k) to degree
+#: ``built``, kept as head = (z, P[z:]) with z the index of the first nonzero
+#: entry, or head = None when F_b^(k) is zero to that degree.  An entry serves
+#: every degree up to ``built``; a larger degree rebuilds it.
+_recur_prefixes: Dict[Tuple[int, int], Tuple[int, Optional[Tuple[int, List[int]]]]] = {}
 
 
 def _ground_coeffs(k: int, l: int, degree: int) -> List[int]:
@@ -116,23 +124,26 @@ def _ground_coeffs(k: int, l: int, degree: int) -> List[int]:
     return [1 if n >= l and (n - l) % 2 == 0 else 0 for n in range(degree + 1)]
 
 
-def _stride2_prefix(k: int, b: int, degree: int) -> Optional[List[int]]:
-    """P[r] = F[r] + F[r-2] + ... for F = F_b^(k), or None when F is zero.
+def _stride2_prefix(k: int, b: int, degree: int) -> Optional[Tuple[int, List[int]]]:
+    """(z, P[z:]) for P[r] = F[r] + F[r-2] + ... and F = F_b^(k) to at least
+    ``degree``, z the first index where F is nonzero; None when F is zero.
 
-    Computed once per (k, b, degree) and shared by every recursion step that
-    adds a shifted copy of it.
+    Computed once per (k, b) and shared by every recursion step that adds a
+    shifted copy of it; the leading zeros of P are never stored or added.
     """
-    key = (k, b, degree)
-    if key in _recur_prefixes:
-        return _recur_prefixes[key]
-    prefix = _ground_coeffs(k, b, degree) if k <= 1 else _recur_coeffs(k, b, degree)
-    if any(prefix):
-        for r in range(2, degree + 1):
-            prefix[r] += prefix[r - 2]
-    else:
-        prefix = None
-    _recur_prefixes[key] = prefix
-    return prefix
+    entry = _recur_prefixes.get((k, b))
+    if entry is not None and entry[0] >= degree:
+        return entry[1]
+    coeffs = _ground_coeffs(k, b, degree) if k <= 1 else _recur_coeffs(k, b, degree)
+    z = next((r for r, c in enumerate(coeffs) if c), None)
+    head = None
+    if z is not None:
+        tail = coeffs[z:]
+        for r in range(2, len(tail)):
+            tail[r] += tail[r - 2]
+        head = (z, tail)
+    _recur_prefixes[k, b] = (degree, head)
+    return head
 
 
 def _recur_coeffs(k: int, l: int, degree: int) -> List[int]:
@@ -147,11 +158,14 @@ def _recur_coeffs(k: int, l: int, degree: int) -> List[int]:
     second = range(-((-(l + 1)) // k), min((l + top) // k, degree) + 1)
     terms = chain(((l - k * d, d) for d in first), ((k * d - l, d) for d in second))
     for b, d in terms:
-        # add sum over s = |d|, |d|+2, ... of q^s * F^(k-2)_b
-        prefix = _stride2_prefix(k - 2, b, degree)
-        if prefix is not None:
-            start = abs(d)
-            out[start:] = map(add, out[start:], prefix)
+        # add sum over s = |d|, |d|+2, ... of q^s * F^(k-2)_b, from its first
+        # nonzero coefficient on
+        head = _stride2_prefix(k - 2, b, degree)
+        if head is not None:
+            z, tail = head
+            start = abs(d) + z
+            if start <= degree:
+                out[start:] = map(add, out[start:], tail)
     return out
 
 

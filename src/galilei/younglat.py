@@ -141,18 +141,28 @@ class PathMatrix:
     entries: List[List[Weight]] = field(repr=False)
 
 
-def _path_weights_from(start: Partition, level: int, at: Optional[int]) -> Dict[Partition, Weight]:
+def _path_weights_from(
+    start: Partition, level: int, at: Optional[int], labels: Dict[Partition, List[Weight]]
+) -> Dict[Partition, Weight]:
     """Sum of edge-label products over all paths from start to each partition
     of the given size, accumulated level by level: polynomials in x, or ints
-    with every label evaluated at x = at."""
+    with every label evaluated at x = at.
+
+    ``labels`` memoises each partition's edge labels, so a label is evaluated
+    once per partition however many paths pass through it.
+    """
     one = Polynomial.one("x") if at is None else 1
     current: Dict[Partition, Weight] = {start: one}
     for _ in range(level - start.size):
         nxt: Dict[Partition, Weight] = {}
         for p, weight in current.items():
-            for edge in edges_from(p):
+            edges = edges_from(p)
+            values = labels.get(p)
+            if values is None:
+                values = labels[p] = [e.label if at is None else e.label(at) for e in edges]
+            for edge, label in zip(edges, values):
                 acc = nxt.get(edge.target)
-                term = weight * (edge.label if at is None else edge.label(at))
+                term = weight * label
                 nxt[edge.target] = term if acc is None else acc + term
         current = nxt
     return current
@@ -169,9 +179,10 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
     cols = list(bounded_partitions(n))
     rows = [column(k) for k in range(1, n + 1)]
     zero = Polynomial.zero("x") if at is None else 0
+    labels: Dict[Partition, List[Weight]] = {}
     entries = []
     for row in rows:
-        weights = _path_weights_from(row, n, at)
+        weights = _path_weights_from(row, n, at, labels)
         entries.append([weights.get(c, zero) for c in cols])
     return PathMatrix(rows, cols, entries)
 

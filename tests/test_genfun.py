@@ -82,6 +82,41 @@ def test_enum_table_order_independent(k):
     assert [s.truncate(small) for s in large_first_large] == large_first
 
 
+@pytest.mark.parametrize("k", [2, 5, 7])
+def test_recur_memo_order_independent(k):
+    # the prefix memo is keyed by (k, b) with the degree it was built to: an
+    # entry built to degree 3 must never serve degree 40
+    small, large = 3, 40
+    weights = range(0, 2 * k + 3)
+    genfun.clear_memo_caches()
+    small_first = [genfun.f_recur(k, l, small) for l in weights]
+    small_first_large = [genfun.f_recur(k, l, large) for l in weights]
+    genfun.clear_memo_caches()
+    large_first_large = [genfun.f_recur(k, l, large) for l in weights]
+    large_first = [genfun.f_recur(k, l, small) for l in weights]
+    assert small_first == large_first
+    assert small_first_large == large_first_large
+    assert [s.truncate(small) for s in large_first_large] == large_first
+
+
+def test_enum_table_rows_against_binomial_oracle():
+    degree = 20
+    for k in range(1, 7):
+        genfun.clear_memo_caches()
+        table = genfun._weight_degree_table(k, degree)
+        for n in range(degree + 1):
+            row = table[n]
+            # one entry per weight -kn, -kn + 2, ..., kn
+            assert len(row) == k * n + 1, (k, n)
+            # every monomial of degree n counted once: dim Sym^n L(k)
+            assert sum(row) == comb(n + k, k), (k, n)
+            # the weights of Sym^n L(k) are symmetric about 0
+            assert row == row[::-1], (k, n)
+        for l in range(0, 2 * k + 3):
+            coeffs = genfun.f_enum(k, l, degree).coeffs
+            assert all(coeffs[n] == 0 for n in range(degree + 1) if (l + k * n) % 2), (k, l)
+
+
 def test_enum_examples():
     assert [int(c) for c in genfun.f_enum(1, 3, 7).coeffs] == [0, 0, 0, 1, 0, 1, 0, 1]
     assert genfun.f_enum(2, 1, 10).is_zero()
@@ -113,6 +148,26 @@ def test_planted_closed_form_defect_fails_criterion_1(monkeypatch):
     assert [v.passed for v in verdicts] == [True] * 5 + [False]
     enum = genfun.f_enum(5, 0, 30).coeffs[8]
     assert verdicts[5].detail == f"closed k=5 l=0: q^8 is {enum + 1}, enum has {enum}"
+
+
+def test_planted_recursion_defect_fails_criterion_1(monkeypatch):
+    original = genfun._stride2_prefix
+
+    def late(k, b, degree):
+        # _recur_coeffs then adds each prefix from |d| + z + 1, one step late
+        head = original(k, b, degree)
+        return None if head is None else (head[0] + 1, head[1])
+
+    monkeypatch.setattr(genfun, "_stride2_prefix", late)
+    genfun.clear_memo_caches()
+    try:
+        verdicts = verify.check_triple_agreement(degree=30, k_max=5, l_max=3)
+    finally:
+        genfun.clear_memo_caches()
+    # k = 0, 1 have no recursion route; every k >= 2 fails
+    assert [v.passed for v in verdicts] == [True] * 2 + [False] * 4
+    assert verdicts[2].detail.startswith("recur k=2 l=0: q^0 is 0, enum has 1; ")
+    assert verdicts[5].detail.startswith("recur k=5 l=0: q^0 is 0, enum has 1; ")
 
 
 def test_planted_quotient_defects_name_the_first_coefficient(monkeypatch):
