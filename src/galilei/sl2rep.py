@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Counter as CounterT
 
-from . import genfun
-from .exact import TruncatedSeries
+from .genfun import sym_weight_dim
 
 
 @dataclass(frozen=True, order=True)
@@ -73,13 +72,6 @@ def clebsch_gordan(m: int, n: int) -> CounterT[int]:
     if m < 0 or n < 0:
         raise ValueError("highest weights must be non-negative")
     return Counter(range(abs(m - n), m + n + 1, 2))
-
-
-def sym_weight_dim(k: int, n: int, l: int) -> int:
-    """Dimension of the l-weight space of the n-th symmetric power of L(k)."""
-    if abs(l) > k * n:
-        return 0
-    return genfun.f_enum(k, abs(l), n).coeffs[n]
 
 
 def sym_power_decompose(k: int, n: int) -> CounterT[int]:
@@ -173,22 +165,19 @@ def q0_multiplicity(l: int) -> int:
 def q00_degree_part(k: int) -> CounterT[int]:
     """Multiset of L(l)'s in the degree-k graded piece of Q(0).
 
-    Computed (not tabulated) as the q^k coefficient of
-    (F_l - F_{l+2}) * (1-q^2)(1-q^3) over the ambient module of highest
-    weight 4, using that the symmetric algebra is free over its degree-2 and
-    degree-3 invariants.
+    Sym(L(4)) is Q(0) tensored with the free algebra on its invariants of
+    degrees 2 and 3, so the piece is the signed sum, not a series product,
+    Sym^k - Sym^(k-2) - Sym^(k-3) + Sym^(k-5) of decomposed symmetric powers
+    of L(4); only nonzero multiplicities are kept.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     out: CounterT[int] = Counter()
-    killer = genfun.geometric_den(2, 3)
-    for l in range(2 * k, 4 * k + 1):
-        numerator = genfun.f_enum(4, l, k + 3) - genfun.f_enum(4, l + 2, k + 3)
-        series = numerator * TruncatedSeries.from_polynomial(killer, k + 3)
-        mult = series.coeffs[k]
-        if mult:
-            out[l] = mult
-    return out
+    for n, sign in ((k, 1), (k - 2, -1), (k - 3, -1), (k - 5, 1)):
+        if n >= 0:
+            for l, mult in sym_power_decompose(4, n).items():
+                out[l] += sign * mult
+    return Counter({l: mult for l, mult in out.items() if mult})
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
-from galilei import genfun, sl2rep, symalg, verify, younglat
-from galilei.cli import SERIES_MAX_CELLS, Report, main
+from galilei import genfun, quiver, sl2rep, symalg, verify, younglat
+from galilei.cli import SERIES_MAX_CELLS, SUMMAND_MAX_K, Report, main
 from galilei.exact import Polynomial, RationalFunction, TruncatedSeries
+from galilei.sl2rep import V
 from galilei.verify import Verdict
 
 
@@ -129,6 +131,40 @@ def test_young_limit_itself_is_accepted(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "young", "rank", "--upto", "40")
     assert code == 0
     assert "n=40  rank = 40: PASS" in out
+
+
+def _refuse_summands(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a summand list for an oversized request")
+
+    monkeypatch.setattr(sl2rep, "hc_tensor", refuse)
+    monkeypatch.setattr(quiver, "decompose_Q", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sl2", "tensor", "--k", "100001", "--simple", "V(3)"),
+        ("sl2", "tensor", "--k", "100000000", "--simple", "V'(0)"),
+        ("quiver", "decompose-q", "--k", "100001"),
+    ],
+)
+def test_summand_lists_above_the_limit_exit_2_before_building(capsys, monkeypatch, argv):
+    _refuse_summands(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --k {argv[3]} is above the summand-list limit {SUMMAND_MAX_K}\n"
+
+
+def test_summand_limit_itself_is_accepted(capsys, monkeypatch):
+    assert SUMMAND_MAX_K == 100_000
+    monkeypatch.setattr(sl2rep, "hc_tensor", lambda k, s: Counter({V(k): 1}))
+    monkeypatch.setattr(quiver, "decompose_Q", lambda k: Counter({V(k): 1}))
+    code, out, _ = run_cli(capsys, "sl2", "tensor", "--k", "100000", "--simple", "V(3)")
+    assert code == 0 and "V(100000) x 1" in out
+    code, out, _ = run_cli(capsys, "quiver", "decompose-q", "--k", "100000")
+    assert code == 0 and "P[V(100000)] x 1" in out
 
 
 def test_structured_round_trip(capsys):
@@ -341,12 +377,87 @@ first_negative: first negative coefficient: none
             ("sl2", "q0", "--table", "0"),
             "command: sl2 q0\nparams: table=0\ngraded_table:\n  degree 0: L(0)\n",
         ),
+        (
+            ("sl2", "q0", "--table", "12"),
+            """\
+command: sl2 q0
+params: table=12
+graded_table:
+  degree 0: L(0)
+  degree 1: L(4)
+  degree 2: L(4) + L(8)
+  degree 3: L(6) + L(8) + L(12)
+  degree 4: L(8) + L(10) + L(12) + L(16)
+  degree 5: L(10) + L(12) + L(14) + L(16) + L(20)
+  degree 6: L(12) + L(14) + L(16) + L(18) + L(20) + L(24)
+  degree 7: L(14) + L(16) + L(18) + L(20) + L(22) + L(24) + L(28)
+  degree 8: L(16) + L(18) + L(20) + L(22) + L(24) + L(26) + L(28) + L(32)
+  degree 9: L(18) + L(20) + L(22) + L(24) + L(26) + L(28) + L(30) + L(32) + L(36)
+  degree 10: L(20) + L(22) + L(24) + L(26) + L(28) + L(30) + L(32) + L(34) + L(36) + L(40)
+  degree 11: L(22) + L(24) + L(26) + L(28) + L(30) + L(32) + L(34) + L(36) + L(38) + L(40) + L(44)
+  degree 12: L(24) + L(26) + L(28) + L(30) + L(32) + L(34) + L(36) + L(38) + L(40) + L(42) + L(44) + L(48)
+""",
+        ),
+        (
+            ("sl2", "sym", "--k", "4", "--n", "6"),
+            """\
+command: sl2 sym
+params: k=4 n=6
+decomposition:
+  L(0) x 2
+  L(4) x 2
+  L(6) x 1
+  L(8) x 3
+  L(10) x 1
+  L(12) x 3
+  L(14) x 1
+  L(16) x 2
+  L(18) x 1
+  L(20) x 1
+  L(24) x 1
+PASS  total dimension equals C(n+k, k)  (210)
+""",
+        ),
+        (
+            ("sl2", "sym", "--k", "5", "--n", "3"),
+            """\
+command: sl2 sym
+params: k=5 n=3
+decomposition:
+  L(3) x 1
+  L(5) x 1
+  L(7) x 1
+  L(9) x 1
+  L(11) x 1
+  L(15) x 1
+PASS  total dimension equals C(n+k, k)  (56)
+""",
+        ),
     ],
 )
 def test_transcripts_are_pinned(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert re.sub(r"^wall_time_ms: \d+\n", "", out, flags=re.M) == expected
+
+
+def test_q0_table_builds_the_weight_table_once(capsys, monkeypatch):
+    original = genfun._weight_degree_table
+    builds = []
+
+    def counting(k, degree):
+        before = genfun._enum_tables.get(k)
+        table = original(k, degree)
+        if table is not before:
+            builds.append((k, degree))
+        return table
+
+    monkeypatch.setattr(genfun, "_weight_degree_table", counting)
+    genfun.clear_memo_caches()
+    code, out, _ = run_cli(capsys, "sl2", "q0", "--table", "30")
+    assert code == 0
+    assert "  degree 0: L(0)\n  degree 1: L(4)\n" in out and "  degree 30: L(60)" in out
+    assert builds == [(4, 30)]
 
 
 def test_recursion_route_below_k_2_is_an_error(capsys):

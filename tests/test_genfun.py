@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from galilei import genfun, verify
+from galilei import genfun, sl2rep, verify
 from galilei.exact import Polynomial, RationalFunction, series_expand
 
 
@@ -115,6 +115,53 @@ def test_enum_table_rows_against_binomial_oracle():
         for l in range(0, 2 * k + 3):
             coeffs = genfun.f_enum(k, l, degree).coeffs
             assert all(coeffs[n] == 0 for n in range(degree + 1) if (l + k * n) % 2), (k, l)
+
+
+def test_sym_weight_dim_edge_cases():
+    assert sl2rep.sym_weight_dim is genfun.sym_weight_dim
+    brute = Counter()
+    for combo in diophantine_solutions(3, 3, 4):
+        brute[sum(combo)] += 1
+    # negative weights read the cell of |l|
+    for n in range(0, 6):
+        for l in range(-3 * n, 3 * n + 1):
+            assert genfun.sym_weight_dim(3, n, l) == genfun.sym_weight_dim(3, n, -l), (n, l)
+    assert [genfun.sym_weight_dim(3, n, -3) for n in range(5)] == [brute[n] for n in range(5)]
+    # l + kn odd: no monomial has that weight
+    assert genfun.sym_weight_dim(3, 2, 1) == 0
+    assert genfun.sym_weight_dim(4, 5, -7) == 0
+    # |l| > kn lies outside the weights of Sym^n
+    assert genfun.sym_weight_dim(3, 2, 8) == genfun.sym_weight_dim(3, 2, -8) == 0
+    assert genfun.sym_weight_dim(5, 0, 2) == 0
+    assert genfun.sym_weight_dim(3, 2, 6) == 1
+    # Sym^n(L(0)) is one-dimensional of weight 0, and no table is built for it
+    genfun.clear_memo_caches()
+    assert [genfun.sym_weight_dim(0, n, 0) for n in range(6)] == [1] * 6
+    assert [genfun.sym_weight_dim(0, n, l) for n in range(6) for l in (-2, 1, 2)] == [0] * 18
+    assert 0 not in genfun._enum_tables
+    with pytest.raises(ValueError):
+        genfun.sym_weight_dim(3, -1, 0)
+
+
+def test_cold_f_enum_builds_the_table_once(monkeypatch):
+    original = genfun._weight_degree_table
+    builds = []
+
+    def counting(k, degree):
+        before = genfun._enum_tables.get(k)
+        table = original(k, degree)
+        if table is not before:
+            builds.append((k, degree))
+        return table
+
+    monkeypatch.setattr(genfun, "_weight_degree_table", counting)
+    genfun.clear_memo_caches()
+    genfun.f_enum(5, 0, 240)
+    assert builds == [(5, 240)]
+    # a smaller degree, and every single cell below it, reuse that table
+    genfun.f_enum(5, 7, 100)
+    genfun.sym_weight_dim(5, 240, -3)
+    assert builds == [(5, 240)]
 
 
 def test_enum_examples():

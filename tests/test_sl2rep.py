@@ -1,9 +1,11 @@
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
 from galilei import genfun, sl2rep, verify
+from galilei.exact import TruncatedSeries
 from galilei.sl2rep import SimpleHC, V, Vp
 
 
@@ -144,6 +146,31 @@ def test_q00_degree_parts():
         assert row[2 * k] == 1 and row[4 * k] == 1
         assert row.get(4 * k - 2, 0) == 0
         assert all(row[l] == 1 for l in range(2 * k, 4 * k - 3, 2))
+
+
+def test_q00_degree_parts_against_binomial_dimensions():
+    # dim Sym^n(L(4)) = C(n+4, 4), zero for negative n; the degree-k piece of
+    # Q(0) has dimension dim Sym^k - dim Sym^(k-2) - dim Sym^(k-3) + dim Sym^(k-5)
+    def sym_dim(n):
+        return comb(n + 4, 4) if n >= 0 else 0
+
+    for k in range(0, 61):
+        part = sl2rep.q00_degree_part(k)
+        expected = sym_dim(k) - sym_dim(k - 2) - sym_dim(k - 3) + sym_dim(k - 5)
+        assert sum((l + 1) * m for l, m in part.items()) == expected, k
+        assert all(2 * k <= l <= 4 * k for l in part), k
+        assert all(m > 0 for m in part.values()), k
+
+
+def test_q00_degree_parts_build_and_multiply_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weight-space dimension went through a series")
+
+    monkeypatch.setattr(genfun, "f_enum", refuse)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    for k in range(0, 13):
+        sl2rep.q00_degree_part(k)
+    assert sl2rep.sym_power_decompose(4, 6)[8] == 3
 
 
 def test_q0_column_sums():
