@@ -225,11 +225,12 @@ def _cmd_symalg_independence(args) -> Report:
 
 
 # The series commands read genfun's weight-by-degree table for L(k): rows
-# n = 0..degree, row n holding the kn + 1 weights of the parity of kn.  The
-# budget counts (N+1)(kN+1) cells, the full weight range, about twice the
-# cells of that parity-halved table.  Peak RSS at the limit measured 142 MB
-# at k = 100 (CPython 3.11); a larger request is refused before anything is
-# built.
+# n = 0..degree, row n packing the kn + 1 weights of the parity of kn into one
+# int of fixed-width fields.  The budget counts (N+1)(kN+1) cells, the full
+# weight range, about twice the fields of that table.  At the limit, peak RSS
+# measured 21 MB at k = 1, 48 MB at k = 8 and 107 MB at k = 100, and the
+# slowest request, `genfun freeness --k 100 --degree 199`, took 5.7 s (CPython
+# 3.11, 2 cores); a larger request is refused before anything is built.
 SERIES_MAX_CELLS = 4_000_000
 
 # The Young-lattice commands are certified up to this level (det N_40 is a
@@ -242,6 +243,13 @@ YOUNG_MAX_N = 40
 # and 32 MB for `quiver decompose-q --k 100000` (CPython 3.11); a larger
 # request is refused before anything is built.
 SUMMAND_MAX_K = 100_000
+
+# `quiver radical` extends every surviving path by one arrow per layer, and the
+# paths grow with the depth, so its time grows about quadratically in it.  At
+# the limit it took at most 0.72 s and 18 MB peak RSS for each top tried,
+# V'(0), V'(2), V(1) to V(4), V(101) and V(1001) (CPython 3.11, 2 cores); a
+# larger request is refused before anything is built.
+RADICAL_MAX_DEPTH = 1_000
 
 
 def _series_bound(k: int, degree: int) -> None:
@@ -311,6 +319,7 @@ def _cmd_young_det(args) -> Report:
 
 
 def _cmd_quiver_radical(args) -> Report:
+    _bound("--depth", args.depth, RADICAL_MAX_DEPTH, "radical-depth")
     top = SimpleHC.parse(args.top)
     rep = Report("quiver radical", dict(top=str(top), depth=args.depth))
     filtration = quiver.radical_filtration(top, args.depth)

@@ -17,14 +17,16 @@ This module computes F_l^(k) by three independent routes:
 On top of these sit the invariant Hilbert series F_0 - F_2, the freeness
 quotient (F_l - F_{l+2})/(F_0 - F_2) whose negative coefficients certify
 non-freeness, and a greedy detector for the generators/relation shape of the
-invariant ring.  A single weight-space dimension is one cell of the
-lattice-count table, read by ``sym_weight_dim`` without building a series.
+invariant ring.  A single weight-space dimension is one field of the
+lattice-count table, read by ``sym_weight_dim`` without building a series;
+``weight_row`` unpacks a whole row of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
@@ -58,37 +60,39 @@ def geometric_den(*degrees: int) -> Polynomial:
 # f_enum: dynamic-programming lattice-point count
 # ---------------------------------------------------------------------------
 
-_enum_tables: Dict[int, List[List[int]]] = {}
+#: k -> (w, rows), the packed table built by ``_weight_degree_table``.
+_enum_tables: Dict[int, Tuple[int, List[int]]] = {}
 
 
-def _weight_degree_table(k: int, degree: int) -> List[List[int]]:
+def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
     """Weight counts of monomials of every degree n <= ``degree``, for k >= 1.
 
     Every degree-n monomial has weight congruent to k*n mod 2, so only those
-    weights are stored: row n has width k*n + 1 and column c counts the
-    degree-n monomials of weight 2c - k*n (``sym_weight_dim`` reads one
-    cell).  One table is kept per k: it serves every smaller degree and is
-    rebuilt only when a larger degree is asked for.
+    weights are stored: row n is one int holding k*n + 1 fields of w bits,
+    field c counting the degree-n monomials of weight 2c - k*n.  No cell
+    exceeds C(n + k, k), the number of degree-n monomials, so with w at least
+    its bit length no field carries into the next; w is a whole number of
+    bytes for ``weight_row``.  One table is kept per k: it serves every
+    smaller degree, and a larger degree drops it before rebuilding.
     """
-    table = _enum_tables.get(k)
-    if table is not None and len(table) > degree:
-        return table
-    table = [[0] * (k * n + 1) for n in range(degree + 1)]
-    table[0][0] = 1
-    # Adding one factor of weight k - 2i moves a count from column c of row
-    # n - 1 to column c + k - i of row n (the row offset grows by k/2).
+    entry = _enum_tables.get(k)
+    if entry is not None and len(entry[1]) > degree:
+        return entry
+    _enum_tables.pop(k, None)
+    w = 8 * ((comb(degree + k, k).bit_length() + 7) // 8)
+    rows = [1] + [0] * degree
+    # Adding one factor of weight k - 2i moves a count from field c of row
+    # n - 1 to field c + k - i of row n (the row offset grows by k/2).
     for i in range(k + 1):
-        s = k - i
+        shift = (k - i) * w
         for n in range(1, degree + 1):
-            prev, cur = table[n - 1], table[n]
-            end = s + len(prev)
-            cur[s:end] = map(add, cur[s:end], prev)
-    _enum_tables[k] = table
-    return table
+            rows[n] += rows[n - 1] << shift
+    entry = _enum_tables[k] = (w, rows)
+    return entry
 
 
 def sym_weight_dim(k: int, n: int, l: int) -> int:
-    """Dimension of the l-weight space of Sym^n(L(k)): one table cell.
+    """Dimension of the l-weight space of Sym^n(L(k)): one table field.
 
     Weights are symmetric about 0, lie in [-kn, kn] and have the parity of kn;
     Sym^n(L(0)) is the trivial module and needs no table.
@@ -100,7 +104,20 @@ def sym_weight_dim(k: int, n: int, l: int) -> int:
         return 0
     if k == 0:
         return 1
-    return _weight_degree_table(k, n)[n][(l + k * n) // 2]
+    w, rows = _weight_degree_table(k, n)
+    return (rows[n] >> ((l + k * n) // 2 * w)) & ((1 << w) - 1)
+
+
+def weight_row(k: int, n: int) -> List[int]:
+    """dim Sym^n(L(k))_(2c - kn) for c = 0..kn: one table row, unpacked once."""
+    if k < 0 or n < 0:
+        raise ValueError("k, n must be non-negative")
+    if k == 0:
+        return [1]
+    w, rows = _weight_degree_table(k, n)
+    size = w // 8
+    data = rows[n].to_bytes((k * n + 1) * size, "little")
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
 def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Counter as CounterT
 
-from .genfun import sym_weight_dim
+from .genfun import sym_weight_dim, weight_row  # sym_weight_dim is re-exported
 
 
 @dataclass(frozen=True, order=True)
@@ -78,15 +78,18 @@ def sym_power_decompose(k: int, n: int) -> CounterT[int]:
     """Multiplicities of each L(l) in the n-th symmetric power of L(k).
 
     Obtained by peeling the weight character: the multiplicity of L(l) is
-    dim Sym^n(L(k))_l - dim Sym^n(L(k))_{l+2}.
+    dim Sym^n(L(k))_l - dim Sym^n(L(k))_{l+2}, read from one weight row
+    whose entry c is the dimension of weight 2c - kn.
     """
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
+    top = k * n
+    row = weight_row(k, n) + [0]
     out: CounterT[int] = Counter()
-    for l in range(k * n, -1, -1):
-        mult = sym_weight_dim(k, n, l) - sym_weight_dim(k, n, l + 2)
+    for c in range(top, (top - 1) // 2, -1):
+        mult = row[c] - row[c + 1]
         if mult:
-            out[l] = mult
+            out[2 * c - top] = mult
     return out
 
 

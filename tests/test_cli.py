@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from galilei import genfun, quiver, sl2rep, symalg, verify, younglat
-from galilei.cli import SERIES_MAX_CELLS, SUMMAND_MAX_K, Report, main
+from galilei.cli import RADICAL_MAX_DEPTH, SERIES_MAX_CELLS, SUMMAND_MAX_K, Report, main
 from galilei.exact import Polynomial, RationalFunction, TruncatedSeries
 from galilei.sl2rep import V
 from galilei.verify import Verdict
@@ -165,6 +165,27 @@ def test_summand_limit_itself_is_accepted(capsys, monkeypatch):
     assert code == 0 and "V(100000) x 1" in out
     code, out, _ = run_cli(capsys, "quiver", "decompose-q", "--k", "100000")
     assert code == 0 and "P[V(100000)] x 1" in out
+
+
+@pytest.mark.parametrize("depth", ["1001", "10000"])
+def test_radical_depth_above_the_limit_exits_2_before_building(capsys, monkeypatch, depth):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a radical filtration for an oversized request")
+
+    monkeypatch.setattr(quiver, "radical_filtration", refuse)
+    code, out, err = run_cli(capsys, "quiver", "radical", "--top", "V(1)", "--depth", depth)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --depth {depth} is above the radical-depth limit {RADICAL_MAX_DEPTH}\n"
+
+
+def test_radical_depth_limit_itself_is_accepted(capsys, monkeypatch):
+    assert RADICAL_MAX_DEPTH == 1_000
+    monkeypatch.setattr(
+        quiver, "radical_filtration", lambda top, depth: quiver.RadicalFiltration(top, [Counter({top: 1})])
+    )
+    code, out, _ = run_cli(capsys, "quiver", "radical", "--top", "V(1)", "--depth", "1000")
+    assert code == 0 and "rad^0: V(1)" in out
 
 
 def test_structured_round_trip(capsys):

@@ -99,22 +99,41 @@ def test_recur_memo_order_independent(k):
     assert [s.truncate(small) for s in large_first_large] == large_first
 
 
+def _check_weight_rows(k, degree):
+    genfun.clear_memo_caches()
+    # the largest degree first: every row is read from the table built to ``degree``
+    for n in range(degree, -1, -1):
+        row = genfun.weight_row(k, n)
+        # one entry per weight -kn, -kn + 2, ..., kn
+        assert len(row) == k * n + 1, (k, n)
+        # every monomial of degree n counted once: dim Sym^n L(k)
+        assert sum(row) == comb(n + k, k), (k, n)
+        # the weights of Sym^n L(k) are symmetric about 0
+        assert row == row[::-1], (k, n)
+
+
 def test_enum_table_rows_against_binomial_oracle():
     degree = 20
     for k in range(1, 7):
-        genfun.clear_memo_caches()
-        table = genfun._weight_degree_table(k, degree)
-        for n in range(degree + 1):
-            row = table[n]
-            # one entry per weight -kn, -kn + 2, ..., kn
-            assert len(row) == k * n + 1, (k, n)
-            # every monomial of degree n counted once: dim Sym^n L(k)
-            assert sum(row) == comb(n + k, k), (k, n)
-            # the weights of Sym^n L(k) are symmetric about 0
-            assert row == row[::-1], (k, n)
+        _check_weight_rows(k, degree)
         for l in range(0, 2 * k + 3):
             coeffs = genfun.f_enum(k, l, degree).coeffs
             assert all(coeffs[n] == 0 for n in range(degree + 1) if (l + k * n) % 2), (k, l)
+    # counts past 64 bits: the widest fields of the table, against the recursion
+    k, degree = 32, 45
+    _check_weight_rows(k, degree)
+    assert max(genfun.weight_row(k, degree)).bit_length() > 64
+    for l in (0, 2):
+        assert genfun.f_enum(k, l, degree) == genfun.f_recur(k, l, degree), l
+
+
+def test_planted_narrow_field_width_fails_the_row_oracle(monkeypatch):
+    # fields one byte narrower than C(degree + k, k) needs: at k = 32, degree
+    # 45 the largest counts (65 bits) carry into the next field
+    monkeypatch.setattr(genfun, "comb", lambda n, k: comb(n, k) >> 8)
+    with pytest.raises(AssertionError):
+        _check_weight_rows(32, 45)
+    genfun.clear_memo_caches()
 
 
 def test_sym_weight_dim_edge_cases():

@@ -173,6 +173,26 @@ def test_q00_degree_parts_build_and_multiply_no_series(monkeypatch):
     assert sl2rep.sym_power_decompose(4, 6)[8] == 3
 
 
+def test_q00_degree_part_unpacks_at_most_four_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weight-space dimension was read one field at a time")
+
+    monkeypatch.setattr(genfun, "sym_weight_dim", refuse)
+    monkeypatch.setattr(sl2rep, "sym_weight_dim", refuse)
+    original = sl2rep.weight_row
+    unpacked = []
+
+    def counting(k, n):
+        unpacked.append((k, n))
+        return original(k, n)
+
+    monkeypatch.setattr(sl2rep, "weight_row", counting)
+    for k in (0, 2, 4, 5, 60):
+        unpacked.clear()
+        sl2rep.q00_degree_part(k)
+        assert unpacked == [(4, n) for n in (k, k - 2, k - 3, k - 5) if n >= 0], k
+
+
 def test_q0_column_sums():
     for l in range(0, 41):
         column = sum(sl2rep.q00_degree_part(k).get(l, 0) for k in range(0, 21))
