@@ -160,20 +160,16 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d, lead = other.degree, other.leading_coefficient()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = _as_scalar(Fraction(rem[-1], lead))
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return Polynomial(self.var, quot), Polynomial(self.var, rem)
+        d, lead, low = other.degree, other.coeffs[-1], other.coeffs[:-1]
+        quot = [0] * max(len(rem) - d, 0)
+        # top down: step `shift` cancels rem[shift + d], which is never read again
+        for shift in range(len(quot) - 1, -1, -1):
+            top = rem[shift + d]
+            if top:
+                factor = quot[shift] = _as_scalar(Fraction(top, lead))
+                for i, c in enumerate(low):
+                    rem[shift + i] -= factor * c
+        return Polynomial(self.var, quot), Polynomial(self.var, rem[:d])
 
     def __mod__(self, other):
         return divmod(self, other)[1]

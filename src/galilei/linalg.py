@@ -1,81 +1,71 @@
 """Exact linear algebra: fraction-free elimination and polynomial determinants.
 
-Rank and determinant computations run over arbitrary-precision integers
-(Bareiss elimination, whose interior divisions are exact); a non-integer
-entry is an error, never truncated.  Determinants of matrices with
-integer-coefficient polynomial entries are found in two steps.  First every
-row or column with at most one nonzero entry is peeled off by Laplace
-expansion, which is exact for any matrix and leaves a smaller core (empty
-for a triangular matrix up to row and column order).  The core's determinant
-is then recovered by evaluating at the integer nodes 0..D and
-Newton-interpolating, which keeps every step in the integers: each divided
-difference on consecutive integer nodes is an integer, and every division is
-checked to be exact.  ``poly_bareiss_det`` is the independent cross-check:
-fraction-free elimination directly over the polynomial ring.
+Rank and determinant come from one fraction-free (Bareiss) elimination over
+arbitrary-precision integers, whose interior divisions are exact: the rank
+is its number of pivots, the determinant its signed last pivot at full
+rank.  A non-integer entry is an error, never truncated.
+
+Determinants of matrices with integer-coefficient polynomial entries are
+found in two steps.  First every row or column with at most one nonzero
+entry is peeled off by Laplace expansion, which is exact for any matrix and
+leaves a smaller core (empty for a triangular matrix up to row and column
+order).  The core's determinant is then recovered by evaluating at the
+integer nodes 0..D and Newton-interpolating, which keeps every step in the
+integers: each divided difference on consecutive integer nodes is an
+integer, and every division is checked to be exact.  ``poly_bareiss_det`` is
+the independent cross-check: fraction-free elimination directly over the
+polynomial ring.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 from .exact import Polynomial
 
 
-def _int_rows(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
-    """A mutable copy of an integer matrix; any other entry is a TypeError."""
+def _eliminate(matrix: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of a copy of an integer matrix.
+
+    Returns the rank, the sign of the row swaps and the last pivot, which at
+    full rank is the determinant up to that sign.  A column with no pivot is
+    skipped; every interior division is exact; a non-int entry is a TypeError.
+    """
     m = [list(row) for row in matrix]
     if any(type(x) is not int for row in m for x in row):
         raise TypeError("Bareiss elimination needs int entries")
-    return m
-
-
-def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free Gaussian elimination."""
-    m = _int_rows(matrix)
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
-    r = 0
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    sign, prev, r = 1, 1, 0
     for c in range(n_cols):
         pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, n_rows):
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top = m[r]
+        for row in m[r + 1 :]:
             for j in range(c + 1, n_cols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+                row[j] = (row[j] * top[c] - row[c] * top[j]) // prev
+            row[c] = 0
+        prev = top[c]
         r += 1
         if r == n_rows:
             break
-    return r
+    return r, sign, prev
+
+
+def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix via fraction-free Gaussian elimination."""
+    return _eliminate(matrix)[0]
 
 
 def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = _int_rows(matrix)
-    if any(len(row) != n for row in m):
+    """Determinant of a square integer matrix, fraction-free; 0 below full rank."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, sign, last = _eliminate(matrix)
+    return sign * last if rank == len(matrix) else 0
 
 
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:

@@ -173,19 +173,11 @@ def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
 def decompose_Q(k: int) -> CounterT[SimpleHC]:
     """Indecomposable summands of the reduced universal module Q(k).
 
-    Returned as a multiset of tops of projective covers: the multiplicity of
-    the projective with top V equals the multiplicity of L(k) among the
-    finite-dimensional types of V, which yields the explicit staircase below.
+    Returned as a multiset of tops of projective covers.  Q(k) is
+    L(k) (x) Q(0), and Q(0) is the projective cover of V'(0), so the
+    summands are those of ``tensor_projective(k, V'(0))``.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out: CounterT[SimpleHC] = Counter()
-    if k % 2 == 1:
-        out.update(V(j) for j in range(1, k + 1, 2))
-        return out
-    out[Vp(0) if k % 4 == 0 else Vp(2)] += 1
-    out.update(V(j) for j in range(2, k + 1, 2))
-    return out
+    return tensor_projective(k, Vp(0))
 
 
 def tensor_projective(k: int, top: SimpleHC) -> CounterT[SimpleHC]:

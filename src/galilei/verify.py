@@ -8,12 +8,12 @@ frozen reference data (printed matrices, tabulated multiplicities) or with an
 independent second computation route (enumeration vs recursion vs closed
 form, path counting vs branch pictures).
 
-The per-item certificates behind criteria 5 and 6 are small functions
-(``rank_verdict``, ``det_verdicts``, ``invariance_verdicts``,
-``independence_verdict``).  The criteria aggregate them, and the command
-line's ``young rank``, ``young det``, ``symalg check-invariants`` and
-``symalg independence`` report them as they are, so both surfaces share
-one predicate per claim.
+The per-item certificates behind criteria 1, 5 and 6 are small functions
+(``route_verdict``, ``rank_verdict``, ``det_verdicts``,
+``invariance_verdicts``, ``independence_verdict``).  The criteria aggregate
+them, and the command line's ``genfun series --method all``, ``young rank``,
+``young det``, ``symalg check-invariants`` and ``symalg independence`` report
+them as they are, so both surfaces share one predicate per claim.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ def _series_mismatch(label: str, got, ref, ref_name: str = "enum") -> str:
     return f"{label}: truncation {got.truncation}, {ref_name} has {ref.truncation}"
 
 
+def route_verdict(label: str, series, enum) -> Verdict:
+    """A series route equals the enumeration; a failure names the first mismatch."""
+    ok = series == enum
+    return _verdict(f"{label} agrees with enum", ok, "" if ok else _series_mismatch(label, series, enum))
+
+
 def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) -> List[Verdict]:
     verdicts = []
     for k in range(k_max + 1):
@@ -79,8 +85,9 @@ def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) ->
             if genfun.has_closed_form(k, l):
                 routes.append(("closed", series_expand(genfun.f_closed(k, l), degree)))
             for route, series in routes:
-                if series != enum:
-                    mismatches.append(_series_mismatch(f"{route} k={k} l={l}", series, enum))
+                v = route_verdict(f"{route} k={k} l={l}", series, enum)
+                if not v.passed:
+                    mismatches.append(v.detail)
         verdicts.append(
             _verdict(
                 f"series routes agree for k={k}, l<={l_max}, degree<={degree}",

@@ -266,7 +266,7 @@ class DetFactorization:
 
     @property
     def integer_factor_nonzero(self) -> bool:
-        return self.integer_factor != 0 and not self.determinant.is_zero
+        return self.integer_factor != 0
 
     @property
     def all_roots_below_n(self) -> bool:

@@ -5,7 +5,14 @@ from collections import Counter
 import pytest
 
 from galilei import genfun, quiver, sl2rep, symalg, verify, younglat
-from galilei.cli import RADICAL_MAX_DEPTH, SERIES_MAX_CELLS, SUMMAND_MAX_K, Report, main
+from galilei.cli import (
+    INDEPENDENCE_MAX_K,
+    RADICAL_MAX_DEPTH,
+    SERIES_MAX_CELLS,
+    SUMMAND_MAX_K,
+    Report,
+    main,
+)
 from galilei.exact import Polynomial, RationalFunction, TruncatedSeries
 from galilei.sl2rep import V
 from galilei.verify import Verdict
@@ -186,6 +193,33 @@ def test_radical_depth_limit_itself_is_accepted(capsys, monkeypatch):
     )
     code, out, _ = run_cli(capsys, "quiver", "radical", "--top", "V(1)", "--depth", "1000")
     assert code == 0 and "rad^0: V(1)" in out
+
+
+@pytest.mark.parametrize("k", ["41", "1000"])
+def test_independence_above_the_limit_exits_2_before_building(capsys, monkeypatch, k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an independence matrix for an oversized request")
+
+    monkeypatch.setattr(symalg, "independence_check", refuse)
+    code, out, err = run_cli(capsys, "symalg", "independence", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --k {k} is above the independence limit {INDEPENDENCE_MAX_K}\n"
+
+
+def test_independence_limit_itself_is_accepted(capsys):
+    assert INDEPENDENCE_MAX_K == 40
+    code, out, _ = run_cli(capsys, "symalg", "independence", "--k", "40")
+    assert code == 0 and "PASS  rank certificate: rank = k = 40  (rank 40)" in out
+
+
+def test_unwritable_out_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "young", "rank", "--upto", "3", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert not path.exists()
 
 
 def test_structured_round_trip(capsys):

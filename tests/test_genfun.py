@@ -309,6 +309,29 @@ def test_triple_agreement_small():
                 assert series_expand(genfun.f_closed(k, l), 30) == enum, (k, l)
 
 
+def test_closed_form_expansion_matches_sympy_series():
+    # sympy's own power-series arithmetic over QQ inverts the denominator,
+    # sharing no code with exact.series_expand
+    pytest.importorskip("sympy")
+    from sympy import QQ, ring
+    from sympy.polys.ring_series import rs_mul, rs_series_inversion
+
+    R, q = ring("q", QQ)
+    as_ring = lambda p: sum((QQ(c.numerator, c.denominator) * q**i for i, c in enumerate(p.coeffs)), R(0))
+    checked = 0
+    for k in range(7):
+        for l in range(13):
+            if not genfun.has_closed_form(k, l):
+                continue
+            rf = genfun.f_closed(k, l)
+            oracle = rs_mul(as_ring(rf.num), rs_series_inversion(as_ring(rf.den), q, 41), q, 41)
+            expected = [oracle.get((i,), QQ(0)) for i in range(41)]
+            got = series_expand(rf, 40).coeffs
+            assert [QQ(c.numerator, c.denominator) for c in got] == expected, (k, l)
+            checked += 1
+    assert checked == 73
+
+
 def test_closed_form_support():
     assert genfun.f_closed(4, 5).is_zero
     assert genfun.f_closed(2, 3).is_zero
