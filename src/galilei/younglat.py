@@ -14,6 +14,12 @@ indexed by the columns (1^k), columns by partitions of n), the injection psi
 of level n-1 into level n, and the square matrices N_n whose determinants
 factor into integer constants times linear factors x - i with i < n.  The
 headline fact checked downstream: M_n evaluated at x = n has full rank n.
+
+Level m of the lattice is ``bounded_partitions(m)``: its objects are the only
+partitions built for those shapes, and edge targets point at them.
+``path_matrix`` addresses each partition by its position in its level and
+runs one loop over positions, for the polynomial M_n and for its values at
+an integer point alike.
 """
 
 from __future__ import annotations
@@ -51,18 +57,6 @@ class Partition:
 
     def count_part(self, value: int) -> int:
         return sum(1 for p in self.parts if p == value)
-
-    def dominates(self, other: "Partition") -> bool:
-        """Dominance order: partial sums of self are >= those of other."""
-        if self.size != other.size:
-            raise ValueError("dominance compares partitions of the same size")
-        acc_s = acc_o = 0
-        for i in range(max(self.length, other.length)):
-            acc_s += self.parts[i] if i < self.length else 0
-            acc_o += other.parts[i] if i < other.length else 0
-            if acc_s < acc_o:
-                return False
-        return True
 
     def __str__(self):
         if not self.parts:
@@ -104,16 +98,23 @@ class LabeledEdge:
 
 
 @lru_cache(maxsize=None)
+def _positions(n: int) -> Dict[Tuple[int, ...], int]:
+    """Position of each partition of n, keyed by its parts, in bounded_partitions(n)."""
+    return {p.parts: i for i, p in enumerate(bounded_partitions(n))}
+
+
+@lru_cache(maxsize=None)
 def edges_from(p: Partition) -> Tuple[LabeledEdge, ...]:
     """All labeled edges out of p (one per addable node, parts <= MAX_PART).
 
-    Memoised: each partition's edges are built once per process, and every
-    caller shares the same tuple and the same label polynomials, which are
-    never mutated.
+    Each target is the object held in ``bounded_partitions(p.size + 1)``, so
+    no partition is built here.  Memoised: each partition's edges are built
+    once per process, and every caller shares the same tuple and the same
+    label polynomials, which are never mutated.
     """
-    x = Polynomial.variable("x")
-    edges: List[LabeledEdge] = []
     parts = p.parts
+    level, positions = bounded_partitions(p.size + 1), _positions(p.size + 1)
+    edges: List[LabeledEdge] = []
     for row in range(len(parts) + 1):
         if row == len(parts):
             new_value = 1
@@ -123,9 +124,9 @@ def edges_from(p: Partition) -> Tuple[LabeledEdge, ...]:
             new_value = parts[row] + 1
         if new_value > MAX_PART:
             continue
-        target = Partition(parts[:row] + (new_value,) + parts[row + 1 :])
+        target = level[positions[parts[:row] + (new_value,) + parts[row + 1 :]]]
         if new_value == 1:
-            label = x - Polynomial.constant("x", p.length)
+            label = Polynomial("x", (-len(parts), 1))
         else:
             label = Polynomial.constant("x", p.count_part(new_value - 1))
         edges.append(LabeledEdge(p, target, label))
@@ -141,50 +142,45 @@ class PathMatrix:
     entries: List[List[Weight]] = field(repr=False)
 
 
-def _path_weights_from(
-    start: Partition, level: int, at: Optional[int], labels: Dict[Partition, List[Weight]]
-) -> Dict[Partition, Weight]:
-    """Sum of edge-label products over all paths from start to each partition
-    of the given size, accumulated level by level: polynomials in x, or ints
-    with every label evaluated at x = at.
-
-    ``labels`` memoises each partition's edge labels, so a label is evaluated
-    once per partition however many paths pass through it.
-    """
-    one = Polynomial.one("x") if at is None else 1
-    current: Dict[Partition, Weight] = {start: one}
-    for _ in range(level - start.size):
-        nxt: Dict[Partition, Weight] = {}
-        for p, weight in current.items():
-            edges = edges_from(p)
-            values = labels.get(p)
-            if values is None:
-                values = labels[p] = [e.label if at is None else e.label(at) for e in edges]
-            for edge, label in zip(edges, values):
-                acc = nxt.get(edge.target)
-                term = weight * label
-                nxt[edge.target] = term if acc is None else acc + term
-        current = nxt
-    return current
-
-
 def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
     """M_n: rows (1^k) for k = 1..n, columns the partitions of n (parts <= 4).
 
-    Entries are polynomials in x; with ``at`` they are the ints those
-    polynomials take at x = at, computed without building any polynomial.
+    Level m is ``bounded_partitions(m)``, and a partition is addressed by its
+    position there.  The out-edges of each partition of levels 1..n-1 are
+    listed once as (target position, label).  Row (1^k) is the last position
+    of level k; one loop pushes its path weights level by level up to level
+    n, whose positions are the columns.  Weights are polynomials in x, or
+    with ``at`` the ints they take at x = at: the same loop then runs on
+    labels evaluated there, and no polynomial is multiplied.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    cols = list(bounded_partitions(n))
-    rows = [column(k) for k in range(1, n + 1)]
-    zero = Polynomial.zero("x") if at is None else 0
-    labels: Dict[Partition, List[Weight]] = {}
+    levels = [bounded_partitions(m) for m in range(n + 1)]
+    out_edges: Dict[int, List[List[Tuple[int, Weight]]]] = {}
+    for m in range(1, n):
+        positions = _positions(m + 1)
+        out_edges[m] = [
+            [(positions[e.target.parts], e.label if at is None else e.label(at))
+             for e in edges_from(p)]
+            for p in levels[m]
+        ]
+    zero, one = (Polynomial.zero("x"), Polynomial.one("x")) if at is None else (0, 1)
     entries = []
-    for row in rows:
-        weights = _path_weights_from(row, n, at, labels)
-        entries.append([weights.get(c, zero) for c in cols])
-    return PathMatrix(rows, cols, entries)
+    for k in range(1, n + 1):
+        weights: List[Optional[Weight]] = [None] * len(levels[k])
+        weights[-1] = one
+        for m in range(k, n):
+            nxt: List[Optional[Weight]] = [None] * len(levels[m + 1])
+            for weight, edges in zip(weights, out_edges[m]):
+                if not weight:  # None, or a zero weight
+                    continue
+                for j, label in edges:
+                    term = weight * label
+                    acc = nxt[j]
+                    nxt[j] = term if acc is None else acc + term
+            weights = nxt
+        entries.append([zero if w is None else w for w in weights])
+    return PathMatrix([level[-1] for level in levels[1:]], list(levels[n]), entries)
 
 
 def rank_at(n: int) -> int:

@@ -37,6 +37,19 @@ def contains(big, small):
     return all(s >= o for s, o in zip(big.parts, small.parts))
 
 
+def dominates(big, small):
+    """Dominance order: the partial sums of ``big`` are >= those of ``small``."""
+    if big.size != small.size:
+        raise ValueError("dominance compares partitions of the same size")
+    acc_b = acc_s = 0
+    for i in range(max(big.length, small.length)):
+        acc_b += big.parts[i] if i < big.length else 0
+        acc_s += small.parts[i] if i < small.length else 0
+        if acc_b < acc_s:
+            return False
+    return True
+
+
 def count_partitions(n):
     return len(yl.bounded_partitions(n))
 
@@ -243,10 +256,10 @@ def test_partition_invariants():
 
 
 def test_dominance():
-    assert partition(3).dominates(partition(2, 1))
-    assert partition(2, 1).dominates(partition(1, 1, 1))
-    assert not partition(2, 2, 2).dominates(partition(3, 1, 1, 1))
-    assert not partition(3, 1, 1, 1).dominates(partition(2, 2, 2))
+    assert dominates(partition(3), partition(2, 1))
+    assert dominates(partition(2, 1), partition(1, 1, 1))
+    assert not dominates(partition(2, 2, 2), partition(3, 1, 1, 1))
+    assert not dominates(partition(3, 1, 1, 1), partition(2, 2, 2))
 
 
 def test_bounded_partition_counts():
@@ -278,6 +291,53 @@ def test_edges_from_examples():
     # largest part capped at 4
     targets = {str(e.target) for e in yl.edges_from(partition(4, 1))}
     assert targets == {"(4,2)", "(4,1,1)"}
+
+
+def test_edges_from_targets_are_the_level_objects():
+    for size in range(13):
+        level = yl.bounded_partitions(size + 1)
+        for p in yl.bounded_partitions(size):
+            for e in yl.edges_from(p):
+                assert e.target is level[level.index(e.target)], (p, e.target)
+
+
+def _covers(parts):
+    """(cover, label) for each partition one node above ``parts``, parts <= 4,
+    with the label rule of the module docstring."""
+    for row in range(len(parts) + 1):
+        grown = list(parts) + [0]
+        grown[row] += 1
+        grown = tuple(v for v in grown if v)
+        if list(grown) == sorted(grown, reverse=True) and grown[0] <= 4:
+            col = grown[row]
+            yield grown, x_minus(len(parts)) if col == 1 else const(parts.count(col - 1))
+
+
+def _chain_sums(parts, n, weight, sums):
+    """Add the label product of every saturated chain from ``parts`` up to
+    size n into ``sums``, keyed by the part tuple where the chain ends."""
+    if sum(parts) == n:
+        sums[parts] = sums.get(parts, const(0)) + weight
+        return
+    for cover, label in _covers(parts):
+        _chain_sums(cover, n, weight * label, sums)
+
+
+def test_path_matrix_matches_an_independent_chain_enumeration():
+    # every chain is walked on its own, with no level table and no edge memo
+    for n in range(1, 9):
+        symbolic = yl.path_matrix(n)
+        assert [r.parts for r in symbolic.rows] == [(1,) * k for k in range(1, n + 1)]
+        expected = []
+        for k in range(1, n + 1):
+            sums = {}
+            _chain_sums((1,) * k, n, const(1), sums)
+            if k == 1:  # every partition of n lies above (1)
+                assert set(sums) == {c.parts for c in symbolic.cols}
+            expected.append([sums.get(c.parts, const(0)) for c in symbolic.cols])
+        assert symbolic.entries == expected, n
+        for a in (0, 1, n, n + 5):
+            assert yl.path_matrix(n, at=a).entries == [[e(a) for e in row] for row in expected], (n, a)
 
 
 def test_path_matrices_match_reference():
@@ -427,7 +487,7 @@ def test_Nn_orders_are_dominance_linear_extensions():
         for order in (matrix.rows, matrix.cols):
             for i, later in enumerate(order):
                 for earlier in order[:i]:
-                    assert not (earlier != later and earlier.dominates(later)), (n, earlier, later)
+                    assert not (earlier != later and dominates(earlier, later)), (n, earlier, later)
 
 
 def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
@@ -450,6 +510,31 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
     assert "M_3 matches the reference matrix entry-for-entry" in failing - clean
     # the integer route reads the same label rule, through the same memo
     assert yl.path_matrix(3, at=3).entries != clean_at_3
+
+
+def test_planted_position_swap_fails_criterion_5(monkeypatch):
+    # the clean run fills the edge memo, so only the path DP reads the
+    # swapped map: the weights for (3) and (2,1) land in each other's places
+    clean = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
+    clean_at_3 = yl.path_matrix(3, at=3).entries
+    original = yl._positions
+
+    def swapped(m):
+        positions = dict(original(m))
+        if m == 3:
+            positions[3,], positions[2, 1] = positions[2, 1], positions[3,]
+        return positions
+
+    monkeypatch.setattr(yl, "_positions", swapped)
+    try:
+        failing = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
+        planted_at_3 = yl.path_matrix(3, at=3).entries
+    finally:
+        yl.edges_from.cache_clear()  # drop any edge built through the swapped map
+    # no swap within one level changes rank_at(n), so the rank verdict stays
+    # PASS; the reference matrices are what catch a misrouted DP
+    assert "M_3 matches the reference matrix entry-for-entry" in failing - clean
+    assert planted_at_3 != clean_at_3
 
 
 def _to_sympy(sympy, x, p):
