@@ -34,8 +34,6 @@ from .sl2rep import (
     V,
     Vp,
     clebsch_gordan,
-    char_simple_hw,
-    enar_simple,
     g_types,
     hc_tensor,
     q0_multiplicity,
@@ -62,9 +60,7 @@ from .younglat import (
     verify_det_factorization,
 )
 from .quiver import (
-    block_of,
     decompose_Q,
-    ext_dim,
     radical_filtration,
     tensor_projective,
 )

@@ -3,7 +3,8 @@
 Every invocation produces a Report: the echoed command, its parameters, the
 computed results, and a list of named verdicts.  The process exit status is 0
 exactly when every verdict passed.  Reports render as aligned text (default)
-or as a JSON document (``--format structured``) that round-trips losslessly.
+or as a JSON document (``--format structured``) that carries every field of
+the report.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from math import comb
 from typing import Dict, List, Optional
 
 from . import genfun, quiver, sl2rep, symalg, younglat, verify as verify_mod
@@ -45,19 +47,6 @@ class Report:
             ],
             "wall_time_ms": self.wall_time_ms,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "Report":
-        return cls(
-            command=payload["command"],
-            params=payload["params"],
-            results=payload["results"],
-            verdicts=[
-                Verdict(v["name"], v["passed"], v.get("detail", ""))
-                for v in payload["verdicts"]
-            ],
-            wall_time_ms=payload["wall_time_ms"],
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -96,6 +85,16 @@ def _series_ints(series) -> List:
 
 def _cmd_genfun_series(args) -> Report:
     _series_bound(args.k, args.degree)
+    _bound("--l", args.l, SERIES_MAX_L, "series")
+    if args.method in ("recur", "all"):
+        # f_recur keeps the stride-2 prefix sums of every F_b^(j) it reaches,
+        # for each level j = k - 2, k - 4, ..., down to 0 or 1, about one
+        # weight table per level.  Under the plain cell budget k = 8 to degree
+        # 706 took 11 s and k = 100 to degree 199 passed 1.1 GB; charged one
+        # table per level k, k-2, ..., 1 or 2, every k took at most 6.5 s and
+        # 58 MB (l = 1 is the slowest).
+        _cell_bound(f"the recursion for k={args.k} to degree {args.degree}",
+                    (args.k + 1) // 2 * (args.degree + 1) * (args.k * args.degree + 1))
     rep = Report("genfun series", dict(k=args.k, l=args.l, degree=args.degree, method=args.method))
     if args.method == "recur" and args.k < 2:
         raise ValueError("the recursion route needs k >= 2")
@@ -142,6 +141,7 @@ def _cmd_genfun_invariants(args) -> Report:
 
 def _cmd_genfun_freeness(args) -> Report:
     _series_bound(args.k, args.degree)
+    _bound("--l", args.l, SERIES_MAX_L, "series")
     rep = Report("genfun freeness", dict(k=args.k, l=args.l, degree=args.degree))
     series, negative = genfun.freeness_quotient(args.k, args.l, args.degree)
     rep.results["quotient_coefficients"] = _series_ints(series)
@@ -163,7 +163,7 @@ def _cmd_sl2_sym(args) -> Report:
     rep.verdicts.append(
         Verdict(
             "total dimension equals C(n+k, k)",
-            total == sl2rep.total_sym_dimension(args.k, args.n),
+            total == comb(args.n + args.k, args.k),
             f"{total}",
         )
     )
@@ -217,7 +217,7 @@ def _cmd_symalg_check(args) -> Report:
 def _cmd_symalg_independence(args) -> Report:
     _bound("--k", args.k, INDEPENDENCE_MAX_K, "independence")
     rep = Report("symalg independence", dict(k=args.k))
-    _, rank = symalg.independence_check(args.k)
+    rank = symalg.independence_check(args.k)
     rep.results["rank"] = rank
     rep.results["expected"] = args.k
     rep.verdicts.append(verify_mod.independence_verdict(args.k, rank))
@@ -227,11 +227,19 @@ def _cmd_symalg_independence(args) -> Report:
 # The series commands read genfun's weight-by-degree table for L(k): rows
 # n = 0..degree, row n packing the kn + 1 weights of the parity of kn into one
 # int of fixed-width fields.  The budget counts (N+1)(kN+1) cells, the full
-# weight range, about twice the fields of that table.  At the limit, peak RSS
-# measured 21 MB at k = 1, 48 MB at k = 8 and 107 MB at k = 100, and the
-# slowest request, `genfun freeness --k 100 --degree 199`, took 5.7 s (CPython
-# 3.11, 2 cores); a larger request is refused before anything is built.
+# weight range, about twice the fields of that table.  The table is built in
+# k + 1 passes and the recursion route nests about k frames deep, so k has a
+# limit of its own: without it, a 1-cell request took time linear in k and
+# k = 1000 overflowed the interpreter stack.  F_l^(k) is zero to degree N once
+# l > kN, and kN <= 19,900 inside the k and cell limits, so a larger l only
+# adds zeros; at the l limit every closed form took 0.2 s.  At the limits,
+# peak RSS measured 21 MB at k = 1, 48 MB at k = 8 and 107 MB at k = 100, and
+# the slowest requests, `genfun invariants` and `genfun freeness` at k = 100
+# to degree 199, took 5.5-6.2 s (CPython 3.11, 2 cores); a larger request is
+# refused before anything is built.
 SERIES_MAX_CELLS = 4_000_000
+SERIES_MAX_K = 100
+SERIES_MAX_L = 20_000
 
 # The Young-lattice commands are certified up to this level (det N_40 is a
 # 588x588 matrix); a larger request is refused before anything is built.
@@ -260,10 +268,14 @@ INDEPENDENCE_MAX_K = 40
 
 
 def _series_bound(k: int, degree: int) -> None:
-    cells = (degree + 1) * (k * degree + 1)
+    _bound("--k", k, SERIES_MAX_K, "series")
+    _cell_bound(f"k={k} to degree {degree}", (degree + 1) * (k * degree + 1))
+
+
+def _cell_bound(request: str, cells: int) -> None:
     if cells > SERIES_MAX_CELLS:
         raise ValueError(
-            f"k={k} to degree {degree} needs {cells} weight-table cells, "
+            f"{request} needs {cells} weight-table cells, "
             f"above the series limit {SERIES_MAX_CELLS}"
         )
 

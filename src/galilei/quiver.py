@@ -28,15 +28,6 @@ from .sl2rep import SimpleHC, V, Vp, hc_tensor
 Path = Tuple[SimpleHC, ...]
 
 
-def block_of(s: SimpleHC) -> int:
-    """Block number: 1 for odd V(n), 2 for n = 2 (mod 4), 3 for the diamond."""
-    if s.primed:
-        return 3
-    if s.index % 2 == 1:
-        return 1
-    return 2 if s.index % 4 == 2 else 3
-
-
 def arrows_from(s: SimpleHC) -> List[SimpleHC]:
     """Targets of the quiver arrows out of s (each arrow has multiplicity 1)."""
     if s.primed:
@@ -60,11 +51,6 @@ def arrows_from(s: SimpleHC) -> List[SimpleHC]:
     if n == 4:
         return [Vp(0), Vp(2), V(8)]
     return [V(n - 4), V(n + 4)]
-
-
-def ext_dim(s: SimpleHC, t: SimpleHC) -> int:
-    """dim Ext^1 between simples: 1 exactly when the quiver has an arrow s -> t."""
-    return 1 if t in arrows_from(s) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 from typing import Counter as CounterT
 
 from .genfun import sym_weight_dim, weight_row  # sym_weight_dim is re-exported
@@ -93,11 +92,6 @@ def sym_power_decompose(k: int, n: int) -> CounterT[int]:
     return out
 
 
-def total_sym_dimension(k: int, n: int) -> int:
-    """dim Sym^n(L(k)) = C(n+k, k); used as a bookkeeping cross-check."""
-    return comb(n + k, k)
-
-
 # ---------------------------------------------------------------------------
 # Highest-weight module bookkeeping
 # ---------------------------------------------------------------------------
@@ -113,38 +107,6 @@ def verma_weight_dim(k: int) -> int:
     if k % 2 == 0:
         return (k * k + 4 * k + 4) // 4
     return (k * k + 4 * k + 3) // 4
-
-
-class WeightCharacter:
-    """Weight multiplicities of a simple highest-weight module, depth-limited.
-
-    For a nonzero central parameter the module is filtered by Verma modules
-    with tops lambda, lambda-2, lambda-4, ..., each once, so the weight
-    lambda-2j has multiplicity j+1.  Multiplicities are only recorded down to
-    ``depth`` steps below the top; beyond that they are unspecified, not zero.
-    """
-
-    def __init__(self, top: int, depth: int):
-        if depth < 0:
-            raise ValueError("depth must be non-negative")
-        self.top = top
-        self.depth = depth
-
-    def multiplicity(self, weight: int) -> int:
-        diff = self.top - weight
-        if diff < 0 or diff % 2 != 0:
-            return 0
-        j = diff // 2
-        if j > self.depth:
-            raise ValueError(
-                f"weight {weight} lies below the recorded depth {self.depth}"
-            )
-        return j + 1
-
-
-def char_simple_hw(top: int, depth: int) -> WeightCharacter:
-    """Character of the simple highest-weight module with the given top."""
-    return WeightCharacter(top, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +202,3 @@ def hc_tensor_multiset(k: int, multiset: HCMultiset) -> HCMultiset:
         for t, m in hc_tensor(k, s).items():
             out[t] += mult * m
     return out
-
-
-def enar_simple(lam: int) -> HCMultiset:
-    """Completion image of the simple highest-weight module with top ``lam``.
-
-    The exceptional top -2 contributes both primed simples; any other integer
-    top contributes the single simple V(|lam+2|).
-    """
-    if lam == -2:
-        return Counter({Vp(0): 1, Vp(2): 1})
-    return Counter({V(abs(lam + 2)): 1})

@@ -291,8 +291,8 @@ def independence_vectors(k: int) -> List[SymElement]:
     return vectors
 
 
-def independence_check(k: int) -> Tuple[bool, int]:
-    """Whether the k iterated raisings are linearly independent, plus the rank.
+def independence_check(k: int) -> int:
+    """Rank of the k iterated raisings; they are independent when it is k.
 
     All k elements live in the degree-k, weight -2k component; their
     integer coefficient vectors over the monomial basis of that component are
@@ -301,6 +301,5 @@ def independence_check(k: int) -> Tuple[bool, int]:
     vectors = independence_vectors(k)
     monomials = sorted({m for p in vectors for m in p.terms})
     matrix = [[p.terms.get(m, 0) for m in monomials] for p in vectors]
-    rank = bareiss_rank(matrix)
-    return rank == k, rank
+    return bareiss_rank(matrix)
 

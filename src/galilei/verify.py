@@ -375,7 +375,7 @@ def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
         )
     )
 
-    ranks = {k: symalg.independence_check(k)[1] for k in range(1, k_max + 1)}
+    ranks = {k: symalg.independence_check(k) for k in range(1, k_max + 1)}
     verdicts.append(
         _every(
             f"iterated raisings are independent for 1 <= k <= {k_max}",

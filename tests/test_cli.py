@@ -9,6 +9,8 @@ from galilei.cli import (
     INDEPENDENCE_MAX_K,
     RADICAL_MAX_DEPTH,
     SERIES_MAX_CELLS,
+    SERIES_MAX_K,
+    SERIES_MAX_L,
     SUMMAND_MAX_K,
     Report,
     main,
@@ -229,10 +231,9 @@ def test_structured_round_trip(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    report = Report.from_dict(payload)
-    assert report.to_dict() == payload
-    assert report.command == "genfun series"
-    assert report.params["k"] == 3
+    assert set(payload) == set(Report("", {}).to_dict())
+    assert payload["command"] == "genfun series"
+    assert payload["params"]["k"] == 3
 
 
 def test_structured_deterministic_apart_from_timing(capsys):
@@ -588,10 +589,7 @@ def test_planted_independence_defect_fails_cli_and_criterion_6(capsys, monkeypat
     original = symalg.independence_check
 
     def planted(k):
-        ok, rank = original(k)
-        if k == 5:
-            rank -= 1
-        return rank == k, rank
+        return original(k) - (k == 5)
 
     monkeypatch.setattr(symalg, "independence_check", planted)
     code, out, _ = run_cli(capsys, "symalg", "independence", "--k", "5")
@@ -631,6 +629,11 @@ _SERIES_REQUESTS = [
      ("sl2", "sym", "--k", "1", "--n", "1999")),
     (("sl2", "q0", "--table", "997"),
      ("sl2", "q0", "--table", "996")),
+    # the recursion route is charged (k + 1) // 2 tables
+    (("genfun", "series", "--k", "8", "--l", "0", "--degree", "353", "--method", "recur"),
+     ("genfun", "series", "--k", "8", "--l", "0", "--degree", "352", "--method", "recur")),
+    (("genfun", "series", "--k", "100", "--l", "0", "--degree", "28"),
+     ("genfun", "series", "--k", "100", "--l", "0", "--degree", "27")),
 ]
 
 
@@ -648,6 +651,35 @@ def test_series_budget_itself_passes_the_bound(capsys, monkeypatch, argv):
     _refuse_series(monkeypatch)
     with pytest.raises(_Built):
         main(list(argv))
+
+
+# (argv above the k or l limit, argv at it, the refusal)
+_SERIES_INPUT_LIMITS = [
+    (("genfun", "series", "--k", "1000", "--l", "0", "--degree", "0"),
+     ("genfun", "series", "--k", "100", "--l", "0", "--degree", "0"),
+     "--k 1000 is above the series limit 100"),
+    (("genfun", "invariants", "--k", "101", "--degree", "0"),
+     ("genfun", "invariants", "--k", "100", "--degree", "0"),
+     "--k 101 is above the series limit 100"),
+    (("sl2", "sym", "--k", "101", "--n", "0"),
+     ("sl2", "sym", "--k", "100", "--n", "0"),
+     "--k 101 is above the series limit 100"),
+    (("genfun", "series", "--k", "3", "--l", "20001", "--degree", "5", "--method", "closed"),
+     ("genfun", "series", "--k", "3", "--l", "20000", "--degree", "5", "--method", "closed"),
+     "--l 20001 is above the series limit 20000"),
+    (("genfun", "freeness", "--k", "3", "--l", "3000000", "--degree", "5"),
+     ("genfun", "freeness", "--k", "3", "--l", "20000", "--degree", "5"),
+     "--l 3000000 is above the series limit 20000"),
+]
+
+
+@pytest.mark.parametrize("big, at, refusal", _SERIES_INPUT_LIMITS)
+def test_series_k_and_l_above_their_limits_exit_2_before_building(capsys, monkeypatch, big, at, refusal):
+    assert (SERIES_MAX_K, SERIES_MAX_L) == (100, 20_000)
+    _refuse_series(monkeypatch)
+    assert run_cli(capsys, *big) == (2, "", f"error: {refusal}\n")
+    with pytest.raises(_Built):
+        main(list(at))
 
 
 def _verify_all_structured(capsys):

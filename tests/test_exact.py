@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,35 @@ def test_series_product_divides_back_integers(pair):
 def test_series_product_divides_back_fractions(pair):
     a, b = pair
     assert (a * b) / b == a
+
+
+_RATIONAL_OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_RATIONAL_OPS)))
+def test_rational_function_ring_laws_by_cross_multiplication(data, op):
+    """a op b against the operands' fractions, and against their expansions.
+
+    p/r == n/d exactly when p*d == r*n, so the canonical result is compared
+    with the unreduced fraction that the operation defines.  Every
+    denominator, and for division the divisor's numerator, has a nonzero
+    constant term, so each side also expands as a series.
+    """
+    any_poly = st.lists(_ints, max_size=5).map(lambda cs: q(*cs))
+    unit_head = st.builds(lambda c0, rest: q(c0, *rest), _ints.filter(bool), st.lists(_ints, max_size=4))
+    p, r = data.draw(any_poly), data.draw(unit_head)
+    s, t = data.draw(unit_head if op == "/" else any_poly), data.draw(unit_head)
+    expected_num, expected_den = {
+        "+": (p * t + s * r, r * t),
+        "-": (p * t - s * r, r * t),
+        "*": (p * s, r * t),
+        "/": (p * t, r * s),
+    }[op]
+    a, b = RationalFunction(p, r), RationalFunction(s, t)
+    result = _RATIONAL_OPS[op](a, b)
+    assert result.num * expected_den == result.den * expected_num
+    assert series_expand(result, 20) == _RATIONAL_OPS[op](series_expand(a, 20), series_expand(b, 20))
 
 
 def test_series_coefficients_are_ints_where_integral():
