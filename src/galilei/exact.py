@@ -336,18 +336,17 @@ class TruncatedSeries:
     term is 1 or -1, integer series divide without leaving the integers.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, var: str, coeffs: Sequence[ScalarLike]):
+    def __init__(self, coeffs: Sequence[ScalarLike]):
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        self.var = var
         self.coeffs = tuple(c if type(c) is int else _as_scalar(c) for c in coeffs)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, truncation: int) -> "TruncatedSeries":
         head = p.coeffs[: truncation + 1]
-        return cls(p.var, head + (0,) * (truncation + 1 - len(head)))
+        return cls(head + (0,) * (truncation + 1 - len(head)))
 
     @property
     def truncation(self) -> int:
@@ -356,36 +355,24 @@ class TruncatedSeries:
     def truncate(self, n: int) -> "TruncatedSeries":
         if n > self.truncation:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.var, self.coeffs[: n + 1])
-
-    def _coerce(self, other) -> Optional["TruncatedSeries"]:
-        if isinstance(other, TruncatedSeries):
-            if other.var != self.var:
-                raise ValueError("variable mismatch")
-            return other
-        return None
+        return TruncatedSeries(self.coeffs[: n + 1])
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.truncation, other.truncation)
-        return TruncatedSeries(
-            self.var, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
+        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
     def __neg__(self):
-        return TruncatedSeries(self.var, [-c for c in self.coeffs])
+        return TruncatedSeries([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.truncation, other.truncation)
         terms = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b != 0]
@@ -397,11 +384,10 @@ class TruncatedSeries:
                 if i + j > n:
                     break
                 out[i + j] += a * b
-        return TruncatedSeries(self.var, out)
+        return TruncatedSeries(out)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         c0 = other.coeffs[0]
         if c0 == 0:
@@ -417,15 +403,15 @@ class TruncatedSeries:
                 acc -= c * out[i - j]
             # dividing by +-1 is multiplying by it, which keeps ints as ints
             out.append(acc * c0 if unit else _as_scalar(Fraction(acc, c0)))
-        return TruncatedSeries(self.var, out)
+        return TruncatedSeries(out)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def first_negative(self) -> Optional[int]:
         """Smallest degree with a negative coefficient, if any."""
@@ -438,7 +424,7 @@ class TruncatedSeries:
         return all(c == 0 for c in self.coeffs)
 
     def __repr__(self):
-        return f"TruncatedSeries({self.var!r}, {self.coeffs!r})"
+        return f"TruncatedSeries({self.coeffs!r})"
 
 
 def series_expand(rf: RationalFunction, truncation: int) -> TruncatedSeries:

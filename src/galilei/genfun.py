@@ -127,7 +127,7 @@ def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     if k and l <= k * degree:
         # build once, to the full degree: reading n upward would rebuild at every n
         _weight_degree_table(k, degree)
-    return TruncatedSeries("q", [sym_weight_dim(k, n, l) for n in range(degree + 1)])
+    return TruncatedSeries([sym_weight_dim(k, n, l) for n in range(degree + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def f_recur(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries
         raise ValueError("the recursion needs k >= 2")
     if l < 0 or degree < 0:
         raise ValueError("l, degree must be non-negative")
-    return TruncatedSeries("q", _recur_coeffs(k, l, degree))
+    return TruncatedSeries(_recur_coeffs(k, l, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,12 @@ def detect_invariant_structure(
     Repeatedly divides out 1/(1-q^d) for the smallest degree d with a positive
     coefficient; the residual must end up as 1 (free) or 1 - q^e (single
     relation of degree e).  The reconstruction is verified against the input
-    series before returning; anything else raises StructureNotRecognizedError.
+    series before returning; anything else raises StructureNotRecognizedError,
+    and so do more than ``degree`` generators.
+
+    The structure is read off the series up to ``degree`` only, so it holds
+    only up to that degree: for k = 5 the relation is in degree 36, and to
+    degree 20 the ring looks free.
     """
     series = invariant_series(k, degree)
     residual = list(series.coeffs)
@@ -368,8 +373,12 @@ def detect_invariant_structure(
         d = next((i for i in range(1, degree + 1) if residual[i] > 0), None)
         if d is None:
             break
+        # d never decreases and each pass lowers residual[d] by 1, so the loop
+        # ends; the cap only bounds its time
         if len(generators) > degree:
-            raise StructureNotRecognizedError("generator extraction did not terminate")
+            raise StructureNotRecognizedError(
+                f"more than {degree} generators to degree {degree} for k={k}"
+            )
         generators.append(d)
         # multiply the residual by (1 - q^d)
         for i in range(degree, d - 1, -1):
@@ -395,11 +404,9 @@ def reconstruct_structure_series(
     structure: InvariantStructure, degree: int
 ) -> TruncatedSeries:
     """Expand prod 1/(1-q^d) (times (1-q^e) for a relation) to the degree."""
-    out = TruncatedSeries("q", [1] + [0] * degree)
+    out = TruncatedSeries([1] + [0] * degree)
     for d in structure.generator_degrees:
-        geom = TruncatedSeries(
-            "q", [1 if n % d == 0 else 0 for n in range(degree + 1)]
-        )
+        geom = TruncatedSeries([1 if n % d == 0 else 0 for n in range(degree + 1)])
         out = out * geom
     if structure.relation_degree is not None:
         rel = Polynomial.one("q") - _qpow(structure.relation_degree)

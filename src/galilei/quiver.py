@@ -88,7 +88,6 @@ class RadicalFiltration:
     the top.  Layers beyond ``depth`` are unspecified, not zero.
     """
 
-    top: SimpleHC
     layers: List[CounterT[SimpleHC]]
 
     def describe(self) -> List[str]:
@@ -118,7 +117,7 @@ def radical_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
                 nxt.add(_canonical(path + (target,)))
         frontier = nxt
         layers.append(Counter(path[-1] for path in frontier))
-    return RadicalFiltration(top, layers)
+    return RadicalFiltration(layers)
 
 
 def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
@@ -136,7 +135,7 @@ def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
     layers: List[CounterT[SimpleHC]] = [Counter({top: 1})]
     if top.primed:
         layers += [Counter({V(4 * l): 1}) for l in range(1, depth + 1)]
-        return RadicalFiltration(top, layers)
+        return RadicalFiltration(layers)
 
     k = top.index
     bottom = k % 4 or 4
@@ -149,7 +148,7 @@ def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
         climb += 4
     for l in range(1, depth + 1):
         layers.append(left[l - 1] + Counter({V(k + 4 * l): 1}))
-    return RadicalFiltration(top, layers)
+    return RadicalFiltration(layers)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,17 @@ derivations extending their action on the basis:
 Every weight of L(n) has the parity of n, so these coefficients are
 integers.  The e-coefficients are the fixed convention; the f-coefficients are
 forced by the sl2 relations and certified by the commutator property tests.
-In the rescaled "w" basis, w_j = c_j * v_j with c_j the product of the
-v-basis raising coefficients below j, e steps along the chain with
-coefficient 1 and f steps from w_j with the integer coefficient
-(n-j+2)/2 * (n+j)/2.  In that basis the action of e on monomials reproduces
-the edge labels of the restricted Young lattice, which is what the integer
-linear-independence certificate below exploits.  Element coefficients follow
-``exact``'s rule: an int when integral, a Fraction otherwise.
+Element coefficients follow ``exact``'s rule: an int when integral, a
+Fraction otherwise.
+
+The independence certificate is stated in the rescaled basis
+w_j = c_j * v_j, with c_j the product of the raising coefficients below j.
+There e steps along the chain with coefficient 1, and its action on
+monomials reproduces the edge labels of the restricted Young lattice.  The
+raised elements start from w_{-4} = v_{-4} and w_{-2} = v_{-2}, so they are
+the same elements in either basis; only their coordinates differ, the one of
+each monomial by a nonzero product of the c_j.  Rescaling coordinates keeps
+the rank, so the v-basis rank computed here is the w-basis rank.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ Exponents = Tuple[int, ...]
 
 
 class SymElement:
-    """Element of Sym(L(n)) over the v- or w-basis.
+    """Element of Sym(L(n)) over the v basis.
 
     ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
     when it is integral and a ``Fraction`` otherwise (anything else is a
@@ -40,15 +44,12 @@ class SymElement:
     of weight -n + 2i (lowest weight first).
     """
 
-    __slots__ = ("n", "basis", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Dict[Exponents, ScalarLike] = None, basis: str = "v"):
+    def __init__(self, n: int, terms: Dict[Exponents, ScalarLike] = None):
         if n < 0:
             raise ValueError("ambient highest weight must be non-negative")
-        if basis not in ("v", "w"):
-            raise ValueError("basis must be 'v' or 'w'")
         self.n = n
-        self.basis = basis
         clean: Dict[Exponents, ScalarLike] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != n + 1:
@@ -62,22 +63,22 @@ class SymElement:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def one(cls, n: int, basis: str = "v") -> "SymElement":
-        return cls(n, {(0,) * (n + 1): 1}, basis)
+    def one(cls, n: int) -> "SymElement":
+        return cls(n, {(0,) * (n + 1): 1})
 
     @classmethod
-    def generator(cls, n: int, weight: int, basis: str = "v") -> "SymElement":
+    def generator(cls, n: int, weight: int) -> "SymElement":
         """The basis vector of the given weight, as a degree-1 element."""
         idx = _weight_index(n, weight)
         exps = [0] * (n + 1)
         exps[idx] = 1
-        return cls(n, {tuple(exps): 1}, basis)
+        return cls(n, {tuple(exps): 1})
 
     # -- structure -----------------------------------------------------------
 
     def _compatible(self, other: "SymElement"):
-        if self.n != other.n or self.basis != other.basis:
-            raise ValueError("ambient module or basis mismatch")
+        if self.n != other.n:
+            raise ValueError("ambient module mismatch")
 
     @property
     def is_zero(self) -> bool:
@@ -88,16 +89,14 @@ class SymElement:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) + c
-        return SymElement(self.n, out, self.basis)
+        return SymElement(self.n, out)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
         return self + other.scale(-1)
 
     def scale(self, c: ScalarLike) -> "SymElement":
         c = _as_scalar(c)
-        return SymElement(
-            self.n, {e: v * c for e, v in self.terms.items()}, self.basis
-        )
+        return SymElement(self.n, {e: v * c for e, v in self.terms.items()})
 
     def __mul__(self, other: "SymElement") -> "SymElement":
         self._compatible(other)
@@ -106,12 +105,12 @@ class SymElement:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return SymElement(self.n, out, self.basis)
+        return SymElement(self.n, out)
 
     def __pow__(self, k: int) -> "SymElement":
         if k < 0:
             raise ValueError("negative power")
-        result = SymElement.one(self.n, self.basis)
+        result = SymElement.one(self.n)
         for _ in range(k):
             result = result * self
         return result
@@ -119,14 +118,10 @@ class SymElement:
     def __eq__(self, other):
         if not isinstance(other, SymElement):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, self.basis, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.terms.items())))
 
     def monomial_weight(self, exps: Exponents) -> int:
         return sum(e * (-self.n + 2 * i) for i, e in enumerate(exps))
@@ -159,7 +154,7 @@ class SymElement:
                 if e == 0:
                     continue
                 w = -self.n + 2 * i
-                name = f"{self.basis}[{w}]"
+                name = f"v[{w}]"
                 factors.append(name if e == 1 else f"{name}^{e}")
             mono = "*".join(factors) if factors else "1"
             if coeff == 1 and factors:
@@ -171,7 +166,7 @@ class SymElement:
         return " + ".join(names).replace("+ -", "- ")
 
     def __repr__(self):
-        return f"<SymElement n={self.n} basis={self.basis} {self}>"
+        return f"<SymElement n={self.n} {self}>"
 
 
 def _weight_index(n: int, weight: int) -> int:
@@ -180,26 +175,18 @@ def _weight_index(n: int, weight: int) -> int:
     return (weight + n) // 2
 
 
-def _raise_coefficient(n: int, basis: str, weight: int) -> int:
+def _raise_coefficient(n: int, weight: int) -> int:
     """Coefficient of the weight+2 vector in e . (weight vector); 0 at the top."""
     if weight >= n:
         return 0
-    if basis == "w":
-        return 1
     return (n + weight + 2) // 2
 
 
-def _lower_coefficient(n: int, basis: str, weight: int) -> int:
-    """Coefficient of the weight-2 vector in f . (weight vector); 0 at the bottom.
-
-    In the w basis the v-basis coefficient is multiplied by c_weight /
-    c_{weight-2}, the v-basis raising coefficient (n + weight) / 2.
-    """
+def _lower_coefficient(n: int, weight: int) -> int:
+    """Coefficient of the weight-2 vector in f . (weight vector); 0 at the bottom."""
     if weight <= -n:
         return 0
-    if basis == "v":
-        return (n - weight + 2) // 2
-    return ((n - weight + 2) // 2) * ((n + weight) // 2)
+    return (n - weight + 2) // 2
 
 
 def adjoint_action(generator: str, p: SymElement) -> SymElement:
@@ -221,10 +208,10 @@ def adjoint_action(generator: str, p: SymElement) -> SymElement:
                 continue
             weight = -p.n + 2 * i
             if generator == "e":
-                step = _raise_coefficient(p.n, p.basis, weight)
+                step = _raise_coefficient(p.n, weight)
                 j = i + 1
             else:
-                step = _lower_coefficient(p.n, p.basis, weight)
+                step = _lower_coefficient(p.n, weight)
                 j = i - 1
             if step == 0:
                 continue
@@ -232,7 +219,7 @@ def adjoint_action(generator: str, p: SymElement) -> SymElement:
             new[i] -= 1
             new[j] += 1
             add(tuple(new), coeff * e * step)
-    return SymElement(p.n, out, p.basis)
+    return SymElement(p.n, out)
 
 
 def is_invariant(p: SymElement) -> bool:
@@ -277,14 +264,13 @@ def build_C3() -> SymElement:
 # ---------------------------------------------------------------------------
 
 def independence_vectors(k: int) -> List[SymElement]:
-    """The elements e^i . (w_{-4}^i w_{-2}^{k-i}) for i = 0..k-1, in Sym(L(4))."""
+    """The elements e^i . (v_{-4}^i v_{-2}^{k-i}) for i = 0..k-1, in Sym(L(4))."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    w_m4 = SymElement.generator(4, -4, basis="w")
-    w_m2 = SymElement.generator(4, -2, basis="w")
+    v_m4, v_m2 = _v4(-4), _v4(-2)
     vectors = []
     for i in range(k):
-        p = w_m4 ** i * w_m2 ** (k - i)
+        p = v_m4 ** i * v_m2 ** (k - i)
         for _ in range(i):
             p = adjoint_action("e", p)
         vectors.append(p)

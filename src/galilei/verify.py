@@ -350,15 +350,14 @@ def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
     verdicts = []
     act = symalg.adjoint_action
     bad = []
-    for basis in ("v", "w"):
-        for exps in _monomials_up_to(4, 4):
-            m = symalg.SymElement(4, {exps: 1}, basis)
-            if act("e", act("f", m)) - act("f", act("e", m)) != act("h", m):
-                bad.append((basis, exps, "[e,f]"))
-            if act("h", act("e", m)) - act("e", act("h", m)) != act("e", m).scale(2):
-                bad.append((basis, exps, "[h,e]"))
-            if act("h", act("f", m)) - act("f", act("h", m)) != act("f", m).scale(-2):
-                bad.append((basis, exps, "[h,f]"))
+    for exps in _monomials_up_to(4, 4):
+        m = symalg.SymElement(4, {exps: 1})
+        if act("e", act("f", m)) - act("f", act("e", m)) != act("h", m):
+            bad.append((exps, "[e,f]"))
+        if act("h", act("e", m)) - act("e", act("h", m)) != act("e", m).scale(2):
+            bad.append((exps, "[h,e]"))
+        if act("h", act("f", m)) - act("f", act("h", m)) != act("f", m).scale(-2):
+            bad.append((exps, "[h,f]"))
     verdicts.append(
         _verdict(
             "derivations satisfy the sl2 relations on all monomials of degree <= 4",
@@ -576,39 +575,27 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
 
 CriterionFn = Callable[..., List[Verdict]]
 
-CRITERIA: List[Tuple[int, str, CriterionFn]] = [
-    (1, "triple agreement of series routes", check_triple_agreement),
-    (2, "closed-form invariant series identities", check_closed_identities),
-    (3, "negativity detection", check_negativity),
-    (4, "invariant structure detection", check_structure_detection),
-    (5, "restricted Young lattice", check_young_lattice),
-    (6, "symmetric-algebra derivations", check_symmetric_algebra),
-    (7, "multiplicity bookkeeping", check_multiplicities),
-    (8, "tensor calculus", check_tensor_calculus),
-    (9, "quivers and radical filtrations", check_quivers),
-]
+#: number -> (title, check, the smaller sizes it runs at with --quick)
+CRITERIA: Dict[int, Tuple[str, CriterionFn, dict]] = {
+    1: ("triple agreement of series routes", check_triple_agreement, dict(degree=30, l_max=8)),
+    2: ("closed-form invariant series identities", check_closed_identities, dict(degree=40)),
+    3: ("negativity detection", check_negativity, dict(degree=40)),
+    4: ("invariant structure detection", check_structure_detection, dict(degree=45)),
+    5: ("restricted Young lattice", check_young_lattice, dict(n_max=9)),
+    6: ("symmetric-algebra derivations", check_symmetric_algebra, dict(k_max=9)),
+    7: ("multiplicity bookkeeping", check_multiplicities, dict(l_max=24, degree_max=12, verma_max=12)),
+    8: ("tensor calculus", check_tensor_calculus, dict(k_max=6, n_max=6)),
+    9: ("quivers and radical filtrations", check_quivers, dict(depth=6, k_max=9)),
+}
 
 
 def run_criterion(number: int, quick: bool = False) -> List[Verdict]:
-    fn = dict((n, f) for n, _, f in CRITERIA)[number]
-    if not quick:
-        return fn()
-    overrides: Dict[int, dict] = {
-        1: dict(degree=30, l_max=8),
-        2: dict(degree=40),
-        3: dict(degree=40),
-        4: dict(degree=45),
-        5: dict(n_max=9),
-        6: dict(k_max=9),
-        7: dict(l_max=24, degree_max=12, verma_max=12),
-        8: dict(k_max=6, n_max=6),
-        9: dict(depth=6, k_max=9),
-    }
-    return fn(**overrides.get(number, {}))
+    _, fn, quick_sizes = CRITERIA[number]
+    return fn(**quick_sizes) if quick else fn()
 
 
 def run_all(quick: bool = False) -> List[Tuple[int, str, List[Verdict]]]:
-    results = []
-    for number, title, _ in CRITERIA:
-        results.append((number, title, run_criterion(number, quick=quick)))
-    return results
+    return [
+        (number, title, run_criterion(number, quick=quick))
+        for number, (title, _, _) in CRITERIA.items()
+    ]

@@ -92,7 +92,6 @@ def bounded_partitions(n: int) -> Tuple[Partition, ...]:
 
 @dataclass(frozen=True)
 class LabeledEdge:
-    source: Partition
     target: Partition
     label: Polynomial
 
@@ -129,7 +128,7 @@ def edges_from(p: Partition) -> Tuple[LabeledEdge, ...]:
             label = Polynomial("x", (-len(parts), 1))
         else:
             label = Polynomial.constant("x", p.count_part(new_value - 1))
-        edges.append(LabeledEdge(p, target, label))
+        edges.append(LabeledEdge(target, label))
     return tuple(edges)
 
 

@@ -71,6 +71,13 @@ def test_invariants_structure(capsys):
     assert "36" in out
 
 
+def test_invariants_past_the_generator_cap_name_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "genfun", "invariants", "--k", "7")
+    assert code == 1
+    assert ("FAIL  invariant structure recognized  "
+            "(more than 60 generators to degree 60 for k=7)") in out
+
+
 def test_sym_and_tensor_and_q0(capsys):
     code, out, _ = run_cli(capsys, "sl2", "sym", "--k", "4", "--n", "3")
     assert code == 0
@@ -191,7 +198,7 @@ def test_radical_depth_above_the_limit_exits_2_before_building(capsys, monkeypat
 def test_radical_depth_limit_itself_is_accepted(capsys, monkeypatch):
     assert RADICAL_MAX_DEPTH == 1_000
     monkeypatch.setattr(
-        quiver, "radical_filtration", lambda top, depth: quiver.RadicalFiltration(top, [Counter({top: 1})])
+        quiver, "radical_filtration", lambda top, depth: quiver.RadicalFiltration([Counter({top: 1})])
     )
     code, out, _ = run_cli(capsys, "quiver", "radical", "--top", "V(1)", "--depth", "1000")
     assert code == 0 and "rad^0: V(1)" in out
@@ -738,7 +745,7 @@ def test_unrecognised_invariant_ring_fails_criterion_4(capsys, monkeypatch):
         # the k=5 relation 1 - q^36 becomes 1 - 2q^36
         coeffs = list(series.coeffs)
         coeffs[36] -= 1
-        return TruncatedSeries("q", coeffs)
+        return TruncatedSeries(coeffs)
 
     monkeypatch.setattr(genfun, "invariant_series", planted)
     code, failing = _verify_all_structured(capsys)

@@ -173,14 +173,14 @@ def test_series_multiplicativity():
 
 
 def test_series_division_and_truncation_rules():
-    a = TruncatedSeries("q", [1, 2, 3, 4, 5])
-    b = TruncatedSeries("q", [1, 1, 1])
+    a = TruncatedSeries([1, 2, 3, 4, 5])
+    b = TruncatedSeries([1, 1, 1])
     # product truncates to the shorter operand
     assert (a * b).truncation == 2
     quotient = a / b
     assert quotient * b == a.truncate(2)
     with pytest.raises(PoleAtOriginError):
-        a / TruncatedSeries("q", [0, 1, 1, 1, 1])
+        a / TruncatedSeries([0, 1, 1, 1, 1])
 
 
 _ints = st.integers(-50, 50)
@@ -194,7 +194,7 @@ def _series_pair(draw, coeff):
     a = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
     c0 = draw(st.one_of(st.sampled_from([1, -1, 2]), coeff.filter(bool)))
     b = [c0] + draw(st.lists(coeff, min_size=n, max_size=n))
-    return TruncatedSeries("q", a), TruncatedSeries("q", b)
+    return TruncatedSeries(a), TruncatedSeries(b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,17 +244,17 @@ def test_rational_function_ring_laws_by_cross_multiplication(data, op):
 
 
 def test_series_coefficients_are_ints_where_integral():
-    series = TruncatedSeries("q", [Fraction(2), 3, Fraction(1, 2)])
+    series = TruncatedSeries([Fraction(2), 3, Fraction(1, 2)])
     assert [type(c) for c in series.coeffs] == [int, int, Fraction]
     expanded = series_expand(RationalFunction(q(1), q(1, -1)), 4)
     assert all(type(c) is int for c in expanded.coeffs)
     # a constant term other than +-1 falls back to exact Fractions
-    halves = TruncatedSeries("q", [1, 0, 0]) / TruncatedSeries("q", [2, 0, 0])
+    halves = TruncatedSeries([1, 0, 0]) / TruncatedSeries([2, 0, 0])
     assert halves.coeffs == (Fraction(1, 2), 0, 0)
 
 
 def test_first_negative_coefficient():
-    assert TruncatedSeries("q", [1, 1, 1]).first_negative() is None
+    assert TruncatedSeries([1, 1, 1]).first_negative() is None
     # q^5 (1+q^2) / (1 - q^6 + q^12): sign first turns at degree 23
     rf = RationalFunction(
         q(0, 0, 0, 0, 0, 1, 0, 1),

@@ -412,7 +412,7 @@ def test_structure_detection_rejects_garbage():
     from galilei.exact import TruncatedSeries
 
     # a series that is not of the recognized shape: residual 1 - q^2 - q^3
-    fake = TruncatedSeries("q", [1, 0, -1, -1] + [0] * 20)
+    fake = TruncatedSeries([1, 0, -1, -1] + [0] * 20)
 
     class _Fake:
         pass

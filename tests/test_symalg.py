@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from galilei import symalg, younglat
+from galilei import symalg, verify, younglat
 from galilei.symalg import SymElement, adjoint_action as act
 
 
@@ -52,12 +52,11 @@ def test_basis_action_examples():
 
 
 def test_sl2_relations_on_monomials():
-    for basis in ("v", "w"):
-        for exps in monomials_up_to(4, 4):
-            m = SymElement(4, {exps: Fraction(1)}, basis)
-            assert act("e", act("f", m)) - act("f", act("e", m)) == act("h", m)
-            assert act("h", act("e", m)) - act("e", act("h", m)) == act("e", m).scale(2)
-            assert act("h", act("f", m)) - act("f", act("h", m)) == act("f", m).scale(-2)
+    for exps in monomials_up_to(4, 4):
+        m = SymElement(4, {exps: Fraction(1)})
+        assert act("e", act("f", m)) - act("f", act("e", m)) == act("h", m)
+        assert act("h", act("e", m)) - act("e", act("h", m)) == act("e", m).scale(2)
+        assert act("h", act("f", m)) - act("f", act("h", m)) == act("f", m).scale(-2)
 
 
 def test_sl2_relations_other_ambient():
@@ -110,29 +109,33 @@ def test_invariants():
     assert not symalg.is_invariant(SymElement.generator(4, 0))
 
 
-def test_w_basis_scalars():
-    # with w = c * v the raising operator steps with unit coefficients, and
-    # lowering steps by (n-j+2)/2 * (n+j)/2: f . w_j = 4, 6, 6, 4 * w_{j-2}
-    for weight, coeff in ((-2, 4), (0, 6), (2, 6), (4, 4)):
-        w = SymElement.generator(4, weight, basis="w")
-        down = SymElement.generator(4, weight - 2, basis="w")
-        assert act("f", w) == down.scale(coeff)
-    assert act("f", SymElement.generator(4, -4, basis="w")).is_zero
-    for weight in (-4, -2, 0, 2):
-        w = SymElement.generator(4, weight, basis="w")
-        up = SymElement.generator(4, weight + 2, basis="w")
-        assert act("e", w) == up
-    assert act("e", SymElement.generator(4, 4, basis="w")).is_zero
-
-
 def test_independence_small_cases():
     assert symalg.independence_check(1) == 1
     vectors = symalg.independence_vectors(2)
-    w_m4 = SymElement.generator(4, -4, basis="w")
-    w_m2 = SymElement.generator(4, -2, basis="w")
-    w_0 = SymElement.generator(4, 0, basis="w")
-    assert vectors[0] == w_m2 * w_m2
-    assert vectors[1] == w_m2 * w_m2 + w_m4 * w_0
+    v_m4 = SymElement.generator(4, -4)
+    v_m2 = SymElement.generator(4, -2)
+    v_0 = SymElement.generator(4, 0)
+    assert vectors[0] == v_m2 * v_m2
+    # e(v_{-4} v_{-2}) = v_{-2}^2 + 2 v_{-4} v_0
+    assert vectors[1] == v_m2 * v_m2 + (v_m4 * v_0).scale(2)
+
+
+def test_planted_lowering_defect_fails_the_sl2_relations_and_invariance(monkeypatch):
+    original = symalg._lower_coefficient
+    monkeypatch.setattr(
+        symalg, "_lower_coefficient", lambda n, weight: original(n, weight) + (weight == 2)
+    )
+    verdicts = {v.name: v for v in verify.check_symmetric_algebra(k_max=5)}
+    relations = verdicts["derivations satisfy the sl2 relations on all monomials of degree <= 4"]
+    assert not relations.passed and relations.detail == "80 failures"
+    invariance = verdicts["C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)"]
+    assert not invariance.passed
+    assert invariance.detail == (
+        "failures at ['f kills C2', 'f kills C3', 'product C2*C3 is invariant']"
+    )
+    # f never enters the raisings, so both independence verdicts still pass
+    assert verdicts["iterated raisings are independent for 1 <= k <= 5"].passed
+    assert verdicts["independence ranks agree with the path-matrix ranks"].passed
 
 
 def test_independence_range_and_rank_agreement():
@@ -163,9 +166,9 @@ _ints = st.integers(-6, 6)
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
-def _elements(coeff, basis):
+def _elements(coeff):
     exps = st.tuples(*[st.integers(0, 2)] * 5)
-    return st.dictionaries(exps, coeff, max_size=3).map(lambda t: SymElement(4, t, basis))
+    return st.dictionaries(exps, coeff, max_size=3).map(lambda t: SymElement(4, t))
 
 
 def _assert_exact_coefficients(p):
@@ -173,10 +176,10 @@ def _assert_exact_coefficients(p):
         assert type(c) is int or (isinstance(c, Fraction) and c.denominator != 1), c
 
 
-@given(st.data(), st.sampled_from(["int", "fraction"]), st.sampled_from(["v", "w"]))
-def test_sym_element_arithmetic_keeps_ints(data, kind, basis):
+@given(st.data(), st.sampled_from(["int", "fraction"]))
+def test_sym_element_arithmetic_keeps_ints(data, kind):
     coeff = _ints if kind == "int" else st.one_of(_ints, _fractions)
-    p, q = data.draw(_elements(coeff, basis)), data.draw(_elements(coeff, basis))
+    p, q = data.draw(_elements(coeff)), data.draw(_elements(coeff))
     c = data.draw(coeff)
     results = [p + q, p - q, p * q, p.scale(c)]
     for generator in ("e", "f", "h"):

@@ -1,8 +1,15 @@
-"""Every public function and class of the package has a caller inside it.
+"""Every public function and class of the package has a caller inside it,
+and every field of its classes has a reader.
 
 A module-level public name that nothing else in ``src/galilei`` reads (the
 ``__init__`` exports do not count) is a feature no check needs.  Names the
 tests use as tools stay only through the allowlist, each with its reason.
+
+A dataclass field or ``__slots__`` entry whose name is never loaded as an
+attribute in the package is a value that nothing reads.  The check goes by
+name, so it only sees fields that nothing at all reads.  A field that its own
+class's methods read counts as read, so a ``basis`` or ``var`` value that
+every constructor and operation carries along and passes on is not flagged.
 """
 
 import ast
@@ -44,6 +51,45 @@ def unreferenced_public_names():
                     defined[owner] = path.stem
             referenced.update(name for name in _referenced_names(stmt) if name != owner)
     return {name: module for name, module in defined.items() if name not in referenced}
+
+
+def _declared_fields(cls):
+    """Names of the dataclass fields and ``__slots__`` entries of a class node."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    is_dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+    for stmt in cls.body:
+        if is_dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id
+        elif isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            yield from (elt.value for elt in stmt.value.elts)
+
+
+def field_reads():
+    """{"module.Class.field": whether a loaded attribute of that name exists}.
+
+    Reads off the argparse namespace ``args`` do not count: an option such as
+    ``args.top`` would hide a field of the same name.
+    """
+    declared = {}
+    loaded = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for name in _declared_fields(node):
+                    declared[f"{path.stem}.{node.name}.{name}"] = name
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if not (isinstance(node.value, ast.Name) and node.value.id == "args"):
+                    loaded.add(node.attr)
+    return {field: name in loaded for field, name in declared.items()}
+
+
+def test_every_class_field_is_read_in_the_package():
+    reads = field_reads()
+    # the scan sees both kinds of declaration
+    assert reads.keys() >= {"verify.Verdict.detail", "exact.TruncatedSeries.coeffs"}
+    assert sorted(field for field, read in reads.items() if not read) == []
 
 
 def test_every_public_name_has_a_caller_in_the_package():

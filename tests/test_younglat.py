@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -397,22 +396,23 @@ def test_rank_at_builds_no_polynomial_products_and_each_edge_once(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
-    built = Counter()
+    built = []
     original_edge = yl.LabeledEdge
 
-    def counting_edge(source, target, label):
-        built[source, target] += 1
-        return original_edge(source, target, label)
+    def counting_edge(target, label):
+        built.append(target)
+        return original_edge(target, label)
 
     monkeypatch.setattr(yl, "LabeledEdge", counting_edge)
     yl.edges_from.cache_clear()
     assert yl.rank_at(12) == 12
     assert products == []
-    assert max(built.values()) == 1
-    # the DP leaves every partition of size 1..11, so each one's edges were built
-    assert {source for source, _ in built} == {
-        p for size in range(1, 12) for p in yl.bounded_partitions(size)
-    }
+    # the DP leaves every partition of size 1..11, so each one's edges were
+    # built, once: one memo miss per partition, and no edge built elsewhere
+    left = [p for size in range(1, 12) for p in yl.bounded_partitions(size)]
+    edges_built = len(built)
+    assert edges_built == sum(len(yl.edges_from(p)) for p in left)
+    assert yl.edges_from.cache_info().misses == len(left)
     # positive control: the polynomial route is counted
     yl.path_matrix(3)
     assert products
@@ -499,7 +499,7 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
         if p == partition(2):
             # the edge (2) -> (3) is labelled by one part equal to 2, i.e. 1
             edges = [
-                yl.LabeledEdge(e.source, e.target, const(2)) if e.target == partition(3) else e
+                yl.LabeledEdge(e.target, const(2)) if e.target == partition(3) else e
                 for e in edges
             ]
         return edges
