@@ -62,7 +62,6 @@ from .younglat import (
 from .quiver import (
     decompose_Q,
     radical_filtration,
-    tensor_projective,
 )
 
 __version__ = "0.1.0"

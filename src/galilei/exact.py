@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, rational-function and truncated-series arithmetic.
+"""Exact scalar, polynomial and truncated-series arithmetic, and rational functions.
 
 Every value here is exact; no floating point is used anywhere.  Polynomial,
 rational-function and truncated-series coefficients are held as ``int``
@@ -8,9 +8,9 @@ has integer coefficients.  ``_as_scalar`` is the one place that rule lives,
 and every division is an exact ``Fraction(a, b)`` normalised by it, so
 callers take ints as they come.  Polynomials are dense in a single formal
 variable (``q`` for counting series, ``x`` for edge labels), rational
-functions are kept in a canonical form with coprime numerator/denominator and
-monic denominator, and truncated power series carry their truncation degree
-explicitly.
+functions are values kept in a canonical form with coprime numerator/denominator
+and monic denominator, with no arithmetic of their own, and truncated power
+series carry their truncation degree explicitly.
 """
 
 from __future__ import annotations
@@ -248,7 +248,10 @@ class RationalFunction:
     """Quotient of two polynomials in canonical form.
 
     Canonical form: gcd(numerator, denominator) = 1 and the denominator is
-    monic, so structural equality decides equality of rational functions.
+    monic, so structural equality decides equality of rational functions and
+    the printed form is unique.  It is a value, not a field element: a check
+    that combines closed forms works on their numerators and denominators and
+    compares a/b with c/d by cross-multiplying, a*d == c*b.
     """
 
     __slots__ = ("num", "den")
@@ -274,51 +277,13 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @property
-    def var(self) -> str:
-        return self.num.var
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __str__(self):
-        if self.den == Polynomial.one(self.var):
+        if self.den.coeffs == (1,):
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -351,11 +316,6 @@ class TruncatedSeries:
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
-
-    def truncate(self, n: int) -> "TruncatedSeries":
-        if n > self.truncation:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: n + 1])
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -419,9 +379,6 @@ class TruncatedSeries:
             if c < 0:
                 return i
         return None
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs!r})"

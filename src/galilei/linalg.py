@@ -12,9 +12,7 @@ leaves a smaller core (empty for a triangular matrix up to row and column
 order).  The core's determinant is then recovered by evaluating at the
 integer nodes 0..D and Newton-interpolating, which keeps every step in the
 integers: each divided difference on consecutive integer nodes is an
-integer, and every division is checked to be exact.  ``poly_bareiss_det`` is
-the independent cross-check: fraction-free elimination directly over the
-polynomial ring.
+integer, and every division is checked to be exact.
 """
 
 from __future__ import annotations
@@ -138,32 +136,3 @@ def _newton_interpolate(var: str, values: Sequence[int]) -> Polynomial:
     for t in range(len(diffs) - 1, -1, -1):
         result = result * (x - t) + diffs[t]
     return result
-
-
-def poly_bareiss_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Bareiss determinant directly over the polynomial ring (cross-check path).
-
-    Slower than interpolation but wholly independent of it; interior divisions
-    are exact polynomial divisions.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    var = matrix[0][0].var
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = Polynomial.one(var)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if pivot is None:
-                return Polynomial.zero(var)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Polynomial.zero(var)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det

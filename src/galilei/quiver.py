@@ -152,24 +152,16 @@ def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
 
 
 # ---------------------------------------------------------------------------
-# Decomposing induced modules and tensor products of projectives
+# Decomposing the reduced universal module
 # ---------------------------------------------------------------------------
 
 def decompose_Q(k: int) -> CounterT[SimpleHC]:
     """Indecomposable summands of the reduced universal module Q(k).
 
     Returned as a multiset of tops of projective covers.  Q(k) is
-    L(k) (x) Q(0), and Q(0) is the projective cover of V'(0), so the
-    summands are those of ``tensor_projective(k, V'(0))``.
+    L(k) (x) Q(0), and Q(0) is the projective cover of V'(0).  Tensoring
+    with a finite-dimensional module is exact and preserves projectives, so
+    the multiplicity of the projective with top W equals the multiplicity of
+    W in L(k) (x) V'(0).
     """
-    return tensor_projective(k, Vp(0))
-
-
-def tensor_projective(k: int, top: SimpleHC) -> CounterT[SimpleHC]:
-    """Summands of L(k) (x) P(top), as a multiset of tops.
-
-    Tensoring with a finite-dimensional module is exact and preserves
-    projectives, so the multiplicity of the projective with top W equals the
-    multiplicity of W in L(k) (x) top.
-    """
-    return hc_tensor(k, top)
+    return hc_tensor(k, Vp(0))

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
-from .exact import Polynomial, RationalFunction, series_expand
+from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand
 from .sl2rep import V, Vp
 from .younglat import partition
 
@@ -113,11 +113,22 @@ def _invariant_targets() -> Dict[int, RationalFunction]:
     }
 
 
+def _closed_difference(k: int, l: int) -> Tuple[Polynomial, Polynomial]:
+    """F_l - F_{l+2} from the closed forms, as an unreduced numerator and denominator."""
+    a, b = genfun.f_closed(k, l), genfun.f_closed(k, l + 2)
+    return a.num * b.den - b.num * a.den, a.den * b.den
+
+
+def _equals(num: Polynomial, den: Polynomial, target: RationalFunction) -> bool:
+    """num/den equals target, by cross-multiplying; a zero den never does."""
+    return not den.is_zero and num * target.den == target.num * den
+
+
 def check_closed_identities(degree: int = 60) -> List[Verdict]:
     verdicts = []
     for k, target in _invariant_targets().items():
         mismatches = []
-        if (genfun.f_closed(k, 0) - genfun.f_closed(k, 2)) != target:
+        if not _equals(*_closed_difference(k, 0), target):
             mismatches.append(f"k={k}: F_0 - F_2 differs from the target rational function")
         series, expected = genfun.invariant_series(k, degree), series_expand(target, degree)
         if series != expected:
@@ -138,13 +149,20 @@ def check_closed_identities(degree: int = 60) -> List[Verdict]:
 
 def _quotient_verdict(k: int, l: int, shown: str, target: RationalFunction, degree: int) -> Verdict:
     """(F_l - F_{l+2}) / (F_0 - F_2) from the closed forms equals the target."""
-    f = lambda w: genfun.f_closed(k, w)
-    got = (f(l) - f(l + 2)) / (f(0) - f(2))
+    num, den = _closed_difference(k, l)
+    div_num, div_den = _closed_difference(k, 0)
+    num, den = num * div_den, den * div_num
     name = f"quotient closed form for k={k}: {shown}"
-    if got == target:
+    if _equals(num, den, target):
         return _verdict(name, True)
-    expanded = series_expand(got, degree), series_expand(target, degree)
-    return _verdict(name, False, _series_mismatch(f"quotient k={k}", *expanded, "target"))
+    if den.is_zero:
+        return _verdict(name, False, f"quotient k={k}: the divisor F_0 - F_2 is zero")
+    try:
+        got = series_expand(RationalFunction(num, den), degree)
+    except PoleAtOriginError:
+        return _verdict(name, False, f"quotient k={k}: a pole at q=0, the target has none")
+    expected = series_expand(target, degree)
+    return _verdict(name, False, _series_mismatch(f"quotient k={k}", got, expected, "target"))
 
 
 def check_negativity(degree: int = 60) -> List[Verdict]:
@@ -563,7 +581,7 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
     bad = [
         (k, str(top))
         for k, top, want in identities
-        if quiver.tensor_projective(k, top) != want
+        if sl2rep.hc_tensor(k, top) != want
     ]
     verdicts.append(_failures("tensor identities L(1)xP'(0), L(1)xP(1), L(2)xP(1)", bad))
     return verdicts

@@ -51,10 +51,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def count_part(self, value: int) -> int:
         return sum(1 for p in self.parts if p == value)
 

@@ -735,6 +735,19 @@ def test_planted_closed_form_defect_reaches_the_verdicts(capsys, monkeypatch):
         assert _strip_timing(out) == expected
 
 
+def test_planted_zero_divisor_fails_the_quotient_verdict(capsys, monkeypatch):
+    original = genfun._closed_k5
+    # F_2 = F_0 makes the divisor F_0 - F_2 of the k=5 quotient zero
+    monkeypatch.setattr(genfun, "_closed_k5", lambda l: original(0 if l == 2 else l))
+    code, failing = _verify_all_structured(capsys)
+    assert code == 1
+    quotient = "[criterion 3] quotient closed form for k=5: q^5(1+q^2)/(1-q^6+q^12)"
+    assert failing[quotient] == "quotient k=5: the divisor F_0 - F_2 is zero"
+    assert failing["[criterion 2] invariant series identity for k=5 (rational function and series)"] == (
+        "k=5: F_0 - F_2 differs from the target rational function"
+    )
+
+
 def test_unrecognised_invariant_ring_fails_criterion_4(capsys, monkeypatch):
     original = genfun.invariant_series
 

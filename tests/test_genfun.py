@@ -4,7 +4,13 @@ from math import comb
 import pytest
 
 from galilei import genfun, sl2rep, verify
-from galilei.exact import Polynomial, RationalFunction, series_expand
+from galilei.exact import Polynomial, RationalFunction, TruncatedSeries, series_expand
+
+
+def closed_difference(k, l):
+    """F_l - F_{l+2} from the closed forms, as an unreduced (numerator, denominator)."""
+    a, b = genfun.f_closed(k, l), genfun.f_closed(k, l + 2)
+    return a.num * b.den - b.num * a.den, a.den * b.den
 
 
 def diophantine_solutions(k, l, max_degree):
@@ -79,7 +85,7 @@ def test_enum_table_order_independent(k):
     large_first = [genfun.f_enum(k, l, small) for l in weights]
     assert small_first == large_first
     assert small_first_large == large_first_large
-    assert [s.truncate(small) for s in large_first_large] == large_first
+    assert [s.coeffs[: small + 1] for s in large_first_large] == [s.coeffs for s in large_first]
 
 
 @pytest.mark.parametrize("k", [2, 5, 7])
@@ -96,7 +102,7 @@ def test_recur_memo_order_independent(k):
     large_first = [genfun.f_recur(k, l, small) for l in weights]
     assert small_first == large_first
     assert small_first_large == large_first_large
-    assert [s.truncate(small) for s in large_first_large] == large_first
+    assert [s.coeffs[: small + 1] for s in large_first_large] == [s.coeffs for s in large_first]
 
 
 def _check_weight_rows(k, degree):
@@ -185,7 +191,7 @@ def test_cold_f_enum_builds_the_table_once(monkeypatch):
 
 def test_enum_examples():
     assert [int(c) for c in genfun.f_enum(1, 3, 7).coeffs] == [0, 0, 0, 1, 0, 1, 0, 1]
-    assert genfun.f_enum(2, 1, 10).is_zero()
+    assert not any(genfun.f_enum(2, 1, 10).coeffs)
     # weight-0 series of the 5-dimensional module starts 1, 1, 3, 5, 8
     assert [int(c) for c in genfun.f_enum(4, 0, 8).coeffs][:5] == [1, 1, 3, 5, 8]
     assert series_expand(genfun.f_closed(4, 0), 8) == genfun.f_enum(4, 0, 8)
@@ -263,6 +269,23 @@ def test_planted_quotient_defects_name_the_first_coefficient(monkeypatch):
     assert verdicts[3].detail == "quotient k=6: q^1 is -1, target has 0"
 
 
+def test_planted_pole_fails_the_quotient_verdict(monkeypatch):
+    original = genfun._closed_k5
+
+    def planted(l):
+        if l != 0:
+            return original(l)
+        # F_0 = F_2 + q^6 F_0: the divisor F_0 - F_2 starts at q^6, past the
+        # q^5 of F_1 - F_3, so the quotient has a pole at q = 0
+        f0, f2 = original(0), original(2)
+        return RationalFunction(f2.num * f0.den + f0.num.shift(6) * f2.den, f0.den * f2.den)
+
+    monkeypatch.setattr(genfun, "_closed_k5", planted)
+    verdicts = verify.check_negativity(degree=40)
+    assert [v.passed for v in verdicts] == [True, True, False, True]
+    assert verdicts[2].detail == "quotient k=5: a pole at q=0, the target has none"
+
+
 def test_planted_structure_defect_names_the_expected_shape(monkeypatch):
     original = genfun.detect_invariant_structure
 
@@ -333,8 +356,8 @@ def test_closed_form_expansion_matches_sympy_series():
 
 
 def test_closed_form_support():
-    assert genfun.f_closed(4, 5).is_zero
-    assert genfun.f_closed(2, 3).is_zero
+    assert genfun.f_closed(4, 5).num.is_zero
+    assert genfun.f_closed(2, 3).num.is_zero
     for k, l in [(5, 4), (6, 1), (6, 8), (7, 0)]:
         with pytest.raises(genfun.NoClosedFormError):
             genfun.f_closed(k, l)
@@ -360,7 +383,8 @@ def test_invariant_series_identities():
         6: RationalFunction(one - mono("q", 30), genfun.geometric_den(2, 4, 6, 10, 15)),
     }
     for k, target in targets.items():
-        assert genfun.f_closed(k, 0) - genfun.f_closed(k, 2) == target
+        num, den = closed_difference(k, 0)
+        assert num * target.den == target.num * den
         assert genfun.invariant_series(k, 45) == series_expand(target, 45)
 
 
@@ -375,20 +399,17 @@ def test_freeness_quotient():
 
 
 def test_quotient_closed_forms():
-    q5 = (genfun.f_closed(5, 1) - genfun.f_closed(5, 3)) / (
-        genfun.f_closed(5, 0) - genfun.f_closed(5, 2)
-    )
-    assert q5 == RationalFunction(
-        Polynomial("q", (1, 0, 1)).shift(5),
-        Polynomial("q", (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1)),
-    )
-    q6 = (genfun.f_closed(6, 2) - genfun.f_closed(6, 4)) / (
-        genfun.f_closed(6, 0) - genfun.f_closed(6, 2)
-    )
-    assert q6 == RationalFunction(
-        Polynomial("q", (1, 1, 1)).shift(3),
-        Polynomial("q", (1, 1, 0, -1, -1, -1, 0, 1, 1)),
-    )
+    # (F_l - F_{l+2}) / (F_0 - F_2) = (n_l d_0) / (d_l n_0) for F_l - F_{l+2} = n_l / d_l
+    targets = {
+        (5, 1): (Polynomial("q", (1, 0, 1)).shift(5),
+                 Polynomial("q", (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1))),
+        (6, 2): (Polynomial("q", (1, 1, 1)).shift(3),
+                 Polynomial("q", (1, 1, 0, -1, -1, -1, 0, 1, 1))),
+    }
+    for (k, l), (target_num, target_den) in targets.items():
+        (n_l, d_l), (n_0, d_0) = closed_difference(k, l), closed_difference(k, 0)
+        assert not n_0.is_zero
+        assert n_l * d_0 * target_den == target_num * d_l * n_0
 
 
 def test_structure_detection():
@@ -409,8 +430,6 @@ def test_structure_detection():
 
 
 def test_structure_detection_rejects_garbage():
-    from galilei.exact import TruncatedSeries
-
     # a series that is not of the recognized shape: residual 1 - q^2 - q^3
     fake = TruncatedSeries([1, 0, -1, -1] + [0] * 20)
 
@@ -421,7 +440,7 @@ def test_structure_detection_rejects_garbage():
     import galilei.genfun as gf
 
     original = gf.invariant_series
-    gf.invariant_series = lambda k, degree: fake.truncate(degree)
+    gf.invariant_series = lambda k, degree: TruncatedSeries(fake.coeffs[: degree + 1])
     try:
         with pytest.raises(genfun.StructureNotRecognizedError):
             genfun.detect_invariant_structure(99, 20)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from galilei import quiver, sl2rep, verify
-from galilei.sl2rep import V, Vp
+from galilei.sl2rep import V, Vp, hc_tensor
 
 
 def composition_multiset(filtration):
@@ -171,16 +171,16 @@ def test_decompose_q():
 
 
 def test_tensor_projective_identities():
-    assert quiver.tensor_projective(1, Vp(0)) == Counter({V(1): 1})
-    assert quiver.tensor_projective(1, V(1)) == Counter({Vp(0): 1, Vp(2): 1, V(2): 1})
-    assert quiver.tensor_projective(2, V(1)) == Counter({V(1): 2, V(3): 1})
+    assert hc_tensor(1, Vp(0)) == Counter({V(1): 1})
+    assert hc_tensor(1, V(1)) == Counter({Vp(0): 1, Vp(2): 1, V(2): 1})
+    assert hc_tensor(2, V(1)) == Counter({V(1): 2, V(3): 1})
     # the odd ladder: L(2) x P(2k+1) = P(2k-1) + P(2k+1) + P(2k+3)
     for k in range(1, 6):
-        got = quiver.tensor_projective(2, V(2 * k + 1))
+        got = hc_tensor(2, V(2 * k + 1))
         assert got == Counter({V(2 * k - 1): 1, V(2 * k + 1): 1, V(2 * k + 3): 1})
     # L(1) x P(k) = P(k-1) + P(k+1) for k >= 2
     for k in range(2, 8):
-        got = quiver.tensor_projective(1, V(k))
+        got = hc_tensor(1, V(k))
         low = Counter({V(k - 1): 1}) if k - 1 >= 1 else Counter()
         assert got == low + Counter({V(k + 1): 1})
 

@@ -1,5 +1,5 @@
 """Every public function and class of the package has a caller inside it,
-and every field of its classes has a reader.
+and every field, method and property of its classes has a reader.
 
 A module-level public name that nothing else in ``src/galilei`` reads (the
 ``__init__`` exports do not count) is a feature no check needs.  Names the
@@ -10,6 +10,10 @@ attribute in the package is a value that nothing reads.  The check goes by
 name, so it only sees fields that nothing at all reads.  A field that its own
 class's methods read counts as read, so a ``basis`` or ``var`` value that
 every constructor and operation carries along and passes on is not flagged.
+
+A public method or property whose name is loaded as an attribute nowhere in
+the package outside its own body is likewise reached only from the tests.
+Dunder methods are left out: the language calls them.
 """
 
 import ast
@@ -21,7 +25,6 @@ PACKAGE = Path(galilei.__file__).parent
 
 ALLOWED = {
     "clear_memo_caches": "the tests' memo reset between planted-defect runs",
-    "poly_bareiss_det": "the tests' reference determinant for poly_det",
 }
 
 
@@ -85,6 +88,38 @@ def field_reads():
     return {field: name in loaded for field, name in declared.items()}
 
 
+def _public_methods(cls):
+    """The public, non-dunder methods and properties of a class node."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt
+
+
+def method_reads():
+    """{"module.Class.method": whether its name is loaded as an attribute in
+    the package outside its own body}, for each public method or property."""
+    trees = [(path.stem, ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    methods = {}
+    loads = []  # (attribute name, ids of the function bodies it sits in)
+    for module, tree in trees:
+        stack = [(tree, frozenset())]
+        while stack:
+            node, inside = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                for method in _public_methods(node):
+                    methods[f"{module}.{node.name}.{method.name}"] = method
+            elif isinstance(node, ast.FunctionDef):
+                inside = inside | {id(node)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((node.attr, inside))
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return {
+        name: any(attr == method.name and id(method) not in inside for attr, inside in loads)
+        for name, method in methods.items()
+    }
+
+
 def test_every_class_field_is_read_in_the_package():
     reads = field_reads()
     # the scan sees both kinds of declaration
@@ -95,3 +130,10 @@ def test_every_class_field_is_read_in_the_package():
 def test_every_public_name_has_a_caller_in_the_package():
     flagged = unreferenced_public_names()
     assert set(flagged) == set(ALLOWED), sorted(f"{m}.{n}" for n, m in flagged.items())
+
+
+def test_every_public_method_is_read_in_the_package():
+    reads = method_reads()
+    # the scan sees methods, class methods and properties
+    assert reads.keys() >= {"exact.Polynomial.monic", "exact.Polynomial.zero", "exact.Polynomial.degree"}
+    assert sorted(method for method, read in reads.items() if not read) == []

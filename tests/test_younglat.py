@@ -13,7 +13,6 @@ from galilei.linalg import (
     _newton_interpolate,
     bareiss_det,
     bareiss_rank,
-    poly_bareiss_det,
     poly_det,
 )
 from galilei.younglat import column, partition
@@ -29,9 +28,38 @@ def rational_rank(matrix):
     return bareiss_rank(cleared)
 
 
+def poly_bareiss_det(matrix):
+    """Bareiss determinant directly over the polynomial ring: the reference for poly_det.
+
+    Slower than interpolation but wholly independent of it; interior divisions
+    are exact polynomial divisions.
+    """
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    var = matrix[0][0].var
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = Polynomial.one(var)
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if pivot is None:
+                return Polynomial.zero(var)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
+            m[i][k] = Polynomial.zero(var)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
 def contains(big, small):
     """Whether the diagram of ``small`` fits inside that of ``big``."""
-    if small.length > big.length:
+    if len(small.parts) > len(big.parts):
         return False
     return all(s >= o for s, o in zip(big.parts, small.parts))
 
@@ -41,9 +69,9 @@ def dominates(big, small):
     if big.size != small.size:
         raise ValueError("dominance compares partitions of the same size")
     acc_b = acc_s = 0
-    for i in range(max(big.length, small.length)):
-        acc_b += big.parts[i] if i < big.length else 0
-        acc_s += small.parts[i] if i < small.length else 0
+    for i in range(max(len(big.parts), len(small.parts))):
+        acc_b += big.parts[i] if i < len(big.parts) else 0
+        acc_s += small.parts[i] if i < len(small.parts) else 0
         if acc_b < acc_s:
             return False
     return True
