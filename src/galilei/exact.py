@@ -197,15 +197,12 @@ class Polynomial:
             return self
         return Polynomial(self.var, (0,) * k + self.coeffs)
 
-    # -- comparison / hashing -------------------------------------------------
+    # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
 
     def __bool__(self):
         return not self.is_zero
@@ -369,9 +366,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def first_negative(self) -> Optional[int]:
         """Smallest degree with a negative coefficient, if any."""

@@ -14,18 +14,17 @@ The simples fall into three blocks:
 Projectives are handled purely through their radical filtrations: layer l of
 the projective with a given top is the multiset of endpoints of length-l
 paths from the top surviving the relations, with the two nonzero 2-cycles at
-V(4) identified.
+V(4) identified.  Every relation has length 2, so whether a path extends
+depends only on its last two vertices, and each layer is counted from the
+number of surviving paths ending in each pair of vertices.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Counter as CounterT, List, Tuple
+from typing import Counter as CounterT, List, Optional, Tuple
 
 from .sl2rep import SimpleHC, V, Vp, hc_tensor
-
-Path = Tuple[SimpleHC, ...]
 
 
 def arrows_from(s: SimpleHC) -> List[SimpleHC]:
@@ -61,66 +60,41 @@ _V4 = V(4)
 
 
 def _triple_survives(u: SimpleHC, v: SimpleHC, w: SimpleHC) -> bool:
-    # 2-cycles die, except the two at V(4) through the primed vertices
+    # 2-cycles die, except at V(4): the two through V'(0) and V'(2) are equal,
+    # and V'(0) stands for both
     if u == w:
-        return w == _V4 and v.primed
+        return w == _V4 and v == Vp(0)
     # the two length-2 routes between V'(0) and V'(2) are zero
     if u.primed and w.primed and v == _V4:
         return False
     return True
 
 
-def _canonical(path: Path) -> Path:
-    """Identify the two surviving 2-cycles at V(4): route the primed passage
-    through V'(0)."""
-    verts = list(path)
-    for i in range(1, len(verts) - 1):
-        if verts[i - 1] == _V4 and verts[i + 1] == _V4 and verts[i] == Vp(2):
-            verts[i] = Vp(0)
-    return tuple(verts)
-
-
-@dataclass
-class RadicalFiltration:
-    """Radical layers of an indecomposable projective, down to a depth.
+def radical_filtration(top: SimpleHC, depth: int) -> List[CounterT[SimpleHC]]:
+    """Layers of the projective cover of ``top`` by counting surviving paths.
 
     ``layers[l]`` is the multiset of simples in radical layer l; layer 0 is
-    the top.  Layers beyond ``depth`` are unspecified, not zero.
+    the top.  ``ends`` counts the surviving paths by their last two vertices;
+    a path of length 0 has no previous vertex.
     """
-
-    layers: List[CounterT[SimpleHC]]
-
-    def describe(self) -> List[str]:
-        lines = []
-        for l, layer in enumerate(self.layers):
-            labels = " + ".join(
-                str(s) if m == 1 else f"{str(s)}^{m}"
-                for s, m in sorted(layer.items())
-            )
-            lines.append(f"rad^{l}: {labels}")
-        return lines
-
-
-def radical_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
-    """Layers of the projective cover of ``top`` by counting surviving paths."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     layers: List[CounterT[SimpleHC]] = [Counter({top: 1})]
-    frontier = {(top,)}
+    ends: CounterT[Tuple[Optional[SimpleHC], SimpleHC]] = Counter({(None, top): 1})
     for _ in range(depth):
-        nxt = set()
-        for path in frontier:
-            last = path[-1]
-            for target in arrows_from(last):
-                if len(path) >= 2 and not _triple_survives(path[-2], last, target):
-                    continue
-                nxt.add(_canonical(path + (target,)))
-        frontier = nxt
-        layers.append(Counter(path[-1] for path in frontier))
-    return RadicalFiltration(layers)
+        nxt: CounterT[Tuple[SimpleHC, SimpleHC]] = Counter()
+        layer: CounterT[SimpleHC] = Counter()
+        for (u, v), count in ends.items():
+            for w in arrows_from(v):
+                if u is None or _triple_survives(u, v, w):
+                    nxt[v, w] += count
+                    layer[w] += count
+        ends = nxt
+        layers.append(layer)
+    return layers
 
 
-def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
+def expected_filtration(top: SimpleHC, depth: int) -> List[CounterT[SimpleHC]]:
     """Predicted radical layers, built from the two-branch picture.
 
     Layer l of P(V(k)) is the right branch V(k + 4l) plus layer l of the left
@@ -135,7 +109,7 @@ def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
     layers: List[CounterT[SimpleHC]] = [Counter({top: 1})]
     if top.primed:
         layers += [Counter({V(4 * l): 1}) for l in range(1, depth + 1)]
-        return RadicalFiltration(layers)
+        return layers
 
     k = top.index
     bottom = k % 4 or 4
@@ -148,7 +122,7 @@ def expected_filtration(top: SimpleHC, depth: int) -> RadicalFiltration:
         climb += 4
     for l in range(1, depth + 1):
         layers.append(left[l - 1] + Counter({V(k + 4 * l): 1}))
-    return RadicalFiltration(layers)
+    return layers
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Counter as CounterT
 
-from .genfun import sym_weight_dim, weight_row  # sym_weight_dim is re-exported
+from .genfun import weight_row
 
 
 @dataclass(frozen=True, order=True)

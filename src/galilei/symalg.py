@@ -120,9 +120,6 @@ class SymElement:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def monomial_weight(self, exps: Exponents) -> int:
         return sum(e * (-self.n + 2 * i) for i, e in enumerate(exps))
 

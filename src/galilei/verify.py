@@ -277,12 +277,12 @@ def det_verdicts(d: younglat.DetFactorization, upto: int) -> List[Verdict]:
     return [
         _verdict(
             f"det N_{n} is a nonzero integer times linear factors with roots < {n}",
-            d.integer_factor_nonzero and d.all_roots_below_n,
+            d.integer_factor != 0 and d.fully_factored and all(r < n for r in d.roots),
             d.describe(),
         ),
         _verdict(
             f"det N_{n} stays nonzero at x = {n}..{upto}",
-            all(d.nonzero_at(m) for m in range(n, upto + 1)),
+            all(d.determinant(m) != 0 for m in range(n, upto + 1)),
         ),
     ]
 
@@ -531,7 +531,7 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
     for top in (Vp(0), Vp(2)):
         f = quiver.radical_filtration(top, depth)
         for l in range(1, depth + 1):
-            ok = ok and f.layers[l] == Counter({V(4 * l): 1})
+            ok = ok and f[l] == Counter({V(4 * l): 1})
     verdicts.append(
         _verdict(f"both primed projectives are uniserial with layers V(4l), depth <= {depth}", ok)
     )
@@ -543,14 +543,14 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
         4: Counter({Vp(0): 1, Vp(2): 1, V(8): 1}),
         5: Counter({V(1): 1, V(9): 1}),
     }
-    bad = [k for k, want in loewy.items() if quiver.radical_filtration(V(k), 1).layers[1] != want]
+    bad = [k for k, want in loewy.items() if quiver.radical_filtration(V(k), 1)[1] != want]
     verdicts.append(
         _failures("first radical layers of P(1)..P(5) match the reference diagrams", bad)
     )
 
     bad = []
     for top in [Vp(0), Vp(2)] + [V(k) for k in range(1, k_max + 1)]:
-        if quiver.radical_filtration(top, depth).layers != quiver.expected_filtration(top, depth).layers:
+        if quiver.radical_filtration(top, depth) != quiver.expected_filtration(top, depth):
             bad.append(str(top))
     verdicts.append(
         _failures(

@@ -255,17 +255,6 @@ class DetFactorization:
     roots: Tuple[int, ...]
     fully_factored: bool
 
-    @property
-    def integer_factor_nonzero(self) -> bool:
-        return self.integer_factor != 0
-
-    @property
-    def all_roots_below_n(self) -> bool:
-        return self.fully_factored and all(r < self.n for r in self.roots)
-
-    def nonzero_at(self, m: int) -> bool:
-        return self.determinant(m) != 0
-
     def describe(self) -> str:
         if self.determinant.is_zero:
             return "determinant is zero (structural failure)"

@@ -197,9 +197,7 @@ def test_radical_depth_above_the_limit_exits_2_before_building(capsys, monkeypat
 
 def test_radical_depth_limit_itself_is_accepted(capsys, monkeypatch):
     assert RADICAL_MAX_DEPTH == 1_000
-    monkeypatch.setattr(
-        quiver, "radical_filtration", lambda top, depth: quiver.RadicalFiltration([Counter({top: 1})])
-    )
+    monkeypatch.setattr(quiver, "radical_filtration", lambda top, depth: [Counter({top: 1})])
     code, out, _ = run_cli(capsys, "quiver", "radical", "--top", "V(1)", "--depth", "1000")
     assert code == 0 and "rad^0: V(1)" in out
 

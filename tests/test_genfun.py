@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from galilei import genfun, sl2rep, verify
+from galilei import genfun, verify
 from galilei.exact import Polynomial, RationalFunction, TruncatedSeries, series_expand
 
 
@@ -143,7 +143,6 @@ def test_planted_narrow_field_width_fails_the_row_oracle(monkeypatch):
 
 
 def test_sym_weight_dim_edge_cases():
-    assert sl2rep.sym_weight_dim is genfun.sym_weight_dim
     brute = Counter()
     for combo in diophantine_solutions(3, 3, 4):
         brute[sum(combo)] += 1

@@ -77,7 +77,7 @@ def test_weight_symmetry():
     for k in range(0, 6):
         for n in range(0, 8):
             for l in range(0, k * n + 1):
-                assert sl2rep.sym_weight_dim(k, n, l) == sl2rep.sym_weight_dim(k, n, -l)
+                assert genfun.sym_weight_dim(k, n, l) == genfun.sym_weight_dim(k, n, -l)
 
 
 def test_sym_decompose_matches_generating_functions():
@@ -162,7 +162,6 @@ def test_q00_degree_part_unpacks_at_most_four_rows(monkeypatch):
         raise AssertionError("a weight-space dimension was read one field at a time")
 
     monkeypatch.setattr(genfun, "sym_weight_dim", refuse)
-    monkeypatch.setattr(sl2rep, "sym_weight_dim", refuse)
     original = sl2rep.weight_row
     unpacked = []
 

@@ -631,10 +631,7 @@ def test_det_factorizations_structural():
     }
     for n in range(2, 13):
         d = yl.verify_det_factorization(n)
-        assert d.integer_factor_nonzero
-        assert d.all_roots_below_n
-        for m in range(n, 13):
-            assert d.nonzero_at(m)
+        assert all(v.passed for v in verify.det_verdicts(d, 12)), n
         if n in pinned:
             content, roots = pinned[n]
             assert abs(d.integer_factor) == content, n
@@ -648,8 +645,8 @@ def test_det_factorizations_past_the_acceptance_sizes():
     for n in range(13, 21):
         d = yl.verify_det_factorization(n)
         assert d.fully_factored, n
-        assert d.integer_factor_nonzero, n
-        assert d.all_roots_below_n, n
+        assert d.integer_factor != 0, n
+        assert all(r < n for r in d.roots), n
 
 
 def test_odd_case_reduced_block_roots():
