@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every invocation produces a Report: the echoed command, its parameters, the
-computed results, and a list of named verdicts.  The process exit status is 0
-exactly when every verdict passed.  Reports render as aligned text (default)
-or as a JSON document (``--format structured``) that carries every field of
-the report.
+computed results, and a list of named verdicts.  ``main`` builds the command
+and parameters from the parsed arguments; each handler only computes, filling
+in the results and taking its verdicts from ``verify``.  The process exit
+status is 0 exactly when every verdict passed.  Reports render as aligned
+text (default) or as a JSON document (``--format structured``) that carries
+every field of the report.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from math import comb
 from typing import Dict, List, Optional
 
 from . import genfun, quiver, sl2rep, symalg, younglat, verify as verify_mod
 from .exact import series_expand
-from .genfun import DEFAULT_TRUNCATION, NoClosedFormError, StructureNotRecognizedError
+from .genfun import DEFAULT_TRUNCATION
 from .sl2rep import SimpleHC
 from .verify import Verdict
 
@@ -80,10 +81,11 @@ def _series_ints(series) -> List:
 
 
 # ---------------------------------------------------------------------------
-# Handlers (one per subcommand); each returns a Report
+# Handlers (one per subcommand); each fills in the results and verdicts of the
+# Report that main built from the parsed command and parameters
 # ---------------------------------------------------------------------------
 
-def _cmd_genfun_series(args) -> Report:
+def _cmd_genfun_series(args, rep: Report) -> None:
     _series_bound(args.k, args.degree)
     _bound("--l", args.l, SERIES_MAX_L, "series")
     if args.method in ("recur", "all"):
@@ -95,21 +97,16 @@ def _cmd_genfun_series(args) -> Report:
         # 58 MB (l = 1 is the slowest).
         _cell_bound(f"the recursion for k={args.k} to degree {args.degree}",
                     (args.k + 1) // 2 * (args.degree + 1) * (args.k * args.degree + 1))
-    rep = Report("genfun series", dict(k=args.k, l=args.l, degree=args.degree, method=args.method))
-    if args.method == "recur" and args.k < 2:
-        raise ValueError("the recursion route needs k >= 2")
     methods = {}
     if args.method in ("enum", "all"):
         methods["enum"] = genfun.f_enum(args.k, args.l, args.degree)
-    if args.method in ("recur", "all") and args.k >= 2:
+    # a route asked for by name refuses its own domain; `all` skips it there
+    if args.method == "recur" or (args.method == "all" and args.k >= 2):
         methods["recur"] = genfun.f_recur(args.k, args.l, args.degree)
-    if args.method in ("closed", "all"):
-        if genfun.has_closed_form(args.k, args.l):
-            rf = genfun.f_closed(args.k, args.l)
-            rep.results["closed_form"] = str(rf)
-            methods["closed"] = series_expand(rf, args.degree)
-        elif args.method == "closed":
-            raise NoClosedFormError(f"no closed form for k={args.k}, l={args.l}")
+    if args.method == "closed" or (args.method == "all" and genfun.has_closed_form(args.k, args.l)):
+        rf = genfun.f_closed(args.k, args.l)
+        rep.results["closed_form"] = str(rf)
+        methods["closed"] = series_expand(rf, args.degree)
     for name, series in methods.items():
         rep.results[f"{name}_coefficients"] = _series_ints(series)
     if args.method == "all":
@@ -118,71 +115,53 @@ def _cmd_genfun_series(args) -> Report:
             for name, series in methods.items()
             if name != "enum"
         ]
-    return rep
 
 
-def _cmd_genfun_invariants(args) -> Report:
+def _cmd_genfun_invariants(args, rep: Report) -> None:
     _series_bound(args.k, args.degree)
-    rep = Report("genfun invariants", dict(k=args.k, degree=args.degree))
-    series = genfun.invariant_series(args.k, args.degree)
-    rep.results["hilbert_series"] = _series_ints(series)
-    try:
-        structure = genfun.detect_invariant_structure(args.k, args.degree)
-    except StructureNotRecognizedError as exc:
-        rep.verdicts.append(Verdict("invariant structure recognized", False, str(exc)))
-        return rep
-    rep.results["structure"] = structure.describe()
-    rep.results["generator_degrees"] = list(structure.generator_degrees)
-    if structure.relation_degree is not None:
-        rep.results["relation_degree"] = structure.relation_degree
-    rep.verdicts.append(Verdict("invariant structure recognized", True))
-    return rep
+    rep.results["hilbert_series"] = _series_ints(genfun.invariant_series(args.k, args.degree))
+    structure, recognized = verify_mod.structure_verdict(args.k, args.degree)
+    if structure is not None:
+        rep.results["structure"] = structure.describe()
+        rep.results["generator_degrees"] = list(structure.generator_degrees)
+        if structure.relation_degree is not None:
+            rep.results["relation_degree"] = structure.relation_degree
+    rep.verdicts.append(recognized)
 
 
-def _cmd_genfun_freeness(args) -> Report:
+def _cmd_genfun_freeness(args, rep: Report) -> None:
     _series_bound(args.k, args.degree)
     _bound("--l", args.l, SERIES_MAX_L, "series")
-    rep = Report("genfun freeness", dict(k=args.k, l=args.l, degree=args.degree))
     series, negative = genfun.freeness_quotient(args.k, args.l, args.degree)
     rep.results["quotient_coefficients"] = _series_ints(series)
     if negative is None:
         rep.results["first_negative"] = "first negative coefficient: none"
     else:
         rep.results["first_negative"] = f"first negative coefficient: degree {negative}"
-    return rep
 
 
-def _cmd_sl2_sym(args) -> Report:
+def _cmd_sl2_sym(args, rep: Report) -> None:
     _series_bound(args.k, args.n)
-    rep = Report("sl2 sym", dict(k=args.k, n=args.n))
     decomposition = sl2rep.sym_power_decompose(args.k, args.n)
     rep.results["decomposition"] = [
         f"L({l}) x {mult}" for l, mult in sorted(decomposition.items())
     ]
-    total = sum((l + 1) * m for l, m in decomposition.items())
-    rep.verdicts.append(
-        Verdict(
-            "total dimension equals C(n+k, k)",
-            total == comb(args.n + args.k, args.k),
-            f"{total}",
-        )
-    )
-    return rep
+    rep.verdicts.append(verify_mod.dimension_verdict(args.k, args.n, decomposition))
 
 
-def _cmd_sl2_q0(args) -> Report:
+def _cmd_sl2_q0(args, rep: Report) -> None:
     if args.l is not None and args.table is not None:
         raise ValueError("sl2 q0: give either --l or --table, not both")
     if args.l is not None:
-        rep = Report("sl2 q0", dict(l=args.l))
+        rep.params = dict(l=args.l)
         rep.results["multiplicity"] = sl2rep.q0_multiplicity(args.l)
-        return rep
+        return
     upto = args.table if args.table is not None else 8
     _nonnegative("--table", upto)
     # degree part k reads the L(4) table to degree k; the budget is charged
     # for degree MAX + 3, so MAX = 996 is the largest table accepted
     _series_bound(4, upto + 3)
-    rep = Report("sl2 q0", dict(table=upto))
+    rep.params = dict(table=upto)
     rows = []
     # largest degree first: it builds the L(4) table once, to degree MAX, and
     # every smaller part reads that table instead of rebuilding a larger one
@@ -191,37 +170,31 @@ def _cmd_sl2_q0(args) -> Report:
         body = " + ".join(f"L({l})" for l in sorted(part)) or "0"
         rows.append(f"degree {k}: {body}")
     rep.results["graded_table"] = rows[::-1]
-    return rep
 
 
-def _cmd_sl2_tensor(args) -> Report:
+def _cmd_sl2_tensor(args, rep: Report) -> None:
     _bound("--k", args.k, SUMMAND_MAX_K, "summand-list")
     simple = SimpleHC.parse(args.simple)
-    rep = Report("sl2 tensor", dict(k=args.k, simple=str(simple)))
+    rep.params["simple"] = str(simple)
     result = sl2rep.hc_tensor(args.k, simple)
     rep.results["decomposition"] = [
         f"{s} x {mult}" for s, mult in sorted(result.items())
     ]
-    return rep
 
 
-def _cmd_symalg_check(args) -> Report:
-    rep = Report("symalg check-invariants", {})
+def _cmd_symalg_check(args, rep: Report) -> None:
     c2, c3 = symalg.build_C2(), symalg.build_C3()
     rep.results["C2"] = str(c2)
     rep.results["C3"] = str(c3)
     rep.verdicts = verify_mod.invariance_verdicts(c2, c3)
-    return rep
 
 
-def _cmd_symalg_independence(args) -> Report:
+def _cmd_symalg_independence(args, rep: Report) -> None:
     _bound("--k", args.k, INDEPENDENCE_MAX_K, "independence")
-    rep = Report("symalg independence", dict(k=args.k))
     rank = symalg.independence_check(args.k)
     rep.results["rank"] = rank
     rep.results["expected"] = args.k
     rep.verdicts.append(verify_mod.independence_verdict(args.k, rank))
-    return rep
 
 
 # The series commands read genfun's weight-by-degree table for L(k): rows
@@ -269,7 +242,9 @@ INDEPENDENCE_MAX_K = 40
 
 def _series_bound(k: int, degree: int) -> None:
     _bound("--k", k, SERIES_MAX_K, "series")
-    _cell_bound(f"k={k} to degree {degree}", (degree + 1) * (k * degree + 1))
+    # k = 0 is charged as k = 1: its table has one cell per degree, but the
+    # quotient division of `genfun freeness` still takes time quadratic in N
+    _cell_bound(f"k={k} to degree {degree}", (degree + 1) * (max(k, 1) * degree + 1))
 
 
 def _cell_bound(request: str, cells: int) -> None:
@@ -290,9 +265,8 @@ def _bound(flag: str, value: int, limit: int, name: str) -> None:
         raise ValueError(f"{flag} {value} is above the {name} limit {limit}")
 
 
-def _cmd_young_matrix(args) -> Report:
+def _cmd_young_matrix(args, rep: Report) -> None:
     _bound("--n", args.n, YOUNG_MAX_N, "Young-lattice")
-    rep = Report("young matrix", dict(n=args.n, emit=bool(args.emit)))
     m = younglat.path_matrix(args.n)
     header = [""] + [str(c) for c in m.cols]
     rows = [[str(r)] + [str(e) for e in row] for r, row in zip(m.rows, m.entries)]
@@ -307,13 +281,11 @@ def _cmd_young_matrix(args) -> Report:
             str(r): {str(c): str(e) for c, e in zip(m.cols, row)}
             for r, row in zip(m.rows, m.entries)
         }
-    return rep
 
 
-def _cmd_young_rank(args) -> Report:
+def _cmd_young_rank(args, rep: Report) -> None:
     _nonnegative("--upto", args.upto)
     _bound("--upto", args.upto, YOUNG_MAX_N, "Young-lattice")
-    rep = Report("young rank", dict(upto=args.upto))
     lines = []
     for n in range(1, args.upto + 1):
         rank = younglat.rank_at(n)
@@ -321,47 +293,40 @@ def _cmd_young_rank(args) -> Report:
         lines.append(f"n={n:2d}  rank = {rank}: {'PASS' if verdict.passed else 'FAIL'}")
         rep.verdicts.append(verdict)
     rep.results["table"] = lines
-    return rep
 
 
-def _cmd_young_det(args) -> Report:
+def _cmd_young_det(args, rep: Report) -> None:
     _nonnegative("--upto", args.upto)
     _bound("--upto", args.upto, YOUNG_MAX_N, "Young-lattice")
-    rep = Report("young det", dict(upto=args.upto))
     lines = []
     for n in range(2, args.upto + 1):
         d = younglat.verify_det_factorization(n)
         lines.append(d.describe())
         rep.verdicts.extend(verify_mod.det_verdicts(d, args.upto))
     rep.results["factorizations"] = lines
-    return rep
 
 
-def _cmd_quiver_radical(args) -> Report:
+def _cmd_quiver_radical(args, rep: Report) -> None:
     _bound("--depth", args.depth, RADICAL_MAX_DEPTH, "radical-depth")
     top = SimpleHC.parse(args.top)
-    rep = Report("quiver radical", dict(top=str(top), depth=args.depth))
+    rep.params["top"] = str(top)
     rep.results["layers"] = [
         f"rad^{l}: " + " + ".join(
             str(s) if m == 1 else f"{s}^{m}" for s, m in sorted(layer.items())
         )
         for l, layer in enumerate(quiver.radical_filtration(top, args.depth))
     ]
-    return rep
 
 
-def _cmd_quiver_decompose(args) -> Report:
+def _cmd_quiver_decompose(args, rep: Report) -> None:
     _bound("--k", args.k, SUMMAND_MAX_K, "summand-list")
-    rep = Report("quiver decompose-q", dict(k=args.k))
     parts = quiver.decompose_Q(args.k)
     rep.results["decomposition"] = [
         f"P[{s}] x {mult}" for s, mult in sorted(parts.items())
     ]
-    return rep
 
 
-def _cmd_quiver_blocks(args) -> Report:
-    rep = Report("quiver blocks", {})
+def _cmd_quiver_blocks(args, rep: Report) -> None:
     rep.results["blocks"] = [
         "block 1: vertices V(n) for odd n on the line "
         "... V(11) - V(7) - V(3) - V(1) - V(5) - V(9) ...; "
@@ -374,11 +339,9 @@ def _cmd_quiver_blocks(args) -> Report:
         "are equal and nonzero, every other 2-cycle is zero, and both "
         "length-2 routes between V'(0) and V'(2) are zero",
     ]
-    return rep
 
 
-def _cmd_verify_all(args) -> Report:
-    rep = Report("verify all", dict(quick=bool(args.quick)))
+def _cmd_verify_all(args, rep: Report) -> None:
     lines = []
     for number, title, verdicts in verify_mod.run_all(quick=args.quick):
         for v in verdicts:
@@ -386,7 +349,6 @@ def _cmd_verify_all(args) -> Report:
         ok = all(v.passed for v in verdicts)
         lines.append(f"criterion {number} ({title}): {'PASS' if ok else 'FAIL'}")
     rep.results["criteria"] = lines
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +448,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsed arguments that are not parameters of the report
+_NOT_PARAMS = ("group", "command", "handler", "format", "out")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # argparse keeps the order the flags are declared in, whatever order they are typed in
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
+    report = Report(f"{args.group} {args.command}", params)
     started = time.monotonic()
     try:
-        report: Report = args.handler(args)
-    except (StructureNotRecognizedError, ValueError) as exc:
+        args.handler(args, report)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_time_ms = int((time.monotonic() - started) * 1000)

@@ -197,7 +197,7 @@ def _recur_coeffs(k: int, l: int, degree: int) -> List[int]:
 def f_recur(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """F_l^(k) via the weight-splitting recursion; requires k >= 2."""
     if k < 2:
-        raise ValueError("the recursion needs k >= 2")
+        raise ValueError("the recursion route needs k >= 2")
     if l < 0 or degree < 0:
         raise ValueError("l, degree must be non-negative")
     return TruncatedSeries(_recur_coeffs(k, l, degree))
@@ -293,7 +293,7 @@ def f_closed(k: int, l: int) -> RationalFunction:
         return _closed_k5(l)
     if k == 6:
         return _closed_k6(l)
-    raise NoClosedFormError(f"no closed form for k={k}")
+    raise NoClosedFormError(f"no closed form for k={k}, l={l}")
 
 
 def has_closed_form(k: int, l: int) -> bool:

@@ -8,12 +8,14 @@ frozen reference data (printed matrices, tabulated multiplicities) or with an
 independent second computation route (enumeration vs recursion vs closed
 form, path counting vs branch pictures).
 
-The per-item certificates behind criteria 1, 5 and 6 are small functions
-(``route_verdict``, ``rank_verdict``, ``det_verdicts``,
-``invariance_verdicts``, ``independence_verdict``).  The criteria aggregate
-them, and the command line's ``genfun series --method all``, ``young rank``,
-``young det``, ``symalg check-invariants`` and ``symalg independence`` report
-them as they are, so both surfaces share one predicate per claim.
+The per-item certificates behind criteria 1, 4, 5 and 6 are small functions
+(``route_verdict``, ``structure_verdict``, ``rank_verdict``,
+``det_verdicts``, ``invariance_verdicts``, ``independence_verdict``).  The
+criteria aggregate them, and the command line's ``genfun series --method
+all``, ``genfun invariants``, ``young rank``, ``young det``, ``symalg
+check-invariants`` and ``symalg independence`` report them as they are, so
+both surfaces share one predicate per claim.  ``dimension_verdict`` is the
+verdict of ``sl2 sym``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Tuple
+from math import comb
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
 from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand
@@ -203,15 +206,22 @@ _EXPECTED_STRUCTURE = {
 }
 
 
+def structure_verdict(k: int, degree: int) -> Tuple[Optional[genfun.InvariantStructure], Verdict]:
+    """The detector reads a structure off the invariant series; a refusal FAILs with its reason."""
+    name = "invariant structure recognized"
+    try:
+        structure = genfun.detect_invariant_structure(k, degree)
+    except genfun.StructureNotRecognizedError as exc:
+        return None, _verdict(name, False, str(exc))
+    return structure, _verdict(name, True)
+
+
 def check_structure_detection(degree: int = 60) -> List[Verdict]:
     verdicts = []
     for k, (gens, rel) in _EXPECTED_STRUCTURE.items():
         expected = genfun.InvariantStructure(gens, rel)
-        try:
-            st = genfun.detect_invariant_structure(k, degree)
-            got = f"got {st.describe()}"
-        except genfun.StructureNotRecognizedError as exc:
-            st, got = None, str(exc)
+        st, recognized = structure_verdict(k, degree)
+        got = recognized.detail if st is None else f"got {st.describe()}"
         verdicts.append(
             _verdict(
                 f"invariant structure for k={k}: generators {list(gens)}"
@@ -419,6 +429,12 @@ _Q00_TABLE = {
     3: {6: 1, 8: 1, 12: 1},
     4: {8: 1, 10: 1, 12: 1, 16: 1},
 }
+
+
+def dimension_verdict(k: int, n: int, decomposition: Dict[int, int]) -> Verdict:
+    """The summands L(l) x m of Sym^n(L(k)) add up to its dimension C(n+k, k)."""
+    total = sum((l + 1) * m for l, m in decomposition.items())
+    return _verdict("total dimension equals C(n+k, k)", total == comb(n + k, k), f"{total}")
 
 
 def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int = 30) -> List[Verdict]:

@@ -557,6 +557,80 @@ def _verdict_named(verdicts, name):
     return next(v for v in verdicts if v.name == name)
 
 
+def test_planted_structure_refusal_fails_genfun_invariants_and_criterion_4(capsys, monkeypatch):
+    def planted(k, degree):
+        raise genfun.StructureNotRecognizedError("planted")
+
+    monkeypatch.setattr(genfun, "detect_invariant_structure", planted)
+    code, out, _ = run_cli(capsys, "genfun", "invariants", "--k", "5")
+    assert code == 1
+    assert "FAIL  invariant structure recognized  (planted)" in out
+    assert "structure:" not in out and "generator_degrees" not in out
+    verdicts = verify.check_structure_detection(degree=20)
+    assert len(verdicts) == 4
+    for v in verdicts:
+        assert not v.passed and v.detail.startswith("planted, expected ")
+
+
+def test_planted_dropped_summand_fails_sl2_sym(capsys, monkeypatch):
+    original = sl2rep.sym_power_decompose
+
+    def planted(k, n):
+        decomposition = original(k, n)
+        del decomposition[max(decomposition)]
+        return decomposition
+
+    monkeypatch.setattr(sl2rep, "sym_power_decompose", planted)
+    code, out, err = run_cli(capsys, "sl2", "sym", "--k", "4", "--n", "3")
+    assert code == 1
+    # L(12) dropped: 1 + 5 + 7 + 9 = 22, not C(7, 4) = 35
+    assert "FAIL  total dimension equals C(n+k, k)  (22)" in out
+    assert err == "FAILED: total dimension equals C(n+k, k)\n"
+
+
+# (argv, the command and params each report prints, in print order)
+_REPORT_FRAMES = [
+    (("genfun", "series", "--k", "3", "--l", "2", "--degree", "5", "--method", "enum"),
+     "genfun series", dict(k=3, l=2, degree=5, method="enum")),
+    (("genfun", "series", "--l", "1", "--k", "2", "--degree", "4"),
+     "genfun series", dict(k=2, l=1, degree=4, method="all")),
+    (("genfun", "invariants", "--k", "3", "--degree", "8"),
+     "genfun invariants", dict(k=3, degree=8)),
+    (("genfun", "freeness", "--k", "3", "--l", "1", "--degree", "8"),
+     "genfun freeness", dict(k=3, l=1, degree=8)),
+    (("sl2", "sym", "--n", "3", "--k", "4"), "sl2 sym", dict(k=4, n=3)),
+    (("sl2", "q0"), "sl2 q0", dict(table=8)),
+    (("sl2", "q0", "--l", "4"), "sl2 q0", dict(l=4)),
+    (("sl2", "q0", "--table", "2"), "sl2 q0", dict(table=2)),
+    (("sl2", "tensor", "--k", "2", "--simple", " V( 3 ) "), "sl2 tensor", dict(k=2, simple="V(3)")),
+    (("symalg", "check-invariants"), "symalg check-invariants", {}),
+    (("symalg", "independence", "--k", "3"), "symalg independence", dict(k=3)),
+    (("young", "matrix", "--n", "2"), "young matrix", dict(n=2, emit=False)),
+    (("young", "matrix", "--emit", "--n", "2"), "young matrix", dict(n=2, emit=True)),
+    (("young", "rank", "--upto", "2"), "young rank", dict(upto=2)),
+    (("young", "det", "--upto", "3"), "young det", dict(upto=3)),
+    (("quiver", "radical", "--top", " V( 5 ) ", "--depth", "2"),
+     "quiver radical", dict(top="V(5)", depth=2)),
+    (("quiver", "decompose-q", "--k", "4"), "quiver decompose-q", dict(k=4)),
+    (("quiver", "blocks"), "quiver blocks", {}),
+    (("verify", "all", "--quick"), "verify all", dict(quick=True)),
+]
+
+
+@pytest.mark.parametrize("argv, command, params", _REPORT_FRAMES)
+def test_every_report_prints_its_command_and_params(capsys, argv, command, params):
+    _, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    assert lines[0] == f"command: {command}"
+    if params:
+        assert lines[1] == "params: " + " ".join(f"{k}={v}" for k, v in params.items())
+    else:
+        assert not any(line.startswith("params:") for line in lines)
+    _, out, _ = run_cli(capsys, *argv, "--format", "structured")
+    payload = json.loads(out)
+    assert (payload["command"], payload["params"]) == (command, params)
+
+
 def test_planted_rank_defect_fails_young_rank_and_criterion_5(capsys, monkeypatch):
     original = younglat.rank_at
     monkeypatch.setattr(younglat, "rank_at", lambda n: original(n) - (n == 3))
@@ -639,6 +713,11 @@ _SERIES_REQUESTS = [
      ("genfun", "series", "--k", "8", "--l", "0", "--degree", "352", "--method", "recur")),
     (("genfun", "series", "--k", "100", "--l", "0", "--degree", "28"),
      ("genfun", "series", "--k", "100", "--l", "0", "--degree", "27")),
+    # k = 0 is charged as k = 1: the quotient division is quadratic in N
+    (("genfun", "freeness", "--k", "0", "--l", "0", "--degree", "2000"),
+     ("genfun", "freeness", "--k", "0", "--l", "0", "--degree", "1999")),
+    (("genfun", "invariants", "--k", "0", "--degree", "2000"),
+     ("genfun", "invariants", "--k", "0", "--degree", "1999")),
 ]
 
 

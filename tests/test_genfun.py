@@ -357,9 +357,15 @@ def test_closed_form_expansion_matches_sympy_series():
 def test_closed_form_support():
     assert genfun.f_closed(4, 5).num.is_zero
     assert genfun.f_closed(2, 3).num.is_zero
-    for k, l in [(5, 4), (6, 1), (6, 8), (7, 0)]:
-        with pytest.raises(genfun.NoClosedFormError):
-            genfun.f_closed(k, l)
+    # f_closed refuses exactly where has_closed_form says no, naming k and l
+    for k in range(9):
+        for l in range(21):
+            if genfun.has_closed_form(k, l):
+                genfun.f_closed(k, l)
+                continue
+            with pytest.raises(genfun.NoClosedFormError) as exc:
+                genfun.f_closed(k, l)
+            assert str(exc.value) == f"no closed form for k={k}, l={l}"
 
 
 def test_closed_form_k3_l2_branch():
