@@ -381,8 +381,11 @@ class TruncatedSeries:
 def series_expand(rf: RationalFunction, truncation: int) -> TruncatedSeries:
     """Maclaurin expansion of a rational function, exact to the given degree.
 
-    The denominator must not vanish at the origin.
+    The degree must be non-negative and the denominator must not vanish at
+    the origin.
     """
+    if truncation < 0:
+        raise ValueError("degree must be non-negative")
     if rf.den.coefficient(0) == 0:
         raise PoleAtOriginError("rational function has a pole at the origin")
     num = TruncatedSeries.from_polynomial(rf.num, truncation)

@@ -14,6 +14,10 @@ This module computes F_l^(k) by three independent routes:
 * ``f_closed`` -- transcribed closed-form rational functions (k <= 4 for all
                   l, k=5 for l <= 3, k=6 for l in {0,2,4,6}).
 
+The recursion evaluates one level at a time by running sums over packed
+series, and its memo holds one table only: the level below k, which later
+calls with the same k and no larger degree reuse.
+
 On top of these sit the invariant Hilbert series F_0 - F_2, the freeness
 quotient (F_l - F_{l+2})/(F_0 - F_2) whose negative coefficients certify
 non-freeness, and a greedy detector for the generators/relation shape of the
@@ -24,10 +28,9 @@ lattice-count table, read by ``sym_weight_dim`` without building a series;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
-from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Polynomial, RationalFunction, TruncatedSeries
@@ -133,64 +136,76 @@ def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # f_recur: the k -> k-2 recursion
 # ---------------------------------------------------------------------------
+#
+# Splitting the top and bottom weights k and -k off L(k) leaves L(k-2), so
+#
+#     F_l^(k) = (1 - q^2)^-1 sum_d q^|d| F^(k-2)_|l - kd|.
+#
+# The sum commutes with multiplying every F^(k-2)_b by one series, so the
+# factors (1 - q^2)^-1 of the levels g+2, ..., k all move onto the ground
+# g = k mod 2: level j holds X_b = F_b^(j) / (1 - q^2)^((k-j)/2) for
+# b = 0..jN (F_b^(j) vanishes to degree N past jN), and level k is F^(k).
+# Each X_b is packed into one int of N + 1 fields of w bits, field n holding
+# its q^n coefficient.
 
-#: (k, b) -> (built, head): the stride-2 prefix sums P of F_b^(k) to degree
-#: ``built``, kept as head = (z, P[z:]) with z the index of the first nonzero
-#: entry, or head = None when F_b^(k) is zero to that degree.  An entry serves
-#: every degree up to ``built``; a larger degree rebuilds it.
-_recur_prefixes: Dict[Tuple[int, int], Tuple[int, Optional[Tuple[int, List[int]]]]] = {}
+#: k -> (degree, w, level k - 2): the one table a later call reuses, for the
+#: same k and any degree up to ``degree``; any other call replaces it.
+_recur_tables: Dict[int, Tuple[int, int, List[int]]] = {}
 
 
-def _ground_coeffs(k: int, l: int, degree: int) -> List[int]:
-    """Closed-form series for k in {0, 1} grounding the recursion."""
-    if k == 0:
-        return [1 if l == 0 else 0] * (degree + 1)
-    # k == 1: q^l / (1 - q^2)
-    return [1 if n >= l and (n - l) % 2 == 0 else 0 for n in range(degree + 1)]
+def _recur_width(k: int, degree: int) -> int:
+    """Field width in bits, a whole number of bytes, for L(k) to ``degree``.
 
-
-def _stride2_prefix(k: int, b: int, degree: int) -> Optional[Tuple[int, List[int]]]:
-    """(z, P[z:]) for P[r] = F[r] + F[r-2] + ... and F = F_b^(k) to at least
-    ``degree``, z the first index where F is nonzero; None when F is zero.
-
-    Computed once per (k, b) and shared by every recursion step that adds a
-    shifted copy of it; the leading zeros of P are never stored or added.
+    A field of level j counts monomials of one weight and weighted degree
+    n <= N in the j + 1 variables of L(j) and (k-j)/2 more of degree 2, and a
+    running sum is a partial sum of such a field; so every field is a
+    non-negative count of at most C(N+k+1, k+1), the monomials of degree
+    <= N in k + 1 variables, and none carries into the next.  The recursion
+    reads ``math.comb``, no name it shares with f_enum.
     """
-    entry = _recur_prefixes.get((k, b))
-    if entry is not None and entry[0] >= degree:
-        return entry[1]
-    coeffs = _ground_coeffs(k, b, degree) if k <= 1 else _recur_coeffs(k, b, degree)
-    z = next((r for r, c in enumerate(coeffs) if c), None)
-    head = None
-    if z is not None:
-        tail = coeffs[z:]
-        for r in range(2, len(tail)):
-            tail[r] += tail[r - 2]
-        head = (z, tail)
-    _recur_prefixes[k, b] = (degree, head)
-    return head
+    return 8 * ((math.comb(degree + k + 1, k + 1).bit_length() + 7) // 8)
 
 
-def _recur_coeffs(k: int, l: int, degree: int) -> List[int]:
-    out = [0] * (degree + 1)
-    # F_b^(k-2) vanishes up to the degree once b > top, and a shift by
-    # q^|d| with |d| > degree is truncated away, so d is bounded on both ends.
-    top = (k - 2) * degree
-    # First sum: k*a + b - k*c = l with b >= 0; d = a - c and b = l - k*d.
-    first = range(max(-degree, -((top - l) // k)), min(l // k, degree) + 1)
-    # Second sum: k*a - b - k*c = l + 1 with b >= 0, contributing F_{b+1},
-    # whose index is k*d - l; d starts at ceil((l+1)/k).
-    second = range(-((-(l + 1)) // k), min((l + top) // k, degree) + 1)
-    terms = chain(((l - k * d, d) for d in first), ((k * d - l, d) for d in second))
-    for b, d in terms:
-        # add sum over s = |d|, |d|+2, ... of q^s * F^(k-2)_b, from its first
-        # nonzero coefficient on
-        head = _stride2_prefix(k - 2, b, degree)
-        if head is not None:
-            z, tail = head
-            start = abs(d) + z
-            if start <= degree:
-                out[start:] = map(add, out[start:], tail)
+def _recur_ground(k: int, degree: int, w: int) -> List[int]:
+    """Level g = k mod 2, carrying all the factors (1 - q^2)^-1 of the levels.
+
+    F^(0) is 1/(1 - q) at b = 0 only and F_b^(1) is q^b/(1 - q^2), so X_0 is
+    1/(1 - q) for even k and X_b is q^b for odd k, times (1 - q^2)^-((k+1)//2),
+    each factor applied as (1 + q^2)(1 + q^4)(1 + q^8)...
+    """
+    mask = (1 << (degree + 1) * w) - 1
+    series = mask // ((1 << w) - 1) if k % 2 == 0 else 1
+    for _ in range((k + 1) // 2):
+        step = 2
+        while step <= degree:
+            series = (series + (series << step * w)) & mask
+            step *= 2
+    if k % 2 == 0:
+        return [series]
+    return [(series << b * w) & mask for b in range(degree + 1)]
+
+
+def _recur_level(j: int, below: List[int], degree: int, w: int) -> List[int]:
+    """Level j from level j - 2 (Y): X_x = sum_d q^|d| Y_|x - jd| for x <= jN.
+
+    Along each residue class mod j, A(x) = Y_x + q A(x - j) sums the terms
+    d >= 0 and C(x) = Y_x + q C(x + j) the terms d <= 0, so X_x = A(x) +
+    q C(x + j), and A(-y) = C(y) seeds A.  Y vanishes to degree N past
+    (j-2)N, and so does C.
+    """
+    mask = (1 << (degree + 1) * w) - 1
+    size = j * degree + 1
+    y = below + [0] * (size - len(below))
+    # out[x] holds C(x) until X_x replaces it; the walk up a class reads
+    # C(x + j) one step before replacing it
+    out = [0] * (size + j)
+    for x in range(len(below) - 1, 0, -1):
+        out[x] = (y[x] + (out[x + j] << w)) & mask
+    for r, a in zip(range(size), out[j:0:-1]):
+        for x in range(r, size, j):
+            a = (y[x] + (a << w)) & mask
+            out[x] = (a + (out[x + j] << w)) & mask
+    del out[size:]
     return out
 
 
@@ -200,7 +215,30 @@ def f_recur(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries
         raise ValueError("the recursion route needs k >= 2")
     if l < 0 or degree < 0:
         raise ValueError("l, degree must be non-negative")
-    return TruncatedSeries(_recur_coeffs(k, l, degree))
+    if l > k * degree:
+        return TruncatedSeries([0] * (degree + 1))
+    entry = _recur_tables.get(k)
+    if entry is None or entry[0] < degree:
+        _recur_tables.clear()
+        w = _recur_width(k, degree)
+        level = _recur_ground(k, degree, w)
+        for j in range(k % 2 + 2, k - 1, 2):
+            level = _recur_level(j, level, degree, w)
+        entry = _recur_tables[k] = (degree, w, level)
+    _, w, below = entry
+    mask = (1 << (degree + 1) * w) - 1
+    top = len(below) - 1
+    acc = 0
+    # Horner in q along the residue class of l: q^t carries Y_|l - kt| and,
+    # for t > 0, Y_(l + kt); past t = (l + top)/k both vanish
+    for t in range(min(degree, (l + top) // k), -1, -1):
+        low, high = abs(l - k * t), l + k * t
+        term = (below[low] if low <= top else 0) + (below[high] if t and high <= top else 0)
+        acc = (term + (acc << w)) & mask
+    size = w // 8
+    data = acc.to_bytes((degree + 1) * size, "little")
+    coeffs = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    return TruncatedSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,4 +455,4 @@ def reconstruct_structure_series(
 def clear_memo_caches() -> None:
     """Drop in-process memo tables (mainly for tests)."""
     _enum_tables.clear()
-    _recur_prefixes.clear()
+    _recur_tables.clear()

@@ -529,6 +529,16 @@ def test_recursion_route_below_k_2_is_an_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "method, names",
+    [("enum", "k, l, degree"), ("recur", "l, degree"), ("closed", "degree")],
+)
+def test_every_series_route_refuses_a_negative_degree_by_name(capsys, method, names):
+    code, out, err = run_cli(capsys, "genfun", "series", "--k", "3", "--l", "1",
+                             "--degree", "-1", "--method", method)
+    assert (code, out, err) == (2, "", f"error: {names} must be non-negative\n")
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("young", "rank", "--upto", "-3"), "--upto -3"),

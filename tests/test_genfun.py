@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from math import comb
 
@@ -90,8 +91,8 @@ def test_enum_table_order_independent(k):
 
 @pytest.mark.parametrize("k", [2, 5, 7])
 def test_recur_memo_order_independent(k):
-    # the prefix memo is keyed by (k, b) with the degree it was built to: an
-    # entry built to degree 3 must never serve degree 40
+    # the memo keeps one level table, for one k, with the degree it was built
+    # to: a table built to degree 3 must never serve degree 40
     small, large = 3, 40
     weights = range(0, 2 * k + 3)
     genfun.clear_memo_caches()
@@ -103,6 +104,36 @@ def test_recur_memo_order_independent(k):
     assert small_first == large_first
     assert small_first_large == large_first_large
     assert [s.coeffs[: small + 1] for s in large_first_large] == [s.coeffs for s in large_first]
+
+
+def test_recur_memo_keeps_one_table():
+    genfun.clear_memo_caches()
+    genfun.f_recur(7, 3, 40)
+    table = genfun._recur_tables[7]
+    # a smaller degree of the same k reads that table; another k replaces it
+    genfun.f_recur(7, 5, 12)
+    assert genfun._recur_tables == {7: table}
+    genfun.f_recur(5, 3, 12)
+    assert list(genfun._recur_tables) == [5]
+    genfun.clear_memo_caches()
+    assert not genfun._recur_tables
+
+
+def test_recur_matches_enum_to_k_12_cold_and_warm():
+    # every k <= 12 at the smallest degrees and at 60, for l <= 2k + 2 and at
+    # the edge l = kN, kN + 1; k is interleaved, so consecutive requests need
+    # different field widths
+    requests = []
+    for degree in (0, 1, 2, 3, 60):
+        weights = {k: list(range(2 * k + 3)) + [k * degree, k * degree + 1] for k in range(2, 13)}
+        for i in range(max(map(len, weights.values()))):
+            requests += [(k, ls[i], degree) for k, ls in weights.items() if i < len(ls)]
+    enum = {r: genfun.f_enum(*r) for r in requests}
+    for r in requests:
+        genfun.clear_memo_caches()
+        assert genfun.f_recur(*r) == enum[r], r
+    for r in requests:
+        assert genfun.f_recur(*r) == enum[r], r
 
 
 def _check_weight_rows(k, degree):
@@ -136,10 +167,33 @@ def test_enum_table_rows_against_binomial_oracle():
 def test_planted_narrow_field_width_fails_the_row_oracle(monkeypatch):
     # fields one byte narrower than C(degree + k, k) needs: at k = 32, degree
     # 45 the largest counts (65 bits) carry into the next field
+    genfun.clear_memo_caches()
+    width, recur = genfun._recur_width(32, 45), [genfun.f_recur(32, l, 45) for l in (0, 2, 32)]
     monkeypatch.setattr(genfun, "comb", lambda n, k: comb(n, k) >> 8)
     with pytest.raises(AssertionError):
         _check_weight_rows(32, 45)
+    # the recursion derives its width from its own bound: the plant leaves it be
     genfun.clear_memo_caches()
+    assert genfun._recur_width(32, 45) == width
+    assert [genfun.f_recur(32, l, 45) for l in (0, 2, 32)] == recur
+    genfun.clear_memo_caches()
+
+
+def test_planted_narrow_recursion_width_fails_criterion_1(monkeypatch):
+    # the bound C(N+k+1, k+1) is loose (32 bits at k = 6, degree 60, where the
+    # largest F_l coefficient has 20), so one byte less still holds every
+    # count; half the width, in whole bytes, carries fields into the next
+    original = genfun._recur_width
+    monkeypatch.setattr(genfun, "_recur_width", lambda k, degree: 8 * max(1, original(k, degree) // 16))
+    genfun.clear_memo_caches()
+    try:
+        verdicts = verify.check_triple_agreement()
+    finally:
+        genfun.clear_memo_caches()
+    # at k = 2 every count fits in 8 bits; every k >= 3 fails, naming a coefficient
+    assert [v.passed for v in verdicts] == [True] * 3 + [False] * 4
+    for k, v in enumerate(verdicts[3:], start=3):
+        assert re.match(rf"recur k={k} l=\d+: q\^\d+ is \d+, enum has \d+(; |$)", v.detail), v.detail
 
 
 def test_sym_weight_dim_edge_cases():
@@ -222,14 +276,13 @@ def test_planted_closed_form_defect_fails_criterion_1(monkeypatch):
 
 
 def test_planted_recursion_defect_fails_criterion_1(monkeypatch):
-    original = genfun._stride2_prefix
+    original = genfun._recur_ground
 
-    def late(k, b, degree):
-        # _recur_coeffs then adds each prefix from |d| + z + 1, one step late
-        head = original(k, b, degree)
-        return None if head is None else (head[0] + 1, head[1])
+    def late(k, degree, w):
+        # every ground series one degree late, and so every level above it
+        return [series << w for series in original(k, degree, w)]
 
-    monkeypatch.setattr(genfun, "_stride2_prefix", late)
+    monkeypatch.setattr(genfun, "_recur_ground", late)
     genfun.clear_memo_caches()
     try:
         verdicts = verify.check_triple_agreement(degree=30, k_max=5, l_max=3)
