@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import genfun, quiver, sl2rep, symalg, younglat, verify as verify_mod
@@ -25,13 +24,20 @@ from .sl2rep import SimpleHC
 from .verify import Verdict
 
 
-@dataclass
 class Report:
-    command: str
-    params: Dict
-    results: Dict = field(default_factory=dict)
-    verdicts: List[Verdict] = field(default_factory=list)
-    wall_time_ms: int = 0
+    __slots__ = ("command", "params", "results", "verdicts", "wall_time_ms")
+
+    def __init__(self, command: str, params: Dict, results: Optional[Dict] = None,
+                 verdicts: Optional[List[Verdict]] = None, wall_time_ms: int = 0):
+        self.command, self.params, self.wall_time_ms = command, params, wall_time_ms
+        self.results = {} if results is None else results
+        self.verdicts = [] if verdicts is None else verdicts
+
+    def __eq__(self, other):
+        return self.to_dict() == other.to_dict() if type(other) is Report else NotImplemented
+
+    def __repr__(self):
+        return f"Report({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
     @property
     def all_passed(self) -> bool:

@@ -29,9 +29,9 @@ lattice-count table, read by ``sym_weight_dim`` without building a series;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import Polynomial, RationalFunction, TruncatedSeries
 
@@ -118,9 +118,15 @@ def weight_row(k: int, n: int) -> List[int]:
     if k == 0:
         return [1]
     w, rows = _weight_degree_table(k, n)
-    size = w // 8
-    data = rows[n].to_bytes((k * n + 1) * size, "little")
-    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    size, count = w // 8, k * n + 1
+    data = rows[n].to_bytes(count * size, "little")
+    if size > 8 or sys.byteorder != "little":
+        return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    # widen every field to 8 bytes, one strided copy per byte, and read them as machine words
+    wide = bytearray(8 * count)
+    for b in range(size):
+        wide[b::8] = data[b::size]
+    return memoryview(wide).cast("Q").tolist()
 
 
 def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -366,8 +372,7 @@ def freeness_quotient(
     return quotient, quotient.first_negative()
 
 
-@dataclass(frozen=True)
-class InvariantStructure:
+class InvariantStructure(NamedTuple):
     """Generator degrees of the invariant ring, plus one relation degree if any.
 
     ``relation_degree is None`` means the series matched a free polynomial

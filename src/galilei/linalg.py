@@ -85,7 +85,10 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         raise ValueError("determinant of a non-square matrix")
     var = matrix[0][0].var
     row_nz = [{j for j, e in enumerate(row) if not e.is_zero} for row in matrix]
-    col_nz = [{i for i in range(n) if j in row_nz[i]} for j in range(n)]
+    col_nz = [set() for _ in range(n)]
+    for i, row in enumerate(row_nz):
+        for j in row:
+            col_nz[j].add(i)
     rows, cols = list(range(n)), list(range(n))
     factor = Polynomial.one(var)
     pending = [(True, i) for i in range(n)] + [(False, j) for j in range(n)]

@@ -16,28 +16,32 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Counter as CounterT
+from typing import Counter as CounterT, NamedTuple
 
 from .genfun import weight_row
 
 
-@dataclass(frozen=True, order=True)
-class SimpleHC:
-    """Label of a simple module in the fixed-central-character category.
-
-    ``primed`` distinguishes the two special modules V'(0), V'(2) (whose
-    index is 0 or 2) from the generic family V(n), n >= 1.
-    """
-
+class _SimpleHCFields(NamedTuple):
     primed: bool
     index: int
 
-    def __post_init__(self):
-        if self.primed and self.index not in (0, 2):
+
+class SimpleHC(_SimpleHCFields):
+    """Label of a simple module in the fixed-central-character category.
+
+    ``primed`` distinguishes the two special modules V'(0), V'(2) (whose
+    index is 0 or 2) from the generic family V(n), n >= 1.  A label is the
+    tuple (primed, index): equality, hashing and order are the tuple's.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, primed: bool, index: int):
+        if primed and index not in (0, 2):
             raise ValueError("primed labels exist only for indices 0 and 2")
-        if not self.primed and self.index < 1:
+        if not primed and index < 1:
             raise ValueError("V(n) requires n >= 1")
+        return tuple.__new__(cls, (primed, index))
 
     def __str__(self):
         return f"V'({self.index})" if self.primed else f"V({self.index})"

@@ -21,10 +21,9 @@ verdict of ``sl2 sym``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
 from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand
@@ -32,8 +31,7 @@ from .sl2rep import V, Vp
 from .younglat import partition
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -24,9 +24,8 @@ an integer point alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import Polynomial
 from .linalg import bareiss_rank, poly_det
@@ -35,17 +34,25 @@ MAX_PART = 4
 Weight = Union[Polynomial, int]
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Weakly decreasing tuple of positive parts."""
-
+class _PartitionFields(NamedTuple):
     parts: Tuple[int, ...]
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
+
+class Partition(_PartitionFields):
+    """Weakly decreasing tuple of positive parts.
+
+    A partition is the 1-tuple (parts,): equality, hashing and order are the
+    tuple's.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Tuple[int, ...]):
+        if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
+        return tuple.__new__(cls, (parts,))
 
     @property
     def size(self) -> int:
@@ -86,8 +93,7 @@ def bounded_partitions(n: int) -> Tuple[Partition, ...]:
     return tuple(Partition(p) for p in out)
 
 
-@dataclass(frozen=True)
-class LabeledEdge:
+class LabeledEdge(NamedTuple):
     target: Partition
     label: Polynomial
 
@@ -128,13 +134,15 @@ def edges_from(p: Partition) -> Tuple[LabeledEdge, ...]:
     return tuple(edges)
 
 
-@dataclass
-class PathMatrix:
+class PathMatrix(NamedTuple):
     """Matrix of path weights with explicit row/column indices."""
 
     rows: List[Partition]
     cols: List[Partition]
-    entries: List[List[Weight]] = field(repr=False)
+    entries: List[List[Weight]]
+
+    def __repr__(self):
+        return f"PathMatrix(rows={self.rows!r}, cols={self.cols!r})"
 
 
 def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
@@ -245,8 +253,7 @@ def build_Nn(n: int) -> PathMatrix:
     return PathMatrix(rows, cols, entries)
 
 
-@dataclass(frozen=True)
-class DetFactorization:
+class DetFactorization(NamedTuple):
     """Exact determinant of N_n split as integer * product of (x - root)."""
 
     n: int

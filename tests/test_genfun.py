@@ -164,6 +164,23 @@ def test_enum_table_rows_against_binomial_oracle():
         assert genfun.f_enum(k, l, degree) == genfun.f_recur(k, l, degree), l
 
 
+def test_weight_row_unpacks_fields_of_every_width():
+    # fields of 1 to 8 bytes are copied into machine words, wider ones read
+    # one by one: both against int.from_bytes on the packed row
+    k, widths = 16, set()
+    for degree in (1, 3, 6, 12, 20, 31, 47, 69, 101):
+        genfun.clear_memo_caches()
+        w, rows = genfun._weight_degree_table(k, degree)
+        size = w // 8
+        widths.add(size)
+        for n in (degree, degree - 1, degree // 2):
+            data = rows[n].to_bytes((k * n + 1) * size, "little")
+            expected = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+            assert genfun.weight_row(k, n) == expected, (degree, n)
+    genfun.clear_memo_caches()
+    assert widths == set(range(1, 10))
+
+
 def test_planted_narrow_field_width_fails_the_row_oracle(monkeypatch):
     # fields one byte narrower than C(degree + k, k) needs: at k = 32, degree
     # 45 the largest counts (65 bits) carry into the next field
@@ -485,6 +502,16 @@ def test_structure_detection():
         assert st.generator_degrees == gens
         assert st.relation_degree == rel
         assert genfun.reconstruct_structure_series(st, 60) == genfun.invariant_series(k, 60)
+
+
+def test_invariant_structures_compare_by_value():
+    # criterion 4 compares each detected structure with its expected one by ==
+    found = genfun.detect_invariant_structure(5, 60)
+    assert found == genfun.InvariantStructure((4, 8, 12, 18), 36)
+    assert found != genfun.InvariantStructure((4, 8, 12, 18), None)
+    assert found != genfun.InvariantStructure((4, 8, 12), 36)
+    assert genfun.detect_invariant_structure(4, 60) == genfun.InvariantStructure((2, 3), None)
+    assert len({found, genfun.InvariantStructure((4, 8, 12, 18), 36)}) == 1
 
 
 def test_structure_detection_rejects_garbage():

@@ -1,0 +1,46 @@
+"""The package's own import stays lean.
+
+Every claim is checked in a fresh process, so ``import galilei`` is paid on
+every run.  Beyond what the interpreter loaded at start-up (a site ``.pth``
+file may import modules on some hosts), it loads only ``fractions`` and the
+core modules in CORE.  In particular it loads neither ``dataclasses`` nor
+``inspect``: with the ``ast``, ``dis`` and ``tokenize`` behind them they took
+over half of the package's import.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import galilei
+
+SRC = Path(galilei.__file__).parent.parent
+
+#: Modules the package imports that most programs have loaded already.
+CORE = ("__future__", "collections", "functools", "itertools", "math", "re", "typing")
+
+
+def _added_modules(module, preload=()):
+    """Names that ``import module`` adds to ``sys.modules`` in a fresh
+    interpreter, after its start-up and the preloaded modules."""
+    probe = "; ".join(
+        [f"import {name}" for name in ("sys",) + preload]
+        + ["before = set(sys.modules)", f"import {module}",
+           "print(*sorted(set(sys.modules) - before))"]
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    added = _added_modules("galilei.cli")
+    assert "galilei.verify" in added  # the probe saw the import
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+def test_package_import_loads_only_fractions_beyond_the_core():
+    added = {name for name in _added_modules("galilei", CORE) if name.split(".")[0] != "galilei"}
+    assert added <= {"fractions", "decimal", "_decimal", "_pydecimal", "numbers"}, sorted(added)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
@@ -39,6 +40,25 @@ def test_simple_labels():
         V(0)
     with pytest.raises(ValueError):
         SimpleHC.parse("W(3)")
+
+
+#: sorted() of every label up to V(12), as recorded from the dataclass labels
+LABEL_ORDER = ["V(1)", "V(2)", "V(3)", "V(4)", "V(5)", "V(6)", "V(7)", "V(8)", "V(9)",
+               "V(10)", "V(11)", "V(12)", "V'(0)", "V'(2)"]
+
+
+def test_simple_label_value_semantics():
+    labels = [Vp(0), Vp(2)] + [V(n) for n in range(1, 13)]
+    copies = [SimpleHC(s.primed, s.index) for s in labels]
+    assert copies == labels and V(2) != Vp(2) and V(3) != V(4)
+    assert len(set(labels + copies)) == len(labels)
+    names = {s: str(s) for s in labels}
+    assert [names[s] for s in copies] == [str(s) for s in labels] and V(13) not in names
+    assert [str(s) for s in sorted(random.Random(12).sample(copies, len(copies)))] == LABEL_ORDER
+    assert [str(Vp(0)), str(Vp(2)), str(V(12))] == ["V'(0)", "V'(2)", "V(12)"]
+    for primed, index in ((True, 1), (False, 0)):
+        with pytest.raises(ValueError):
+            SimpleHC(primed, index)
 
 
 def test_clebsch_gordan():

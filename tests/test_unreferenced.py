@@ -5,8 +5,10 @@ A module-level public name that nothing else in ``src/galilei`` reads (the
 ``__init__`` exports do not count) is a feature no check needs.  Names the
 tests use as tools stay only through the allowlist, each with its reason.
 
-A dataclass field or ``__slots__`` entry whose name is never loaded as an
-attribute in the package is a value that nothing reads.  The check goes by
+A ``NamedTuple`` field or ``__slots__`` entry whose name is never loaded as
+an attribute in the package is a value that nothing reads.  The package's
+records are ``NamedTuple`` classes (a validating label subclasses a private
+one, such as ``_SimpleHCFields``) and ``__slots__`` classes.  The check goes by
 name, so it only sees fields that nothing at all reads.  A field that its own
 class's methods read counts as read, so a ``basis`` or ``var`` value that
 every constructor and operation carries along and passes on is not flagged.
@@ -57,11 +59,10 @@ def unreferenced_public_names():
 
 
 def _declared_fields(cls):
-    """Names of the dataclass fields and ``__slots__`` entries of a class node."""
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-    is_dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+    """Names of the ``NamedTuple`` fields and ``__slots__`` entries of a class node."""
+    is_record = any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
     for stmt in cls.body:
-        if is_dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        if is_record and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             yield stmt.target.id
         elif isinstance(stmt, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
@@ -122,8 +123,9 @@ def method_reads():
 
 def test_every_class_field_is_read_in_the_package():
     reads = field_reads()
-    # the scan sees both kinds of declaration
-    assert reads.keys() >= {"verify.Verdict.detail", "exact.TruncatedSeries.coeffs"}
+    # the scan sees both kinds of declaration, and the fields under a label
+    assert reads.keys() >= {"verify.Verdict.detail", "exact.TruncatedSeries.coeffs",
+                            "sl2rep._SimpleHCFields.primed", "cli.Report.wall_time_ms"}
     assert sorted(field for field, read in reads.items() if not read) == []
 
 

@@ -278,6 +278,29 @@ def test_partition_invariants():
         partition(0)
     assert partition(3, 1).size == 4
     assert partition(2, 2, 1).count_part(2) == 2
+
+
+#: sorted(bounded_partitions(8)), as recorded from the dataclass partitions
+PARTITION_ORDER_8 = [
+    "(1,1,1,1,1,1,1,1)", "(2,1,1,1,1,1,1)", "(2,2,1,1,1,1)", "(2,2,2,1,1)", "(2,2,2,2)",
+    "(3,1,1,1,1,1)", "(3,2,1,1,1)", "(3,2,2,1)", "(3,3,1,1)", "(3,3,2)",
+    "(4,1,1,1,1)", "(4,2,1,1)", "(4,2,2)", "(4,3,1)", "(4,4)",
+]
+
+
+def test_partition_value_semantics():
+    level = list(yl.bounded_partitions(8))
+    copies = [yl.Partition(p.parts) for p in level]
+    assert copies == level and partition(4, 4) != partition(4, 3, 1)
+    assert len(set(level + copies)) == len(level)
+    position = {p: i for i, p in enumerate(level)}
+    assert [position[p] for p in copies] == list(range(len(level)))
+    assert partition(4, 4, 1) not in position
+    assert [str(p) for p in sorted(random.Random(8).sample(copies, len(copies)))] == PARTITION_ORDER_8
+    assert [str(partition(3, 1, 1)), str(yl.Partition(()))] == ["(3,1,1)", "()"]
+    for parts in ((1, 2), (0,)):
+        with pytest.raises(ValueError):
+            yl.Partition(parts)
     assert contains(partition(3, 2, 1), partition(2, 2))
     assert not contains(partition(3, 2, 1), partition(4))
 
