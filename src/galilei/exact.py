@@ -5,16 +5,19 @@ rational-function and truncated-series coefficients are held as ``int``
 wherever they are integral and as ``fractions.Fraction`` only where a real
 denominator appears, since every counting series and every edge label here
 has integer coefficients.  ``_as_scalar`` is the one place that rule lives,
-and every division is an exact ``Fraction(a, b)`` normalised by it, so
-callers take ints as they come.  Polynomials are dense in a single formal
-variable (``q`` for counting series, ``x`` for edge labels), rational
-functions are values kept in a canonical form with coprime numerator/denominator
-and monic denominator, with no arithmetic of their own, and truncated power
-series carry their truncation degree explicitly.
+and every division of coefficients is an exact ``Fraction(a, b)`` normalised
+by it, so callers take ints as they come.  The gcd clears denominators and
+runs by primitive pseudo-remainders, whose divisions all come out as ints;
+only its final ``monic`` leaves the integers.  Polynomials are dense in a
+single formal variable (``q`` for counting series, ``x`` for edge labels),
+rational functions are values kept in a canonical form with coprime
+numerator/denominator and monic denominator, with no arithmetic of their own,
+and truncated power series carry their truncation degree explicitly.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -233,11 +236,22 @@ class Polynomial:
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
+    """Monic gcd over the rationals, by primitive pseudo-remainders.
+
+    Nonzero constant factors leave the monic gcd unchanged, so each input is
+    first cleared of denominators.  Scaling a by lead(b)^(deg a - deg b + 1)
+    then makes every quotient step of ``a % b`` an integer, and dividing each
+    remainder by its content keeps the coefficients small.
+    """
     if a.var != b.var:
         raise ValueError("variable mismatch in gcd")
-    while not b.is_zero:
-        a, b = b, a % b
+    a, b = (p.scale(math.lcm(*(c.denominator for c in p.coeffs))) for p in (a, b))
+    while b:
+        r = a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)) % b
+        content = math.gcd(*r.coeffs)
+        if content > 1:
+            r = Polynomial(r.var, [c // content for c in r.coeffs])
+        a, b = b, r
     return a.monic()
 
 

@@ -130,13 +130,22 @@ def weight_row(k: int, n: int) -> List[int]:
 
 
 def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """F_l^(k) to the given degree by exact counting: the cells sym_weight_dim(k, n, l)."""
+    """F_l^(k) to the given degree by exact counting: the cells sym_weight_dim(k, n, l).
+
+    The table is fetched once, to the full degree, and field (l + kn) / 2 of
+    each row is read in place; rows with l > kn or l + kn odd hold no such
+    weight.  Sym^n(L(0)) is trivial, and l > k * degree needs no table.
+    """
     if k < 0 or l < 0 or degree < 0:
         raise ValueError("k, l, degree must be non-negative")
-    if k and l <= k * degree:
-        # build once, to the full degree: reading n upward would rebuild at every n
-        _weight_degree_table(k, degree)
-    return TruncatedSeries([sym_weight_dim(k, n, l) for n in range(degree + 1)])
+    if not k or l > k * degree:
+        return TruncatedSeries([int(l == 0)] * (degree + 1))
+    w, rows = _weight_degree_table(k, degree)
+    mask = (1 << w) - 1
+    return TruncatedSeries([
+        (rows[n] >> ((l + k * n) // 2 * w)) & mask if l <= k * n and (l + k * n) % 2 == 0 else 0
+        for n in range(degree + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Counter as CounterT, NamedTuple
+from operator import add, sub
+from typing import Counter as CounterT, List, NamedTuple
 
 from .genfun import weight_row
 
@@ -86,8 +87,12 @@ def sym_power_decompose(k: int, n: int) -> CounterT[int]:
     """
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
-    top = k * n
-    row = weight_row(k, n) + [0]
+    return _peel(weight_row(k, n), k * n)
+
+
+def _peel(row: List[int], top: int) -> CounterT[int]:
+    """Nonzero multiplicities of each L(l) in a character whose field c has weight 2c - top."""
+    row = row + [0]
     out: CounterT[int] = Counter()
     for c in range(top, (top - 1) // 2, -1):
         mult = row[c] - row[c + 1]
@@ -136,17 +141,19 @@ def q00_degree_part(k: int) -> CounterT[int]:
 
     Sym(L(4)) is Q(0) tensored with the free algebra on its invariants of
     degrees 2 and 3, so the piece is the signed sum, not a series product,
-    Sym^k - Sym^(k-2) - Sym^(k-3) + Sym^(k-5) of decomposed symmetric powers
-    of L(4); only nonzero multiplicities are kept.
+    Sym^k - Sym^(k-2) - Sym^(k-3) + Sym^(k-5) of symmetric powers of L(4).
+    Their weight rows are summed with these signs and the sum is peeled
+    once; only nonzero multiplicities are kept.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    out: CounterT[int] = Counter()
-    for n, sign in ((k, 1), (k - 2, -1), (k - 3, -1), (k - 5, 1)):
+    total = weight_row(4, k)
+    for n, op in ((k - 2, sub), (k - 3, sub), (k - 5, add)):
         if n >= 0:
-            for l, mult in sym_power_decompose(4, n).items():
-                out[l] += sign * mult
-    return Counter({l: mult for l, mult in out.items() if mult})
+            # field c of row n has weight 2c - 4n: row n starts 2(k - n) fields into row k
+            row, at = weight_row(4, n), 2 * (k - n)
+            total[at:at + len(row)] = map(op, total[at:at + len(row)], row)
+    return _peel(total, 4 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +208,8 @@ def hc_tensor(k: int, s: SimpleHC) -> HCMultiset:
 
 def hc_tensor_multiset(k: int, multiset: HCMultiset) -> HCMultiset:
     """Extend hc_tensor additively to a multiset of simples."""
-    out: HCMultiset = Counter()
+    out = {}
     for s, mult in multiset.items():
         for t, m in hc_tensor(k, s).items():
-            out[t] += mult * m
-    return out
+            out[t] = out.get(t, 0) + mult * m
+    return Counter(out)

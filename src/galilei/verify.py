@@ -484,12 +484,11 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     bad = []
     for k in range(k_max + 1):
         for s in simples:
-            result = sl2rep.hc_tensor(k, s)
-            got: Counter = Counter()
-            for t, mult in result.items():
+            got = [0] * (type_bound + 1)
+            for t, mult in sl2rep.hc_tensor(k, s).items():
                 for l, c in sl2rep.g_types(t, type_bound).items():
                     got[l] += mult * c
-            expected: Counter = Counter()
+            expected = [0] * (type_bound + 1)
             for l0, c0 in sl2rep.g_types(s, type_bound + k).items():
                 for l, c in sl2rep.clebsch_gordan(k, l0).items():
                     if l <= type_bound:
@@ -523,11 +522,11 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
         for b in range(5):
             for s in simples:
                 lhs = sl2rep.hc_tensor_multiset(a, sl2rep.hc_tensor(b, s))
-                rhs: Counter = Counter()
+                rhs = {}
                 for j, mult in sl2rep.clebsch_gordan(a, b).items():
                     for t, m in sl2rep.hc_tensor(j, s).items():
-                        rhs[t] += mult * m
-                if lhs != rhs:
+                        rhs[t] = rhs.get(t, 0) + mult * m
+                if dict(lhs) != rhs:
                     bad.append((a, b, str(s)))
     verdicts.append(
         _failures("Clebsch-Gordan coherence of iterated tensoring for a, b <= 4", bad[:4])

@@ -54,6 +54,40 @@ def test_polynomial_divmod_and_gcd():
     assert polynomial_gcd(q(1, 1), q(1, 0, 1)) == q(1)
 
 
+def _to_sympy(sympy, p):
+    coeffs = [sympy.Rational(str(c)) for c in reversed(p.coeffs)] or [0]
+    return sympy.Poly(coeffs, sympy.Symbol("q"), domain=sympy.QQ)
+
+
+def _sympy_monic_gcd(sympy, a, b):
+    g = _to_sympy(sympy, a).gcd(_to_sympy(sympy, b))
+    g = g if g.is_zero else g.monic()
+    return q(*(Fraction(str(c)) for c in reversed(g.all_coeffs())))
+
+
+def test_polynomial_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2023)
+
+    def poly(max_degree, size=9):
+        return q(*[rng.randint(-size, size) for _ in range(rng.randint(0, max_degree + 1))])
+
+    cases = [(q(), q()), (q(), q(3)), (q(-4), q()), (q(6), q(-4)), (q(), q(2, -4, 6)),
+             (q(2, -4, 6), q(-3)), (q(0, 0, -6), q(0, 4))]
+    for _ in range(150):
+        common = poly(3)
+        # non-unit leading coefficients of either sign
+        common = common + Polynomial.monomial("q", common.degree + 1, rng.choice((-6, -2, 3, 5)))
+        a, b = poly(4) * common, poly(4) * common
+        cases += [(a, b), (b, a), (a, common), (poly(6, 40), poly(5, 40))]
+    # a Fraction coefficient takes the Euclid over the rationals
+    half = q(Fraction(1, 2), 0, Fraction(-3, 4))
+    cases += [(half * q(1, 1), q(-2, 0, 3) * q(2, -1)), (q(1, 1), half)]
+    for a, b in cases:
+        assert polynomial_gcd(a, b) == _sympy_monic_gcd(sympy, a, b), (a, b)
+    assert polynomial_gcd(half * q(1, 1), q(-2, 0, 3) * q(2, -1)) == q(Fraction(-2, 3), 0, 1)
+
+
 def test_polynomial_divmod_property():
     rng = random.Random(31)
     for _ in range(80):

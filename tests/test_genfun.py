@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +260,36 @@ def test_cold_f_enum_builds_the_table_once(monkeypatch):
     assert builds == [(5, 240)]
 
 
+def _cells(k, l, degree):
+    return [genfun.sym_weight_dim(k, n, l) for n in range(degree + 1)]
+
+
+def test_f_enum_reads_the_cells_of_sym_weight_dim():
+    for k in range(0, 9):
+        genfun.clear_memo_caches()
+        degree = 18 if k < 6 else 10
+        # l past k * degree (no cell of any row), and l + kn odd for odd k
+        for l in range(0, k * degree + 4):
+            assert genfun.f_enum(k, l, degree).coeffs == tuple(_cells(k, l, degree)), (k, l)
+    # k = 0: the trivial module, with no table
+    assert genfun.f_enum(0, 0, 5).coeffs == (1,) * 6
+    assert genfun.f_enum(0, 2, 5).coeffs == (0,) * 6
+    assert 0 not in genfun._enum_tables
+    # odd l + kn: every other coefficient vanishes
+    assert genfun.f_enum(3, 1, 7).coeffs[::2] == (0,) * 4
+    # a smaller degree read from a larger table that is already built
+    genfun.clear_memo_caches()
+    genfun.f_enum(5, 0, 40)
+    table = genfun._enum_tables[5]
+    for l in range(0, 5 * 12 + 3):
+        assert genfun.f_enum(5, l, 12).coeffs == tuple(_cells(5, l, 12)), l
+    assert genfun._enum_tables[5] is table
+    # l > k * degree needs no table, even when none is built
+    genfun.clear_memo_caches()
+    assert genfun.f_enum(4, 41, 10).coeffs == (0,) * 11
+    assert 4 not in genfun._enum_tables
+
+
 def test_enum_examples():
     assert [int(c) for c in genfun.f_enum(1, 3, 7).coeffs] == [0, 0, 0, 1, 0, 1, 0, 1]
     assert not any(genfun.f_enum(2, 1, 10).coeffs)
@@ -436,6 +467,20 @@ def test_closed_form_support():
             with pytest.raises(genfun.NoClosedFormError) as exc:
                 genfun.f_closed(k, l)
             assert str(exc.value) == f"no closed form for k={k}, l={l}"
+
+
+def test_printed_closed_forms_are_pinned():
+    """Every printed closed form for k <= 6, l <= 12.  The gcd that reduces
+    them decides their text (six k = 3 forms have a nontrivial one), so a
+    change to the gcd cannot alter what is printed unseen."""
+    recorded = {}
+    for line in (Path(__file__).parent / "closed_forms.txt").read_text().splitlines():
+        key, text = line.split("\t")
+        recorded[tuple(map(int, key.split()))] = text
+    pairs = [(k, l) for k in range(7) for l in range(13) if genfun.has_closed_form(k, l)]
+    assert sorted(recorded) == pairs and len(pairs) == 73
+    for (k, l), text in recorded.items():
+        assert str(genfun.f_closed(k, l)) == text, (k, l)
 
 
 def test_closed_form_k3_l2_branch():

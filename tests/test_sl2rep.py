@@ -196,6 +196,17 @@ def test_q00_degree_part_unpacks_at_most_four_rows(monkeypatch):
         assert unpacked == [(4, n) for n in (k, k - 2, k - 3, k - 5) if n >= 0], k
 
 
+def test_q00_degree_part_is_the_signed_sum_of_decompositions():
+    # the parts peel one summed row; decomposing each power apart must agree
+    for k in range(0, 41):
+        expected = Counter()
+        for n, sign in ((k, 1), (k - 2, -1), (k - 3, -1), (k - 5, 1)):
+            if n >= 0:
+                for l, mult in sl2rep.sym_power_decompose(4, n).items():
+                    expected[l] += sign * mult
+        assert dict(sl2rep.q00_degree_part(k)) == {l: m for l, m in expected.items() if m}, k
+
+
 def test_q0_column_sums():
     for l in range(0, 41):
         column = sum(sl2rep.q00_degree_part(k).get(l, 0) for k in range(0, 21))
@@ -259,6 +270,35 @@ def test_planted_tensor_branch_defect_fails_criterion_8(monkeypatch):
     verdicts = [v for v in verify.check_tensor_calculus() if v.name.startswith(name)]
     assert len(verdicts) == 1 and not verdicts[0].passed
     assert "(1, 'V(1)')" in verdicts[0].detail
+
+
+def test_planted_single_summands_fail_the_type_oracle(monkeypatch):
+    # for k > n the summands V(j) with j <= k - n come twice; taking them once
+    # must fail the list-indexed type oracle, which names the first pairs
+    original = sl2rep.hc_tensor
+
+    def planted(k, s):
+        out = original(k, s)
+        if not s.primed and k > s.index:
+            out = Counter(dict.fromkeys(out, 1))
+        return out
+
+    monkeypatch.setattr(sl2rep, "hc_tensor", planted)
+    oracle = verify.check_tensor_calculus()[0]
+    assert oracle.name.startswith("tensor case split matches the type-multiset oracle")
+    assert not oracle.passed
+    assert oracle.detail == "failures at [(2, 'V(1)'), (3, 'V(1)'), (3, 'V(2)'), (4, 'V(1)')]"
+
+
+def test_planted_multiset_defect_fails_coherence(monkeypatch):
+    # hc_tensor_multiset that forgets the multiplicities of its input
+    original = sl2rep.hc_tensor_multiset
+    monkeypatch.setattr(sl2rep, "hc_tensor_multiset",
+                        lambda k, multiset: original(k, Counter(dict.fromkeys(multiset, 1))))
+    coherence = verify.check_tensor_calculus()[2]
+    assert coherence.name.startswith("Clebsch-Gordan coherence")
+    assert not coherence.passed
+    assert coherence.detail.startswith("failures at [(0, 2, 'V(1)'),")
 
 
 def test_hc_tensor_coherence():
