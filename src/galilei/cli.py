@@ -240,9 +240,9 @@ RADICAL_MAX_DEPTH = 1_000
 
 
 # `symalg independence` ranks the k iterated raisings in Sym^k(L(4)), whose
-# matrix grows steeply in k: k = 40 took about 1.9 s and k = 60 took 29 s
-# with 59 MB peak RSS (CPython 3.11, 2 cores); a larger request is refused
-# before anything is built.
+# matrix grows steeply in k: k = 40 takes about 1.5 s as a child process
+# (median of 8) and k = 60 took 29 s with 59 MB peak RSS (CPython 3.11,
+# 2 cores); a larger request is refused before anything is built.
 INDEPENDENCE_MAX_K = 40
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from operator import add, sub
-from typing import Counter as CounterT, List, NamedTuple
+from typing import Counter as CounterT, Dict, List, NamedTuple
 
 from .genfun import weight_row
 
@@ -63,7 +63,9 @@ def V(n: int) -> SimpleHC:
     return SimpleHC(False, n)
 
 
-#: Multisets of simple labels (or of highest weights) are plain Counters.
+#: Multisets of simple labels are Counters.  Of the multisets of highest
+#: weights, the multiplicity-one ones (``clebsch_gordan``, ``g_types``) are
+#: plain dicts and the peeled characters are Counters.
 HCMultiset = CounterT[SimpleHC]
 
 
@@ -71,11 +73,15 @@ HCMultiset = CounterT[SimpleHC]
 # Finite-dimensional combinatorics
 # ---------------------------------------------------------------------------
 
-def clebsch_gordan(m: int, n: int) -> CounterT[int]:
-    """L(m) (x) L(n) = L(m+n) + L(m+n-2) + ... + L(|m-n|), multiplicity one."""
+def clebsch_gordan(m: int, n: int) -> Dict[int, int]:
+    """L(m) (x) L(n) = L(m+n) + L(m+n-2) + ... + L(|m-n|), multiplicity one.
+
+    The summands come as a plain dict from highest weight to multiplicity,
+    lowest weight first.
+    """
     if m < 0 or n < 0:
         raise ValueError("highest weights must be non-negative")
-    return Counter(range(abs(m - n), m + n + 1, 2))
+    return dict.fromkeys(range(abs(m - n), m + n + 1, 2), 1)
 
 
 def sym_power_decompose(k: int, n: int) -> CounterT[int]:
@@ -160,13 +166,13 @@ def q00_degree_part(k: int) -> CounterT[int]:
 # Harish-Chandra simples: g-types and tensor calculus
 # ---------------------------------------------------------------------------
 
-def g_types(s: SimpleHC, max_l: int) -> CounterT[int]:
-    """Multiplicity-free finite-dimensional types of s, up to weight max_l."""
-    if s.primed:
-        start, step = s.index, 4
-    else:
-        start, step = s.index, 2
-    return Counter(range(start, max_l + 1, step))
+def g_types(s: SimpleHC, max_l: int) -> Dict[int, int]:
+    """Multiplicity-free finite-dimensional types of s, up to weight max_l.
+
+    The types come as a plain dict from highest weight to multiplicity one,
+    lowest weight first.
+    """
+    return dict.fromkeys(range(s.index, max_l + 1, 4 if s.primed else 2), 1)
 
 
 def hc_tensor(k: int, s: SimpleHC) -> HCMultiset:

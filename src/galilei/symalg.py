@@ -92,7 +92,11 @@ class SymElement:
         return SymElement(self.n, out)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + other.scale(-1)
+        self._compatible(other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            out[exps] = out.get(exps, 0) - c
+        return SymElement(self.n, out)
 
     def scale(self, c: ScalarLike) -> "SymElement":
         c = _as_scalar(c)
@@ -187,36 +191,37 @@ def _lower_coefficient(n: int, weight: int) -> int:
 
 
 def adjoint_action(generator: str, p: SymElement) -> SymElement:
-    """Apply e, f or h to an element, extending the basis action by Leibniz."""
+    """Apply e, f or h to an element, extending the basis action by Leibniz.
+
+    e and f move one unit of exponent from position i to i + 1 or i - 1,
+    scaled by the basis coefficient at weight -n + 2i.  Those nonzero
+    (i, i +- 1, coefficient) steps are read once per call.
+    """
     if generator not in ("e", "f", "h"):
         raise ValueError("generator must be one of 'e', 'f', 'h'")
+    n = p.n
     out: Dict[Exponents, ScalarLike] = {}
-
-    def add(exps: Exponents, coeff: ScalarLike):
-        if coeff != 0:
-            out[exps] = out.get(exps, 0) + coeff
-
+    if generator == "h":
+        for exps, coeff in p.terms.items():
+            weight = p.monomial_weight(exps)
+            if weight:
+                out[exps] = coeff * weight
+        return SymElement(n, out)
+    if generator == "e":
+        coefficient, shift = _raise_coefficient, 1
+    else:
+        coefficient, shift = _lower_coefficient, -1
+    steps = [(i, i + shift, c) for i in range(n + 1) if (c := coefficient(n, 2 * i - n))]
     for exps, coeff in p.terms.items():
-        if generator == "h":
-            add(exps, coeff * p.monomial_weight(exps))
-            continue
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            weight = -p.n + 2 * i
-            if generator == "e":
-                step = _raise_coefficient(p.n, weight)
-                j = i + 1
-            else:
-                step = _lower_coefficient(p.n, weight)
-                j = i - 1
-            if step == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            new[j] += 1
-            add(tuple(new), coeff * e * step)
-    return SymElement(p.n, out)
+        for i, j, step in steps:
+            e = exps[i]
+            if e:
+                new = list(exps)
+                new[i] -= 1
+                new[j] += 1
+                key = tuple(new)
+                out[key] = out.get(key, 0) + coeff * e * step
+    return SymElement(n, out)
 
 
 def is_invariant(p: SymElement) -> bool:
@@ -264,10 +269,9 @@ def independence_vectors(k: int) -> List[SymElement]:
     """The elements e^i . (v_{-4}^i v_{-2}^{k-i}) for i = 0..k-1, in Sym(L(4))."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    v_m4, v_m2 = _v4(-4), _v4(-2)
     vectors = []
     for i in range(k):
-        p = v_m4 ** i * v_m2 ** (k - i)
+        p = SymElement(4, {(i, k - i, 0, 0, 0): 1})
         for _ in range(i):
             p = adjoint_action("e", p)
         vectors.append(p)

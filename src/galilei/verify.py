@@ -21,6 +21,7 @@ verdict of ``sl2 sym``.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -378,11 +379,12 @@ def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
     bad = []
     for exps in _monomials_up_to(4, 4):
         m = symalg.SymElement(4, {exps: 1})
-        if act("e", act("f", m)) - act("f", act("e", m)) != act("h", m):
+        e, f, h = act("e", m), act("f", m), act("h", m)
+        if act("e", f) - act("f", e) != h:
             bad.append((exps, "[e,f]"))
-        if act("h", act("e", m)) - act("e", act("h", m)) != act("e", m).scale(2):
+        if act("h", e) - act("e", h) != e.scale(2):
             bad.append((exps, "[h,e]"))
-        if act("h", act("f", m)) - act("f", act("h", m)) != act("f", m).scale(-2):
+        if act("h", f) - act("f", h) != f.scale(-2):
             bad.append((exps, "[h,f]"))
     verdicts.append(
         _verdict(
@@ -477,6 +479,10 @@ def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int =
 def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     verdicts = []
     simples = [Vp(0), Vp(2)] + [V(n) for n in range(1, n_max + 1)]
+    # call-local memos: the three verdicts below read each decomposition and
+    # each type list once, and both tables are dropped when the check returns
+    tensor = cache(sl2rep.hc_tensor)
+    types = cache(sl2rep.g_types)
 
     # independent route: a decomposition is pinned down by its type multiset,
     # which must equal L(k) tensored against the types of the input simple
@@ -485,11 +491,11 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     for k in range(k_max + 1):
         for s in simples:
             got = [0] * (type_bound + 1)
-            for t, mult in sl2rep.hc_tensor(k, s).items():
-                for l, c in sl2rep.g_types(t, type_bound).items():
+            for t, mult in tensor(k, s).items():
+                for l, c in types(t, type_bound).items():
                     got[l] += mult * c
             expected = [0] * (type_bound + 1)
-            for l0, c0 in sl2rep.g_types(s, type_bound + k).items():
+            for l0, c0 in types(s, type_bound + k).items():
                 for l, c in sl2rep.clebsch_gordan(k, l0).items():
                     if l <= type_bound:
                         expected[l] += c0 * c
@@ -512,7 +518,7 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
         (5, V(3), Counter({Vp(0): 1, Vp(2): 1, V(2): 2, V(4): 1, V(6): 1, V(8): 1})),
         (4, V(1), Counter({V(1): 2, V(3): 2, V(5): 1})),
     ]
-    bad = [(k, str(s)) for k, s, want in printed if sl2rep.hc_tensor(k, s) != want]
+    bad = [(k, str(s)) for k, s, want in printed if tensor(k, s) != want]
     verdicts.append(
         _failures("representative decompositions from each branch of the case split", bad)
     )
@@ -521,10 +527,10 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     for a in range(5):
         for b in range(5):
             for s in simples:
-                lhs = sl2rep.hc_tensor_multiset(a, sl2rep.hc_tensor(b, s))
+                lhs = sl2rep.hc_tensor_multiset(a, tensor(b, s))
                 rhs = {}
                 for j, mult in sl2rep.clebsch_gordan(a, b).items():
-                    for t, m in sl2rep.hc_tensor(j, s).items():
+                    for t, m in tensor(j, s).items():
                         rhs[t] = rhs.get(t, 0) + mult * m
                 if dict(lhs) != rhs:
                     bad.append((a, b, str(s)))

@@ -598,6 +598,29 @@ def test_planted_dropped_summand_fails_sl2_sym(capsys, monkeypatch):
     assert err == "FAILED: total dimension equals C(n+k, k)\n"
 
 
+def test_planted_clebsch_gordan_defect_fails_criterion_8_through_verify_all(capsys, monkeypatch):
+    # L(m) x L(n) without its top summand L(m+n)
+    _, out, _ = run_cli(capsys, "verify", "all", "--format", "structured")
+    known = _structured_failures(out)
+    original = sl2rep.clebsch_gordan
+
+    def planted(m, n):
+        summands = original(m, n)
+        del summands[m + n]
+        return summands
+
+    monkeypatch.setattr(sl2rep, "clebsch_gordan", planted)
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "structured")
+    assert code == 1
+    failing = _structured_failures(out)
+    assert failing == [
+        *known,
+        "[criterion 8] tensor case split matches the type-multiset oracle"
+        " for k <= 8, simples up to V(8)",
+        "[criterion 8] Clebsch-Gordan coherence of iterated tensoring for a, b <= 4",
+    ]
+
+
 # (argv, the command and params each report prints, in print order)
 _REPORT_FRAMES = [
     (("genfun", "series", "--k", "3", "--l", "2", "--degree", "5", "--method", "enum"),

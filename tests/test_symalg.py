@@ -138,6 +138,64 @@ def test_planted_lowering_defect_fails_the_sl2_relations_and_invariance(monkeypa
     assert verdicts["independence ranks agree with the path-matrix ranks"].passed
 
 
+def test_planted_raising_defect_fails_the_sl2_relations_and_invariance(monkeypatch):
+    # adjoint_action reads its steps from the module's coefficient functions
+    # on every call, so a defect planted after import still shows
+    original = symalg._raise_coefficient
+    monkeypatch.setattr(
+        symalg, "_raise_coefficient", lambda n, weight: original(n, weight) + (weight == 0)
+    )
+    verdicts = {v.name: v for v in verify.check_symmetric_algebra(k_max=5)}
+    relations = verdicts["derivations satisfy the sl2 relations on all monomials of degree <= 4"]
+    assert not relations.passed and relations.detail == "80 failures"
+    invariance = verdicts["C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)"]
+    assert invariance.detail == (
+        "failures at ['e kills C2', 'e kills C3', 'product C2*C3 is invariant']"
+    )
+    # a nonzero raising coefficient only rescales coordinates, so the ranks hold
+    assert verdicts["iterated raisings are independent for 1 <= k <= 5"].passed
+
+
+def test_criterion_6_applies_nine_actions_per_relation_monomial(monkeypatch):
+    # e, f and h of each monomial once, then the six images of the three
+    # commutators; the raisings apply e i times to the i-th start monomial
+    phase = ["relations"]
+    calls = []
+    original = symalg.adjoint_action
+
+    def counting(generator, p):
+        calls.append(phase[0])
+        return original(generator, p)
+
+    def entering(name, fn):
+        def wrapped(*args):
+            phase[0] = name
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(symalg, "adjoint_action", counting)
+    invariance, independence = verify.invariance_verdicts, symalg.independence_check
+    monkeypatch.setattr(verify, "invariance_verdicts", entering("invariance", invariance))
+    monkeypatch.setattr(symalg, "independence_check", entering("raisings", independence))
+    k_max = 5
+    assert all(v.passed for v in verify.check_symmetric_algebra(k_max=k_max))
+    monomials = len(list(monomials_up_to(4, 4)))
+    assert monomials == 126
+    assert calls.count("relations") == 9 * monomials
+    assert calls.count("invariance") == 6
+    assert calls.count("raisings") == sum(k * (k - 1) // 2 for k in range(1, k_max + 1))
+
+
+def test_independence_vectors_match_the_power_chain_construction():
+    v_m4, v_m2 = SymElement.generator(4, -4), SymElement.generator(4, -2)
+    for k in range(1, 13):
+        for i, got in enumerate(symalg.independence_vectors(k)):
+            p = v_m4 ** i * v_m2 ** (k - i)
+            for _ in range(i):
+                p = act("e", p)
+            assert got.terms == p.terms, (k, i)
+
+
 def test_independence_range_and_rank_agreement():
     for k in range(1, 13):
         rank = symalg.independence_check(k)
