@@ -33,12 +33,6 @@ class Report:
         self.results = {} if results is None else results
         self.verdicts = [] if verdicts is None else verdicts
 
-    def __eq__(self, other):
-        return self.to_dict() == other.to_dict() if type(other) is Report else NotImplemented
-
-    def __repr__(self):
-        return f"Report({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
-
     @property
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts)

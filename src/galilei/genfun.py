@@ -298,10 +298,9 @@ def _closed_k5(l: int) -> RationalFunction:
     if l == 2:
         num = Polynomial("q", (3, 0, 5, 0, 7, 0, 5, 0, 3)).shift(2)
         return RationalFunction(num, geometric_den(2, 2, 4, 4, 6))
-    if l == 3:
-        num = Polynomial("q", (1, 0, 3, 0, 4, 0, 7, 0, 4, 0, 3, 0, 1)).shift(1)
-        return RationalFunction(num, geometric_den(2, 2, 2, 6, 8))
-    raise NoClosedFormError(f"no closed form for k=5, l={l}")
+    # l == 3
+    num = Polynomial("q", (1, 0, 3, 0, 4, 0, 7, 0, 4, 0, 3, 0, 1)).shift(1)
+    return RationalFunction(num, geometric_den(2, 2, 2, 6, 8))
 
 
 def _closed_k6(l: int) -> RationalFunction:
@@ -314,20 +313,21 @@ def _closed_k6(l: int) -> RationalFunction:
     if l == 4:
         num = Polynomial("q", (1, 2, 2, 4, 4, 4, 2, 2, 1)).shift(1)
         return RationalFunction(num, geometric_den(1, 2, 2, 3, 4, 5))
-    if l == 6:
-        num = Polynomial("q", (1, 1, 2, 3, 2, 1, 1)).shift(1)
-        return RationalFunction(num, geometric_den(1, 2, 2, 2, 3, 5))
-    raise NoClosedFormError(f"no closed form for k=6, l={l}")
+    # l == 6
+    num = Polynomial("q", (1, 1, 2, 3, 2, 1, 1)).shift(1)
+    return RationalFunction(num, geometric_den(1, 2, 2, 2, 3, 5))
 
 
 def f_closed(k: int, l: int) -> RationalFunction:
     """The closed-form F_l^(k) as a canonical rational function.
 
-    Supported: k <= 4 (all l), k = 5 (l <= 3), k = 6 (l in {0, 2, 4, 6}).
-    Anything else raises NoClosedFormError rather than guessing.
+    Supported exactly where has_closed_form(k, l) holds; anything else
+    raises NoClosedFormError rather than guessing.
     """
     if k < 0 or l < 0:
         raise ValueError("k, l must be non-negative")
+    if not has_closed_form(k, l):
+        raise NoClosedFormError(f"no closed form for k={k}, l={l}")
     if k == 0:
         if l == 0:
             return RationalFunction(Polynomial.one("q"), geometric_den(1))
@@ -344,12 +344,11 @@ def f_closed(k: int, l: int) -> RationalFunction:
         return _closed_k4(l)
     if k == 5:
         return _closed_k5(l)
-    if k == 6:
-        return _closed_k6(l)
-    raise NoClosedFormError(f"no closed form for k={k}, l={l}")
+    return _closed_k6(l)
 
 
 def has_closed_form(k: int, l: int) -> bool:
+    """The transcribed closed forms: k <= 4 (all l), k = 5 (l <= 3), k = 6 (l in {0, 2, 4, 6})."""
     if k <= 4:
         return True
     if k == 5:

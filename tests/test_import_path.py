@@ -1,11 +1,15 @@
-"""The package's own import stays lean.
+"""The package's imports stay lean.
 
-Every claim is checked in a fresh process, so ``import galilei`` is paid on
-every run.  Beyond what the interpreter loaded at start-up (a site ``.pth``
-file may import modules on some hosts), it loads only ``fractions`` and the
-core modules in CORE.  In particular it loads neither ``dataclasses`` nor
-``inspect``: with the ``ast``, ``dis`` and ``tokenize`` behind them they took
-over half of the package's import.
+Every claim is checked in a fresh process, so each import is paid on every
+run.  ``import galilei`` loads no module of the package, and each module
+loads only the modules it uses, so a process that needs only the series
+does not pay for the Young lattice, and the reverse.  Beyond what the
+interpreter loaded at start-up (a site ``.pth`` file may import modules on
+some hosts), every library module together (``galilei.verify`` imports them
+all) loads only ``fractions`` and the core modules in CORE.  In particular
+the command line loads neither ``dataclasses`` nor ``inspect``: with the
+``ast``, ``dis`` and ``tokenize`` behind them they took over half of the
+package's import.
 """
 
 import os
@@ -42,5 +46,25 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_package_import_loads_only_fractions_beyond_the_core():
-    added = {name for name in _added_modules("galilei", CORE) if name.split(".")[0] != "galilei"}
+    added = _added_modules("galilei.verify", CORE)
+    assert "galilei.younglat" in added  # the probe saw the library
+    added = {name for name in added if name.split(".")[0] != "galilei"}
     assert added <= {"fractions", "decimal", "_decimal", "_pydecimal", "numbers"}, sorted(added)
+
+
+def test_package_import_loads_no_module_of_the_package():
+    assert _added_modules("galilei") == {"galilei"}
+
+
+def test_series_import_loads_no_young_lattice_or_representation_module():
+    added = _added_modules("galilei.genfun")
+    assert {"galilei.genfun", "galilei.exact"} <= added
+    unused = {f"galilei.{name}" for name in ("younglat", "linalg", "symalg", "sl2rep", "quiver")}
+    assert not added & unused, sorted(added & unused)
+
+
+def test_young_lattice_import_loads_no_series_or_representation_module():
+    added = _added_modules("galilei.younglat")
+    assert {"galilei.younglat", "galilei.exact", "galilei.linalg"} <= added
+    unused = {f"galilei.{name}" for name in ("genfun", "sl2rep", "symalg", "quiver")}
+    assert not added & unused, sorted(added & unused)

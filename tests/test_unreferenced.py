@@ -1,9 +1,9 @@
 """Every public function and class of the package has a caller inside it,
 and every field, method and property of its classes has a reader.
 
-A module-level public name that nothing else in ``src/galilei`` reads (the
-``__init__`` exports do not count) is a feature no check needs.  Names the
-tests use as tools stay only through the allowlist, each with its reason.
+A module-level public name that nothing else in ``src/galilei`` reads is a
+feature no check needs.  Names the tests use as tools stay only through the
+allowlist, each with its reason.
 
 A ``NamedTuple`` field or ``__slots__`` entry whose name is never loaded as
 an attribute in the package is a value that nothing reads.  The package's
@@ -47,8 +47,6 @@ def unreferenced_public_names():
     defined = {}
     referenced = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
