@@ -37,8 +37,8 @@ class Report:
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def to_dict(self) -> Dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "command": self.command,
             "params": self.params,
             "results": self.results,
@@ -47,10 +47,7 @@ class Report:
                 for v in self.verdicts
             ],
             "wall_time_ms": self.wall_time_ms,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        }, indent=2, sort_keys=True)
 
     def render_text(self) -> str:
         lines = [f"command: {self.command}"]

@@ -141,15 +141,11 @@ class SymElement:
             raise ValueError("element is not an h-weight vector")
         return weights.pop()
 
-    def sorted_terms(self) -> List[Tuple[Exponents, ScalarLike]]:
-        """Terms in lexicographic order of exponent tuples (lowest basis first)."""
-        return sorted(self.terms.items())
-
     def __str__(self):
         if self.is_zero:
             return "0"
         names = []
-        for exps, coeff in self.sorted_terms():
+        for exps, coeff in sorted(self.terms.items()):  # lowest basis first
             factors = []
             for i, e in enumerate(exps):
                 if e == 0:

@@ -15,11 +15,10 @@ of level n-1 into level n, and the square matrices N_n whose determinants
 factor into integer constants times linear factors x - i with i < n.  The
 headline fact checked downstream: M_n evaluated at x = n has full rank n.
 
-Level m of the lattice is ``bounded_partitions(m)``: its objects are the only
-partitions built for those shapes, and edge targets point at them.
-``path_matrix`` addresses each partition by its position in its level and
-runs one loop over positions, for the polynomial M_n and for its values at
-an integer point alike.
+A partition is the tuple of its parts.  Level m of the lattice is
+``bounded_partitions(m)``, and an edge names its target by the target's
+position in the next level, so ``path_matrix`` runs one loop over positions,
+for the polynomial M_n and for its values at an integer point alike.
 """
 
 from __future__ import annotations
@@ -34,15 +33,11 @@ MAX_PART = 4
 Weight = Union[Polynomial, int]
 
 
-class _PartitionFields(NamedTuple):
-    parts: Tuple[int, ...]
-
-
-class Partition(_PartitionFields):
+class Partition(tuple):
     """Weakly decreasing tuple of positive parts.
 
-    A partition is the 1-tuple (parts,): equality, hashing and order are the
-    tuple's.
+    Equality, hashing and order are the tuple's, so the raw parts tuple finds
+    a partition wherever the partition is a key.
     """
 
     __slots__ = ()
@@ -52,19 +47,10 @@ class Partition(_PartitionFields):
             raise ValueError("parts must be positive")
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
-        return tuple.__new__(cls, (parts,))
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def count_part(self, value: int) -> int:
-        return sum(1 for p in self.parts if p == value)
+        return tuple.__new__(cls, parts)
 
     def __str__(self):
-        if not self.parts:
-            return "()"
-        return "(" + ",".join(map(str, self.parts)) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 def partition(*parts: int) -> Partition:
@@ -93,44 +79,38 @@ def bounded_partitions(n: int) -> Tuple[Partition, ...]:
     return tuple(Partition(p) for p in out)
 
 
-class LabeledEdge(NamedTuple):
-    target: Partition
-    label: Polynomial
+@lru_cache(maxsize=None)
+def _positions(n: int) -> Dict[Partition, int]:
+    """Position of each partition of n in bounded_partitions(n)."""
+    return {p: i for i, p in enumerate(bounded_partitions(n))}
 
 
 @lru_cache(maxsize=None)
-def _positions(n: int) -> Dict[Tuple[int, ...], int]:
-    """Position of each partition of n, keyed by its parts, in bounded_partitions(n)."""
-    return {p.parts: i for i, p in enumerate(bounded_partitions(n))}
+def edges_from(p: Partition) -> Tuple[Tuple[int, Polynomial], ...]:
+    """All labeled edges out of p (one per addable node, parts <= MAX_PART),
+    each as (target position in ``bounded_partitions(sum(p) + 1)``, label).
 
-
-@lru_cache(maxsize=None)
-def edges_from(p: Partition) -> Tuple[LabeledEdge, ...]:
-    """All labeled edges out of p (one per addable node, parts <= MAX_PART).
-
-    Each target is the object held in ``bounded_partitions(p.size + 1)``, so
-    no partition is built here.  Memoised: each partition's edges are built
-    once per process, and every caller shares the same tuple and the same
-    label polynomials, which are never mutated.
+    No partition is built here: a target is looked up by its raw parts.
+    Memoised: each partition's edges are built once per process, and every
+    caller shares the same tuple and the same label polynomials, which are
+    never mutated.
     """
-    parts = p.parts
-    level, positions = bounded_partitions(p.size + 1), _positions(p.size + 1)
-    edges: List[LabeledEdge] = []
-    for row in range(len(parts) + 1):
-        if row == len(parts):
+    positions = _positions(sum(p) + 1)
+    edges: List[Tuple[int, Polynomial]] = []
+    for row in range(len(p) + 1):
+        if row == len(p):
             new_value = 1
         else:
-            if row > 0 and parts[row - 1] == parts[row]:
+            if row > 0 and p[row - 1] == p[row]:
                 continue  # not addable: would break monotonicity
-            new_value = parts[row] + 1
+            new_value = p[row] + 1
         if new_value > MAX_PART:
             continue
-        target = level[positions[parts[:row] + (new_value,) + parts[row + 1 :]]]
         if new_value == 1:
-            label = Polynomial("x", (-len(parts), 1))
+            label = Polynomial("x", (-len(p), 1))
         else:
-            label = Polynomial.constant("x", p.count_part(new_value - 1))
-        edges.append(LabeledEdge(target, label))
+            label = Polynomial.constant("x", p.count(new_value - 1))
+        edges.append((positions[p[:row] + (new_value,) + p[row + 1 :]], label))
     return tuple(edges)
 
 
@@ -161,10 +141,8 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
     levels = [bounded_partitions(m) for m in range(n + 1)]
     out_edges: Dict[int, List[List[Tuple[int, Weight]]]] = {}
     for m in range(1, n):
-        positions = _positions(m + 1)
         out_edges[m] = [
-            [(positions[e.target.parts], e.label if at is None else e.label(at))
-             for e in edges_from(p)]
+            [(j, label if at is None else label(at)) for j, label in edges_from(p)]
             for p in levels[m]
         ]
     zero, one = (Polynomial.zero("x"), Polynomial.one("x")) if at is None else (0, 1)
@@ -214,7 +192,7 @@ def build_psi(n: int) -> Dict[Partition, Partition]:
         if p == column(n - 1):
             psi[p] = special_partition(n)
         else:
-            psi[p] = Partition(tuple(sorted(p.parts + (1,), reverse=True)))
+            psi[p] = Partition(p + (1,))
     images = set(psi.values())
     if len(images) != len(psi) or column(n) in images:
         raise AssertionError("psi is not an injection into level n minus (1^n)")
@@ -242,14 +220,15 @@ def build_Nn(n: int) -> PathMatrix:
     psi = build_psi(n)
     cols = dominance_extension(list(psi.keys()))
     rows = dominance_extension(list(psi.values()))
-    row_index = {r: i for i, r in enumerate(rows)}
+    positions = _positions(n)
+    row_index = {positions[r]: i for i, r in enumerate(rows)}
     zero = Polynomial.zero("x")
     entries = [[zero] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
-        for edge in edges_from(c):
-            i = row_index.get(edge.target)
+        for target, label in edges_from(c):
+            i = row_index.get(target)
             if i is not None:
-                entries[i][j] = edge.label
+                entries[i][j] = label
     return PathMatrix(rows, cols, entries)
 
 
@@ -260,7 +239,12 @@ class DetFactorization(NamedTuple):
     determinant: Polynomial
     integer_factor: int
     roots: Tuple[int, ...]
-    fully_factored: bool
+
+    @property
+    def fully_factored(self) -> bool:
+        """Whether the residue after extraction is a constant: a zero
+        determinant and a non-constant residue both store integer factor 0."""
+        return self.integer_factor != 0
 
     def describe(self) -> str:
         if self.determinant.is_zero:
@@ -280,7 +264,7 @@ def verify_det_factorization(n: int) -> DetFactorization:
     matrix = build_Nn(n)
     det = poly_det(matrix.entries)
     if det.is_zero:
-        return DetFactorization(n, det, 0, (), False)
+        return DetFactorization(n, det, 0, ())
     roots: List[int] = []
     residue = det
     for i in range(2 * n + 1):
@@ -288,6 +272,5 @@ def verify_det_factorization(n: int) -> DetFactorization:
         while residue.degree > 0 and residue(i) == 0:
             residue = residue.exact_div(factor)
             roots.append(i)
-    fully = residue.degree == 0
-    integer_factor = residue.coefficient(0) if fully else 0
-    return DetFactorization(n, det, integer_factor, tuple(sorted(roots)), fully)
+    integer_factor = residue.coefficient(0) if residue.degree == 0 else 0
+    return DetFactorization(n, det, integer_factor, tuple(sorted(roots)))

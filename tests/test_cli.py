@@ -236,7 +236,7 @@ def test_structured_round_trip(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == set(Report("", {}).to_dict())
+    assert set(payload) == set(json.loads(Report("", {}).to_json()))
     assert payload["command"] == "genfun series"
     assert payload["params"]["k"] == 3
 

@@ -14,8 +14,9 @@ class's methods read counts as read, so a ``basis`` or ``var`` value that
 every constructor and operation carries along and passes on is not flagged.
 
 A public method or property whose name is loaded as an attribute nowhere in
-the package outside its own body is likewise reached only from the tests.
-Dunder methods are left out: the language calls them.
+the package outside its own class is likewise reached only from the tests or
+from its own class, whose reader could compute it in place.  Dunder methods
+are left out: the language calls them.
 """
 
 import ast
@@ -97,26 +98,25 @@ def _public_methods(cls):
 
 def method_reads():
     """{"module.Class.method": whether its name is loaded as an attribute in
-    the package outside its own body}, for each public method or property."""
+    the package outside its own class}, for each public method or property."""
     trees = [(path.stem, ast.parse(path.read_text(), filename=str(path)))
              for path in sorted(PACKAGE.glob("*.py"))]
-    methods = {}
-    loads = []  # (attribute name, ids of the function bodies it sits in)
+    methods = {}  # "module.Class.method": (method name, id of its class node)
+    loads = []  # (attribute name, ids of the class bodies it sits in)
     for module, tree in trees:
         stack = [(tree, frozenset())]
         while stack:
             node, inside = stack.pop()
             if isinstance(node, ast.ClassDef):
-                for method in _public_methods(node):
-                    methods[f"{module}.{node.name}.{method.name}"] = method
-            elif isinstance(node, ast.FunctionDef):
                 inside = inside | {id(node)}
+                for method in _public_methods(node):
+                    methods[f"{module}.{node.name}.{method.name}"] = (method.name, id(node))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loads.append((node.attr, inside))
             stack.extend((child, inside) for child in ast.iter_child_nodes(node))
     return {
-        name: any(attr == method.name and id(method) not in inside for attr, inside in loads)
-        for name, method in methods.items()
+        name: any(attr == method and owner not in inside for attr, inside in loads)
+        for name, (method, owner) in methods.items()
     }
 
 

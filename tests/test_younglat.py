@@ -59,19 +59,19 @@ def poly_bareiss_det(matrix):
 
 def contains(big, small):
     """Whether the diagram of ``small`` fits inside that of ``big``."""
-    if len(small.parts) > len(big.parts):
+    if len(small) > len(big):
         return False
-    return all(s >= o for s, o in zip(big.parts, small.parts))
+    return all(s >= o for s, o in zip(big, small))
 
 
 def dominates(big, small):
     """Dominance order: the partial sums of ``big`` are >= those of ``small``."""
-    if big.size != small.size:
+    if sum(big) != sum(small):
         raise ValueError("dominance compares partitions of the same size")
     acc_b = acc_s = 0
-    for i in range(max(len(big.parts), len(small.parts))):
-        acc_b += big.parts[i] if i < len(big.parts) else 0
-        acc_s += small.parts[i] if i < len(small.parts) else 0
+    for i in range(max(len(big), len(small))):
+        acc_b += big[i] if i < len(big) else 0
+        acc_s += small[i] if i < len(small) else 0
         if acc_b < acc_s:
             return False
     return True
@@ -276,8 +276,8 @@ def test_partition_invariants():
         partition(1, 2)
     with pytest.raises(ValueError):
         partition(0)
-    assert partition(3, 1).size == 4
-    assert partition(2, 2, 1).count_part(2) == 2
+    assert sum(partition(3, 1)) == 4
+    assert partition(2, 2, 1).count(2) == 2
 
 
 #: sorted(bounded_partitions(8)), as recorded from the dataclass partitions
@@ -290,12 +290,14 @@ PARTITION_ORDER_8 = [
 
 def test_partition_value_semantics():
     level = list(yl.bounded_partitions(8))
-    copies = [yl.Partition(p.parts) for p in level]
+    copies = [yl.Partition(tuple(p)) for p in level]
     assert copies == level and partition(4, 4) != partition(4, 3, 1)
     assert len(set(level + copies)) == len(level)
     position = {p: i for i, p in enumerate(level)}
     assert [position[p] for p in copies] == list(range(len(level)))
     assert partition(4, 4, 1) not in position
+    # a raw parts tuple finds its partition's position
+    assert [yl._positions(8)[tuple(p)] for p in level] == list(range(len(level)))
     assert [str(p) for p in sorted(random.Random(8).sample(copies, len(copies)))] == PARTITION_ORDER_8
     assert [str(partition(3, 1, 1)), str(yl.Partition(()))] == ["(3,1,1)", "()"]
     for parts in ((1, 2), (0,)):
@@ -324,31 +326,35 @@ def test_bounded_partition_counts():
     for n in range(1, 16):
         assert count_partitions(n) == count(n)
         assert len(set(yl.bounded_partitions(n))) == count_partitions(n)
-        assert all(p.parts[0] <= 4 for p in yl.bounded_partitions(n))
+        assert all(p[0] <= 4 for p in yl.bounded_partitions(n))
+
+
+def _edge_targets(p):
+    """{printed target: label} for the edges out of p."""
+    level = yl.bounded_partitions(sum(p) + 1)
+    return {str(level[j]): label for j, label in yl.edges_from(p)}
 
 
 def test_edges_from_examples():
-    empty = partition()
-    [e] = yl.edges_from(empty)
-    assert e.target == partition(1) and e.label == Polynomial("x", (0, 1))
+    [(j, label)] = yl.edges_from(partition())
+    assert yl.bounded_partitions(1)[j] == partition(1) and label == Polynomial("x", (0, 1))
 
-    targets = {str(e.target): e.label for e in yl.edges_from(partition(2))}
-    assert targets == {"(3)": const(1), "(2,1)": x_minus(1)}
-
-    targets = {str(e.target): e.label for e in yl.edges_from(partition(2, 2))}
-    assert targets == {"(3,2)": const(2), "(2,2,1)": x_minus(2)}
+    assert _edge_targets(partition(2)) == {"(3)": const(1), "(2,1)": x_minus(1)}
+    assert _edge_targets(partition(2, 2)) == {"(3,2)": const(2), "(2,2,1)": x_minus(2)}
 
     # largest part capped at 4
-    targets = {str(e.target) for e in yl.edges_from(partition(4, 1))}
-    assert targets == {"(4,2)", "(4,1,1)"}
+    assert set(_edge_targets(partition(4, 1))) == {"(4,2)", "(4,1,1)"}
 
 
 def test_edges_from_targets_are_the_level_objects():
+    # each edge names a distinct position of the next level, holding a cover of p
     for size in range(13):
         level = yl.bounded_partitions(size + 1)
         for p in yl.bounded_partitions(size):
-            for e in yl.edges_from(p):
-                assert e.target is level[level.index(e.target)], (p, e.target)
+            positions = [j for j, _ in yl.edges_from(p)]
+            assert len(set(positions)) == len(positions), p
+            for j in positions:
+                assert 0 <= j < len(level) and contains(level[j], p), (p, j)
 
 
 def _covers(parts):
@@ -377,14 +383,14 @@ def test_path_matrix_matches_an_independent_chain_enumeration():
     # every chain is walked on its own, with no level table and no edge memo
     for n in range(1, 9):
         symbolic = yl.path_matrix(n)
-        assert [r.parts for r in symbolic.rows] == [(1,) * k for k in range(1, n + 1)]
+        assert symbolic.rows == [(1,) * k for k in range(1, n + 1)]
         expected = []
         for k in range(1, n + 1):
             sums = {}
             _chain_sums((1,) * k, n, const(1), sums)
             if k == 1:  # every partition of n lies above (1)
-                assert set(sums) == {c.parts for c in symbolic.cols}
-            expected.append([sums.get(c.parts, const(0)) for c in symbolic.cols])
+                assert set(sums) == set(symbolic.cols)
+            expected.append([sums.get(c, const(0)) for c in symbolic.cols])
         assert symbolic.entries == expected, n
         for a in (0, 1, n, n + 5):
             assert yl.path_matrix(n, at=a).entries == [[e(a) for e in row] for row in expected], (n, a)
@@ -448,25 +454,30 @@ def test_rank_at_builds_no_polynomial_products_and_each_edge_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
     built = []
-    original_edge = yl.LabeledEdge
 
-    def counting_edge(target, label):
-        built.append(target)
-        return original_edge(target, label)
+    class CountingLabel(Polynomial):
+        """A label polynomial that records its construction: one per edge."""
 
-    monkeypatch.setattr(yl, "LabeledEdge", counting_edge)
+        def __init__(self, var, coeffs=()):
+            built.append(coeffs)
+            super().__init__(var, coeffs)
+
+    monkeypatch.setattr(yl, "Polynomial", CountingLabel)
     yl.edges_from.cache_clear()
-    assert yl.rank_at(12) == 12
-    assert products == []
-    # the DP leaves every partition of size 1..11, so each one's edges were
-    # built, once: one memo miss per partition, and no edge built elsewhere
-    left = [p for size in range(1, 12) for p in yl.bounded_partitions(size)]
-    edges_built = len(built)
-    assert edges_built == sum(len(yl.edges_from(p)) for p in left)
-    assert yl.edges_from.cache_info().misses == len(left)
-    # positive control: the polynomial route is counted
-    yl.path_matrix(3)
-    assert products
+    try:
+        assert yl.rank_at(12) == 12
+        assert products == []
+        # the DP leaves every partition of size 1..11, so each one's edges were
+        # built, once: one memo miss per partition, and no edge built elsewhere
+        left = [p for size in range(1, 12) for p in yl.bounded_partitions(size)]
+        edges_built = len(built)
+        assert edges_built == sum(len(yl.edges_from(p)) for p in left)
+        assert yl.edges_from.cache_info().misses == len(left)
+        # positive control: the polynomial route is counted
+        yl.path_matrix(3)
+        assert products
+    finally:
+        yl.edges_from.cache_clear()  # drop the counting labels
 
 
 def test_column_span_recursion():
@@ -491,7 +502,7 @@ def test_psi_structure():
         assert len(set(psi.values())) == len(psi)
         assert column(n) not in psi.values()
         for source, image in psi.items():
-            assert image.size == n
+            assert sum(image) == n
             if source != column(n - 1):
                 assert contains(image, source)
     assert yl.special_partition(6) == partition(2, 2, 2)
@@ -549,10 +560,8 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
         edges = original(p, *args, **kwargs)
         if p == partition(2):
             # the edge (2) -> (3) is labelled by one part equal to 2, i.e. 1
-            edges = [
-                yl.LabeledEdge(e.target, const(2)) if e.target == partition(3) else e
-                for e in edges
-            ]
+            three = yl._positions(3)[3,]
+            edges = [(j, const(2) if j == three else label) for j, label in edges]
         return edges
 
     clean_at_3 = yl.path_matrix(3, at=3).entries
@@ -564,8 +573,9 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
 
 
 def test_planted_position_swap_fails_criterion_5(monkeypatch):
-    # the clean run fills the edge memo, so only the path DP reads the
-    # swapped map: the weights for (3) and (2,1) land in each other's places
+    # edges are built with the swapped map once the memo is cleared: the edges
+    # into (3) and (2,1) name each other's positions, so their weights land in
+    # each other's places
     clean = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
     clean_at_3 = yl.path_matrix(3, at=3).entries
     original = yl._positions
@@ -577,6 +587,7 @@ def test_planted_position_swap_fails_criterion_5(monkeypatch):
         return positions
 
     monkeypatch.setattr(yl, "_positions", swapped)
+    yl.edges_from.cache_clear()
     try:
         failing = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
         planted_at_3 = yl.path_matrix(3, at=3).entries
@@ -678,8 +689,7 @@ def test_odd_case_reduced_block_roots():
     n11 = yl.build_Nn(11)
 
     def in_block(p):
-        parts = p.parts
-        return parts[0] <= 3 and all(v <= 2 for v in parts[1:])
+        return p[0] <= 3 and all(v <= 2 for v in p[1:])
 
     cols = [j for j, c in enumerate(n11.cols) if in_block(c)]
     psi = yl.build_psi(11)
