@@ -205,8 +205,9 @@ def _cmd_symalg_independence(args, rep: Report) -> None:
 # limits, so a larger l only adds zeros; at the l limit every closed form
 # took 0.2 s.  At the limits, peak RSS measured 21 MB at k = 1, 48 MB at
 # k = 8 and 107 MB at k = 100, and the slowest requests, `genfun invariants`
-# and `genfun freeness` at k = 100 to degree 199, took 5.5-6.2 s (CPython
-# 3.11, 2 cores); a larger request is refused before anything is built.
+# and `genfun freeness` at k = 100 to degree 199, took 2.7-3.0 s as a
+# subprocess (CPython 3.11, 2 cores); a larger request is refused before
+# anything is built.
 SERIES_MAX_CELLS = 4_000_000
 SERIES_MAX_K = 100
 SERIES_MAX_L = 20_000

@@ -23,7 +23,8 @@ quotient (F_l - F_{l+2})/(F_0 - F_2) whose negative coefficients certify
 non-freeness, and a greedy detector for the generators/relation shape of the
 invariant ring.  A single weight-space dimension is one field of the
 lattice-count table, read by ``sym_weight_dim`` without building a series;
-``weight_row`` unpacks a whole row of it.
+``weight_row`` unpacks a whole row of it, and each difference F_l - F_{l+2}
+reads two adjacent fields of every row at once.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
     its bit length no field carries into the next; w is a whole number of
     bytes for ``weight_row``.  One table is kept per k: it serves every
     smaller degree, and a larger degree drops it before rebuilding.
+
+    The k + 1 factors 1/(1 - t x^i), t marking the degree and x^c field c,
+    one per basis weight 2i - k, are multiplied in lowest weight first.  After
+    the factors of weights -k, ..., 2i - k, row n holds fields 0..i*n only, so
+    the pass of factor i adds ints i*n + 1 fields wide, not k*n + 1: about half
+    the big-int work of taking the highest weight first.  The product, and so
+    every bit of the table, is the same in either order.
     """
     entry = _enum_tables.get(k)
     if entry is not None and len(entry[1]) > degree:
@@ -84,10 +92,11 @@ def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
     _enum_tables.pop(k, None)
     w = 8 * ((comb(degree + k, k).bit_length() + 7) // 8)
     rows = [1] + [0] * degree
-    # Adding one factor of weight k - 2i moves a count from field c of row
-    # n - 1 to field c + k - i of row n (the row offset grows by k/2).
+    # Adding one factor of weight 2i - k moves a count from field c of row
+    # n - 1 to field c + i of row n (the row offset grows by k/2); pass i
+    # leaves row n i*n + 1 fields wide.
     for i in range(k + 1):
-        shift = (k - i) * w
+        shift = i * w
         for n in range(1, degree + 1):
             rows[n] += rows[n - 1] << shift
     entry = _enum_tables[k] = (w, rows)
@@ -362,9 +371,34 @@ def has_closed_form(k: int, l: int) -> bool:
 # Invariant series, freeness quotient, structure detection
 # ---------------------------------------------------------------------------
 
+def _multiplicity_series(k: int, l: int, degree: int) -> TruncatedSeries:
+    """F_l - F_{l+2}: the multiplicity of L(l) in each Sym^n(L(k)), by enumeration.
+
+    Fields (l + kn)/2 and (l + kn)/2 + 1 of row n of the weight table are
+    adjacent, so one shift and one 2w-bit mask read both; past the row's end
+    the shift reads zeros.  k = 0 and l > k * degree go through f_enum.
+    """
+    if k < 0 or l < 0 or degree < 0:
+        raise ValueError("k, l, degree must be non-negative")
+    if not k or l > k * degree:
+        return f_enum(k, l, degree) - f_enum(k, l + 2, degree)
+    w, rows = _weight_degree_table(k, degree)
+    mask, pair_mask = (1 << w) - 1, (1 << 2 * w) - 1
+    coeffs = [0] * (degree + 1)
+    for n in range(degree + 1):
+        if l <= k * n and (l + k * n) % 2 == 0:
+            pair = (rows[n] >> ((l + k * n) // 2 * w)) & pair_mask
+            coeffs[n] = (pair & mask) - (pair >> w)
+    return TruncatedSeries(coeffs)
+
+
 def invariant_series(k: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """Hilbert series F_0 - F_2 of the invariant ring, to the given degree, by enumeration."""
-    return f_enum(k, 0, degree) - f_enum(k, 2, degree)
+    """Hilbert series F_0 - F_2 of the invariant ring, to the given degree, by enumeration.
+
+    Each coefficient is fields kn/2 and kn/2 + 1 of one weight-table row,
+    read together by ``_multiplicity_series``.
+    """
+    return _multiplicity_series(k, 0, degree)
 
 
 def freeness_quotient(
@@ -373,9 +407,10 @@ def freeness_quotient(
     """(F_l - F_{l+2})/(F_0 - F_2) plus its first negative degree, if any.
 
     A negative coefficient certifies that the symmetric algebra is not free
-    over its invariants.
+    over its invariants.  Numerator and divisor each read two adjacent fields
+    of every weight-table row through ``_multiplicity_series``.
     """
-    numerator = f_enum(k, l, degree) - f_enum(k, l + 2, degree)
+    numerator = _multiplicity_series(k, l, degree)
     quotient = numerator / invariant_series(k, degree)
     return quotient, quotient.first_negative()
 

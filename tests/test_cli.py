@@ -539,6 +539,21 @@ def test_every_series_route_refuses_a_negative_degree_by_name(capsys, method, na
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("freeness", "--k", "-1", "--l", "0"),
+        ("freeness", "--k", "5", "--l", "-1"),
+        ("freeness", "--k", "5", "--l", "1", "--degree", "-1"),
+        ("invariants", "--k", "-1"),
+        ("invariants", "--k", "5", "--degree", "-1"),
+    ],
+)
+def test_freeness_and_invariants_refuse_a_negative_argument_by_name(capsys, argv):
+    code, out, err = run_cli(capsys, "genfun", *argv)
+    assert (code, out, err) == (2, "", "error: k, l, degree must be non-negative\n")
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("young", "rank", "--upto", "-3"), "--upto -3"),

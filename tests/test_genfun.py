@@ -182,6 +182,35 @@ def test_weight_row_unpacks_fields_of_every_width():
     assert widths == set(range(1, 10))
 
 
+def _table_highest_weight_first(k, degree):
+    """The weight table with its factors taken in the opposite order: highest shift first."""
+    w = 8 * ((comb(degree + k, k).bit_length() + 7) // 8)
+    rows = [1] + [0] * degree
+    for i in range(k + 1):
+        for n in range(1, degree + 1):
+            rows[n] += rows[n - 1] << (k - i) * w
+    return w, rows
+
+
+def test_weight_table_equals_the_highest_weight_first_table_bit_for_bit():
+    # the factors commute, so the order of the passes leaves every bit as it
+    # is; k = 16 reaches fields of 1 to 9 bytes, k = 32 passes 64 bits sooner
+    cases = [(k, degree) for k in range(1, 9) for degree in (0, 1, 5, 24, 60)]
+    cases += [(16, degree) for degree in (1, 3, 6, 12, 20, 31, 47, 69, 101)]
+    cases += [(32, degree) for degree in (2, 45)]
+    widths = set()
+    genfun.clear_memo_caches()
+    try:
+        for k, degree in cases:
+            genfun.clear_memo_caches()
+            table = genfun._weight_degree_table(k, degree)
+            assert table == _table_highest_weight_first(k, degree), (k, degree)
+            widths.add(table[0] // 8)
+    finally:
+        genfun.clear_memo_caches()
+    assert widths == set(range(1, 10))
+
+
 def test_planted_narrow_field_width_fails_the_row_oracle(monkeypatch):
     # fields one byte narrower than C(degree + k, k) needs: at k = 32, degree
     # 45 the largest counts (65 bits) carry into the next field
@@ -288,6 +317,65 @@ def test_f_enum_reads_the_cells_of_sym_weight_dim():
     genfun.clear_memo_caches()
     assert genfun.f_enum(4, 41, 10).coeffs == (0,) * 11
     assert 4 not in genfun._enum_tables
+
+
+def _enum_difference(k, l, degree):
+    return genfun.f_enum(k, l, degree) - genfun.f_enum(k, l + 2, degree)
+
+
+def test_multiplicity_series_reads_two_cells_of_sym_weight_dim():
+    degree = 18
+    for k in range(0, 9):
+        genfun.clear_memo_caches()
+        # l past k * degree (no cell of any row), l > kn in the low rows, l + kn
+        # odd for odd k, and l = kn, whose field l + 2 lies past the row's end
+        for l in range(0, k * degree + 4):
+            got = genfun._multiplicity_series(k, l, degree)
+            cells = [a - b for a, b in zip(_cells(k, l, degree), _cells(k, l + 2, degree))]
+            assert got.coeffs == tuple(cells), (k, l)
+            assert got == _enum_difference(k, l, degree), (k, l)
+    # Sym^n(L(1)) is L(n): L(5) occurs in degree 5 only, the one row where
+    # l = kn; the rows below have l > kn and every other row has l + kn odd
+    assert genfun._multiplicity_series(1, 5, 9).coeffs == (0,) * 5 + (1,) + (0,) * 4
+    # a smaller degree read from a larger table that is already built
+    genfun.clear_memo_caches()
+    genfun.f_enum(5, 0, 40)
+    table = genfun._enum_tables[5]
+    for l in range(0, 5 * 12 + 3):
+        assert genfun._multiplicity_series(5, l, 12) == _enum_difference(5, l, 12), l
+    assert genfun._enum_tables[5] is table
+
+
+@pytest.mark.parametrize("k, l, degree", [(-1, 0, 5), (5, -1, 5), (5, 1, -1), (0, -2, 5), (3, -1, 0)])
+def test_multiplicity_series_refuses_what_f_enum_refuses(k, l, degree):
+    for read in (genfun.f_enum, genfun._multiplicity_series, genfun.freeness_quotient):
+        with pytest.raises(ValueError, match=r"^k, l, degree must be non-negative$"):
+            read(k, l, degree)
+
+
+def _invariant_and_freeness_verdicts():
+    """Criterion 2's invariant series identities and criterion 3's first negative degrees."""
+    negativity = verify.check_negativity()[:2]
+    return [v.passed for v in verify.check_closed_identities()], [v.detail for v in negativity if not v.passed]
+
+
+def test_planted_multiplicity_reads_fail_criteria_2_and_3(monkeypatch):
+    original = genfun._multiplicity_series
+    assert _invariant_and_freeness_verdicts() == ([True] * 4, [])
+    # fields l and l + 4: at k = 4 the invariant series survives, since L(2)
+    # never occurs in Sym(L(4)) (F_2 = F_4); k = 3, 5, 6 and both quotients fail
+    assert genfun.f_enum(4, 2, 60) == genfun.f_enum(4, 4, 60)
+    monkeypatch.setattr(genfun, "_multiplicity_series",
+                        lambda k, l, degree: genfun.f_enum(k, l, degree) - genfun.f_enum(k, l + 4, degree))
+    assert _invariant_and_freeness_verdicts() == ([False, True, False, False], ["got 13", "got 9"])
+    # the sign flipped: every invariant series starts at -1, while the quotient
+    # divides a negated numerator by a negated divisor and stays as it was
+    monkeypatch.setattr(genfun, "_multiplicity_series", lambda k, l, degree: -original(k, l, degree))
+    assert _invariant_and_freeness_verdicts() == ([False] * 4, [])
+    # the sign flipped in the numerator only: its first nonzero term turns negative
+    monkeypatch.setattr(genfun, "_multiplicity_series",
+                        lambda k, l, degree: original(k, l, degree) if l == 0 else -original(k, l, degree))
+    assert _invariant_and_freeness_verdicts() == ([True] * 4, ["got 5", "got 3"])
 
 
 def test_enum_examples():
