@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every invocation produces a Report: the echoed command, its parameters, the
-computed results, and a list of named verdicts.  ``main`` builds the command
-and parameters from the parsed arguments; each handler only computes, filling
-in the results and taking its verdicts from ``verify``.  The process exit
-status is 0 exactly when every verdict passed.  Reports render as aligned
+computed results, and a list of named verdicts.  The table ``COMMANDS``
+declares every group, command, flag and handler once.  ``main`` builds the
+command and parameters from the parsed arguments; each handler only computes,
+filling in the results and taking its verdicts from ``verify``.  The process
+exit status is 0 exactly when every verdict passed.  Reports render as aligned
 text (default) or as a JSON document (``--format structured``) that carries
 every field of the report.
 """
@@ -78,8 +79,7 @@ def _series_ints(series) -> List:
 
 
 # ---------------------------------------------------------------------------
-# Handlers (one per subcommand); each fills in the results and verdicts of the
-# Report that main built from the parsed command and parameters
+# Handlers, one per command of the table COMMANDS below
 # ---------------------------------------------------------------------------
 
 def _cmd_genfun_series(args, rep: Report) -> None:
@@ -350,8 +350,50 @@ def _cmd_verify_all(args, rep: Report) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parser wiring
+# The command line, declared once
 # ---------------------------------------------------------------------------
+
+_INT = dict(type=int, required=True)
+_DEGREE = ("--degree", dict(type=int, default=DEFAULT_TRUNCATION))
+
+#: group -> (help, {command: (handler, [(flag, argparse keywords)])}), in --help order
+COMMANDS = {
+    "genfun": ("weight generating functions", {
+        "series": (_cmd_genfun_series, [
+            ("--k", _INT), ("--l", _INT), _DEGREE,
+            ("--method", dict(choices=("enum", "recur", "closed", "all"), default="all")),
+        ]),
+        "invariants": (_cmd_genfun_invariants, [("--k", _INT), _DEGREE]),
+        "freeness": (_cmd_genfun_freeness, [("--k", _INT), ("--l", _INT), _DEGREE]),
+    }),
+    "sl2": ("sl2 representation combinatorics", {
+        "sym": (_cmd_sl2_sym, [("--k", _INT), ("--n", _INT)]),
+        "q0": (_cmd_sl2_q0, [("--l", dict(type=int)), ("--table", dict(type=int, metavar="MAX"))]),
+        "tensor": (_cmd_sl2_tensor, [
+            ("--k", _INT), ("--simple", dict(required=True, help="e.g. V(3) or V'(0)")),
+        ]),
+    }),
+    "symalg": ("symmetric algebra with derivations", {
+        "check-invariants": (_cmd_symalg_check, []),
+        "independence": (_cmd_symalg_independence, [("--k", _INT)]),
+    }),
+    "young": ("restricted Young lattice", {
+        "matrix": (_cmd_young_matrix, [("--n", _INT), ("--emit", dict(action="store_true"))]),
+        "rank": (_cmd_young_rank, [("--upto", _INT)]),
+        "det": (_cmd_young_det, [("--upto", _INT)]),
+    }),
+    "quiver": ("blocks and radical filtrations", {
+        "radical": (_cmd_quiver_radical, [
+            ("--top", dict(required=True, help="e.g. V'(0) or V(4)")), ("--depth", _INT),
+        ]),
+        "decompose-q": (_cmd_quiver_decompose, [("--k", _INT)]),
+        "blocks": (_cmd_quiver_blocks, []),
+    }),
+    "verify": ("run the verification suite", {
+        "all": (_cmd_verify_all, [("--quick", dict(action="store_true"))]),
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -362,87 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"), default="text")
     common.add_argument("--out", metavar="FILE", default=None)
-
-    top = parser.add_subparsers(dest="group", required=True)
-
-    gf = top.add_parser("genfun", help="weight generating functions").add_subparsers(
-        dest="command", required=True
-    )
-    p = gf.add_parser("series", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--degree", type=int, default=DEFAULT_TRUNCATION)
-    p.add_argument("--method", choices=("enum", "recur", "closed", "all"), default="all")
-    p.set_defaults(handler=_cmd_genfun_series)
-    p = gf.add_parser("invariants", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree", type=int, default=DEFAULT_TRUNCATION)
-    p.set_defaults(handler=_cmd_genfun_invariants)
-    p = gf.add_parser("freeness", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--degree", type=int, default=DEFAULT_TRUNCATION)
-    p.set_defaults(handler=_cmd_genfun_freeness)
-
-    sl2 = top.add_parser("sl2", help="sl2 representation combinatorics").add_subparsers(
-        dest="command", required=True
-    )
-    p = sl2.add_parser("sym", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_sl2_sym)
-    p = sl2.add_parser("q0", parents=[common])
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--table", type=int, default=None, metavar="MAX")
-    p.set_defaults(handler=_cmd_sl2_q0)
-    p = sl2.add_parser("tensor", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--simple", required=True, help="e.g. V(3) or V'(0)")
-    p.set_defaults(handler=_cmd_sl2_tensor)
-
-    sa = top.add_parser("symalg", help="symmetric algebra with derivations").add_subparsers(
-        dest="command", required=True
-    )
-    p = sa.add_parser("check-invariants", parents=[common])
-    p.set_defaults(handler=_cmd_symalg_check)
-    p = sa.add_parser("independence", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_symalg_independence)
-
-    yg = top.add_parser("young", help="restricted Young lattice").add_subparsers(
-        dest="command", required=True
-    )
-    p = yg.add_parser("matrix", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--emit", action="store_true")
-    p.set_defaults(handler=_cmd_young_matrix)
-    p = yg.add_parser("rank", parents=[common])
-    p.add_argument("--upto", type=int, required=True)
-    p.set_defaults(handler=_cmd_young_rank)
-    p = yg.add_parser("det", parents=[common])
-    p.add_argument("--upto", type=int, required=True)
-    p.set_defaults(handler=_cmd_young_det)
-
-    qv = top.add_parser("quiver", help="blocks and radical filtrations").add_subparsers(
-        dest="command", required=True
-    )
-    p = qv.add_parser("radical", parents=[common])
-    p.add_argument("--top", required=True, help="e.g. V'(0) or V(4)")
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(handler=_cmd_quiver_radical)
-    p = qv.add_parser("decompose-q", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_quiver_decompose)
-    p = qv.add_parser("blocks", parents=[common])
-    p.set_defaults(handler=_cmd_quiver_blocks)
-
-    vf = top.add_parser("verify", help="run the verification suite").add_subparsers(
-        dest="command", required=True
-    )
-    p = vf.add_parser("all", parents=[common])
-    p.add_argument("--quick", action="store_true")
-    p.set_defaults(handler=_cmd_verify_all)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (group_help, commands) in COMMANDS.items():
+        group_parser = groups.add_parser(group, help=group_help)
+        subparsers = group_parser.add_subparsers(dest="command", required=True)
+        for command, (handler, flags) in commands.items():
+            p = subparsers.add_parser(command, parents=[common])
+            for flag, keywords in flags:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(handler=handler)
     return parser
 
 

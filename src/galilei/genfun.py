@@ -23,8 +23,9 @@ quotient (F_l - F_{l+2})/(F_0 - F_2) whose negative coefficients certify
 non-freeness, and a greedy detector for the generators/relation shape of the
 invariant ring.  A single weight-space dimension is one field of the
 lattice-count table, read by ``sym_weight_dim`` without building a series;
-``weight_row`` unpacks a whole row of it, and each difference F_l - F_{l+2}
-reads two adjacent fields of every row at once.
+``weight_row`` unpacks a whole row of it.  F_l reads one field of every row
+and each difference F_l - F_{l+2} two adjacent ones, through one reader.
+k = 0 is an ordinary table: one field per row, each holding 1.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ _enum_tables: Dict[int, Tuple[int, List[int]]] = {}
 
 
 def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
-    """Weight counts of monomials of every degree n <= ``degree``, for k >= 1.
+    """Weight counts of monomials of every degree n <= ``degree``.
 
     Every degree-n monomial has weight congruent to k*n mod 2, so only those
     weights are stored: row n is one int holding k*n + 1 fields of w bits,
@@ -106,16 +107,13 @@ def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
 def sym_weight_dim(k: int, n: int, l: int) -> int:
     """Dimension of the l-weight space of Sym^n(L(k)): one table field.
 
-    Weights are symmetric about 0, lie in [-kn, kn] and have the parity of kn;
-    Sym^n(L(0)) is the trivial module and needs no table.
+    Weights are symmetric about 0, lie in [-kn, kn] and have the parity of kn.
     """
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
     l = abs(l)
     if l > k * n or (l + k * n) % 2:
         return 0
-    if k == 0:
-        return 1
     w, rows = _weight_degree_table(k, n)
     return (rows[n] >> ((l + k * n) // 2 * w)) & ((1 << w) - 1)
 
@@ -124,8 +122,6 @@ def weight_row(k: int, n: int) -> List[int]:
     """dim Sym^n(L(k))_(2c - kn) for c = 0..kn: one table row, unpacked once."""
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
-    if k == 0:
-        return [1]
     w, rows = _weight_degree_table(k, n)
     size, count = w // 8, k * n + 1
     data = rows[n].to_bytes(count * size, "little")
@@ -138,23 +134,30 @@ def weight_row(k: int, n: int) -> List[int]:
     return memoryview(wide).cast("Q").tolist()
 
 
-def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """F_l^(k) to the given degree by exact counting: the cells sym_weight_dim(k, n, l).
-
-    The table is fetched once, to the full degree, and field (l + kn) / 2 of
-    each row is read in place; rows with l > kn or l + kn odd hold no such
-    weight.  Sym^n(L(0)) is trivial, and l > k * degree needs no table.
+def _read_fields(k: int, l: int, degree: int, count: int) -> Tuple[int, List[int]]:
+    """(w, chunks): chunk n packs ``count`` w-bit fields of row n, from field
+    (l + kn)/2, the weight l, up, read in place from the table fetched once to
+    ``degree``.  Rows with l > kn or l + kn odd read 0, and past a row's end the
+    shift reads zeros.  l > k * degree builds no table and reads zeros (w = 0).
     """
     if k < 0 or l < 0 or degree < 0:
         raise ValueError("k, l, degree must be non-negative")
-    if not k or l > k * degree:
-        return TruncatedSeries([int(l == 0)] * (degree + 1))
+    if l > k * degree:
+        return 0, [0] * (degree + 1)
     w, rows = _weight_degree_table(k, degree)
-    mask = (1 << w) - 1
-    return TruncatedSeries([
+    mask = (1 << count * w) - 1
+    return w, [
         (rows[n] >> ((l + k * n) // 2 * w)) & mask if l <= k * n and (l + k * n) % 2 == 0 else 0
         for n in range(degree + 1)
-    ])
+    ]
+
+
+def f_enum(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
+    """F_l^(k) to the given degree by exact counting: the cells sym_weight_dim(k, n, l).
+
+    One field of every weight-table row, read by ``_read_fields``.
+    """
+    return TruncatedSeries(_read_fields(k, l, degree, 1)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +377,13 @@ def has_closed_form(k: int, l: int) -> bool:
 def _multiplicity_series(k: int, l: int, degree: int) -> TruncatedSeries:
     """F_l - F_{l+2}: the multiplicity of L(l) in each Sym^n(L(k)), by enumeration.
 
-    Fields (l + kn)/2 and (l + kn)/2 + 1 of row n of the weight table are
-    adjacent, so one shift and one 2w-bit mask read both; past the row's end
-    the shift reads zeros.  k = 0 and l > k * degree go through f_enum.
+    Fields (l + kn)/2 and (l + kn)/2 + 1 of row n of the weight table, the
+    weights l and l + 2, are adjacent, so one shift and one 2w-bit mask read
+    both.
     """
-    if k < 0 or l < 0 or degree < 0:
-        raise ValueError("k, l, degree must be non-negative")
-    if not k or l > k * degree:
-        return f_enum(k, l, degree) - f_enum(k, l + 2, degree)
-    w, rows = _weight_degree_table(k, degree)
-    mask, pair_mask = (1 << w) - 1, (1 << 2 * w) - 1
-    coeffs = [0] * (degree + 1)
-    for n in range(degree + 1):
-        if l <= k * n and (l + k * n) % 2 == 0:
-            pair = (rows[n] >> ((l + k * n) // 2 * w)) & pair_mask
-            coeffs[n] = (pair & mask) - (pair >> w)
-    return TruncatedSeries(coeffs)
+    w, pairs = _read_fields(k, l, degree, 2)
+    mask = (1 << w) - 1
+    return TruncatedSeries([(pair & mask) - (pair >> w) for pair in pairs])
 
 
 def invariant_series(k: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:

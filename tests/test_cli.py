@@ -1,10 +1,13 @@
+import argparse
+import inspect
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from galilei import genfun, quiver, sl2rep, symalg, verify, younglat
+from galilei import cli, genfun, quiver, sl2rep, symalg, verify, younglat
 from galilei.cli import (
     INDEPENDENCE_MAX_K,
     RADICAL_MAX_DEPTH,
@@ -13,6 +16,7 @@ from galilei.cli import (
     SERIES_MAX_L,
     SUMMAND_MAX_K,
     Report,
+    build_parser,
     main,
 )
 from galilei.exact import Polynomial, RationalFunction, TruncatedSeries
@@ -259,6 +263,53 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["results"]["multiplicity"] == 2
+
+
+def _subcommands(parser):
+    """{name: parser} of the subcommands a parser dispatches to, in declaration order."""
+    return next(
+        (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {}
+    )
+
+
+def _commands():
+    """[(group, command, parser)] for every command, in declaration order."""
+    return [
+        (group, command, sub)
+        for group, group_parser in _subcommands(build_parser()).items()
+        for command, sub in _subcommands(group_parser).items()
+    ]
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    """Every --help, top level, each group and each command, byte for byte.
+    argparse wraps help to the terminal width, so the width is fixed here."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [()]
+    for group, group_parser in _subcommands(build_parser()).items():
+        argvs += [(group,)] + [(group, command) for command in _subcommands(group_parser)]
+    assert len(argvs) == 1 + 6 + 15
+    blocks = []
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        blocks.append(f"$ galilei {' '.join((*argv, '--help'))}\n{captured.out}")
+    assert "".join(blocks) == (Path(__file__).parent / "cli_help.txt").read_text()
+
+
+def test_every_handler_answers_exactly_one_command():
+    defined = {
+        value for name, value in vars(cli).items()
+        if name.startswith("_cmd_") and inspect.isfunction(value)
+    }
+    commands = _commands()
+    dispatched = Counter(sub.get_default("handler") for _, _, sub in commands)
+    assert len(commands) == 15
+    assert set(dispatched) == defined
+    assert set(dispatched.values()) == {1}
 
 
 def test_unknown_command_exits_nonzero():

@@ -259,11 +259,11 @@ def test_sym_weight_dim_edge_cases():
     assert genfun.sym_weight_dim(3, 2, 8) == genfun.sym_weight_dim(3, 2, -8) == 0
     assert genfun.sym_weight_dim(5, 0, 2) == 0
     assert genfun.sym_weight_dim(3, 2, 6) == 1
-    # Sym^n(L(0)) is one-dimensional of weight 0, and no table is built for it
+    # Sym^n(L(0)) is one-dimensional of weight 0: one 8-bit field per row, holding 1
     genfun.clear_memo_caches()
     assert [genfun.sym_weight_dim(0, n, 0) for n in range(6)] == [1] * 6
     assert [genfun.sym_weight_dim(0, n, l) for n in range(6) for l in (-2, 1, 2)] == [0] * 18
-    assert 0 not in genfun._enum_tables
+    assert genfun._enum_tables[0] == (8, [1] * 6)
     with pytest.raises(ValueError):
         genfun.sym_weight_dim(3, -1, 0)
 
@@ -300,10 +300,10 @@ def test_f_enum_reads_the_cells_of_sym_weight_dim():
         # l past k * degree (no cell of any row), and l + kn odd for odd k
         for l in range(0, k * degree + 4):
             assert genfun.f_enum(k, l, degree).coeffs == tuple(_cells(k, l, degree)), (k, l)
-    # k = 0: the trivial module, with no table
+    # k = 0: the trivial module, one 8-bit field per row, holding 1
     assert genfun.f_enum(0, 0, 5).coeffs == (1,) * 6
     assert genfun.f_enum(0, 2, 5).coeffs == (0,) * 6
-    assert 0 not in genfun._enum_tables
+    assert genfun._enum_tables[0] == (8, [1] * 6)
     # odd l + kn: every other coefficient vanishes
     assert genfun.f_enum(3, 1, 7).coeffs[::2] == (0,) * 4
     # a smaller degree read from a larger table that is already built
