@@ -28,11 +28,11 @@ from .verify import Verdict
 class Report:
     __slots__ = ("command", "params", "results", "verdicts", "wall_time_ms")
 
-    def __init__(self, command: str, params: Dict, results: Optional[Dict] = None,
-                 verdicts: Optional[List[Verdict]] = None, wall_time_ms: int = 0):
-        self.command, self.params, self.wall_time_ms = command, params, wall_time_ms
-        self.results = {} if results is None else results
-        self.verdicts = [] if verdicts is None else verdicts
+    def __init__(self, command: str, params: Dict):
+        self.command, self.params = command, params
+        self.results: Dict = {}
+        self.verdicts: List[Verdict] = []
+        self.wall_time_ms = 0
 
     @property
     def all_passed(self) -> bool:
@@ -43,10 +43,7 @@ class Report:
             "command": self.command,
             "params": self.params,
             "results": self.results,
-            "verdicts": [
-                {"name": v.name, "passed": v.passed, "detail": v.detail}
-                for v in self.verdicts
-            ],
+            "verdicts": [v._asdict() for v in self.verdicts],
             "wall_time_ms": self.wall_time_ms,
         }, indent=2, sort_keys=True)
 

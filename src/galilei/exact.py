@@ -13,13 +13,15 @@ single formal variable (``q`` for counting series, ``x`` for edge labels),
 rational functions are values kept in a canonical form with coprime
 numerator/denominator and monic denominator, with no arithmetic of their own,
 and truncated power series carry their truncation degree explicitly.
+``_signed_sum`` is the one printer of a signed sum of terms, used by
+polynomials here and by ``symalg``'s elements.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, Fraction]
 
@@ -35,6 +37,20 @@ def _as_scalar(c: ScalarLike) -> ScalarLike:
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
+
+
+def _signed_sum(terms: Iterable[Tuple[ScalarLike, str]]) -> str:
+    """The sum of (nonzero coefficient, monomial text) pairs as printed: a bare
+    "-" before a negative first term, "+ " or "- " before each later one, no
+    magnitude 1 before a monomial, a bare coefficient for an empty monomial
+    (a constant), and "0" for no terms.
+    """
+    text = " ".join(
+        ("- " if c < 0 else "+ ")
+        + (f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c)))
+        for c, mono in terms
+    )
+    return ("-" if text[0] == "-" else "") + text[2:] if text else "0"
 
 
 class Polynomial:
@@ -213,23 +229,8 @@ class Polynomial:
     # -- display ---------------------------------------------------------------
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                pw = self.var if i == 1 else f"{self.var}^{i}"
-                body = mag + pw
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        powers = ["", self.var] + [f"{self.var}^{i}" for i in range(2, len(self.coeffs))]
+        return _signed_sum((c, power) for c, power in zip(self.coeffs, powers) if c)
 
     def __repr__(self):
         return f"Polynomial({self.var!r}, {self.coeffs!r})"

@@ -22,9 +22,10 @@ On top of these sit the invariant Hilbert series F_0 - F_2, the freeness
 quotient (F_l - F_{l+2})/(F_0 - F_2) whose negative coefficients certify
 non-freeness, and a greedy detector for the generators/relation shape of the
 invariant ring.  A single weight-space dimension is one field of the
-lattice-count table, read by ``sym_weight_dim`` without building a series;
-``weight_row`` unpacks a whole row of it.  F_l reads one field of every row
-and each difference F_l - F_{l+2} two adjacent ones, through one reader.
+lattice-count table, read by ``sym_weight_dim`` without building a series.
+``_unpack`` decodes packed fields for ``weight_row`` (a whole table row) and
+for ``f_recur`` (its result); F_l reads one field of every row in place and
+each difference F_l - F_{l+2} two adjacent ones, through one reader.
 k = 0 is an ordinary table: one field per row, each holding 1.
 """
 
@@ -118,13 +119,10 @@ def sym_weight_dim(k: int, n: int, l: int) -> int:
     return (rows[n] >> ((l + k * n) // 2 * w)) & ((1 << w) - 1)
 
 
-def weight_row(k: int, n: int) -> List[int]:
-    """dim Sym^n(L(k))_(2c - kn) for c = 0..kn: one table row, unpacked once."""
-    if k < 0 or n < 0:
-        raise ValueError("k, n must be non-negative")
-    w, rows = _weight_degree_table(k, n)
-    size, count = w // 8, k * n + 1
-    data = rows[n].to_bytes(count * size, "little")
+def _unpack(packed: int, w: int, count: int) -> List[int]:
+    """The ``count`` w-bit fields of ``packed``, lowest first; w is a whole number of bytes."""
+    size = w // 8
+    data = packed.to_bytes(count * size, "little")
     if size > 8 or sys.byteorder != "little":
         return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
     # widen every field to 8 bytes, one strided copy per byte, and read them as machine words
@@ -132,6 +130,14 @@ def weight_row(k: int, n: int) -> List[int]:
     for b in range(size):
         wide[b::8] = data[b::size]
     return memoryview(wide).cast("Q").tolist()
+
+
+def weight_row(k: int, n: int) -> List[int]:
+    """dim Sym^n(L(k))_(2c - kn) for c = 0..kn: one table row, unpacked once."""
+    if k < 0 or n < 0:
+        raise ValueError("k, n must be non-negative")
+    w, rows = _weight_degree_table(k, n)
+    return _unpack(rows[n], w, k * n + 1)
 
 
 def _read_fields(k: int, l: int, degree: int, count: int) -> Tuple[int, List[int]]:
@@ -188,7 +194,8 @@ def _recur_width(k: int, degree: int) -> int:
     running sum is a partial sum of such a field; so every field is a
     non-negative count of at most C(N+k+1, k+1), the monomials of degree
     <= N in k + 1 variables, and none carries into the next.  The recursion
-    reads ``math.comb``, no name it shares with f_enum.
+    reads ``math.comb`` and decodes through ``_unpack``, no name it shares
+    with f_enum, which reads its fields in place.
     """
     return 8 * ((math.comb(degree + k + 1, k + 1).bit_length() + 7) // 8)
 
@@ -262,10 +269,7 @@ def f_recur(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries
         low, high = abs(l - k * t), l + k * t
         term = (below[low] if low <= top else 0) + (below[high] if t and high <= top else 0)
         acc = (term + (acc << w)) & mask
-    size = w // 8
-    data = acc.to_bytes((degree + 1) * size, "little")
-    coeffs = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(_unpack(acc, w, degree + 1))
 
 
 # ---------------------------------------------------------------------------

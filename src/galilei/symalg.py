@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .exact import ScalarLike, _as_scalar
+from .exact import ScalarLike, _as_scalar, _signed_sum
 from .linalg import bareiss_rank
 
 Exponents = Tuple[int, ...]
@@ -142,25 +142,11 @@ class SymElement:
         return weights.pop()
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        names = []
-        for exps, coeff in sorted(self.terms.items()):  # lowest basis first
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                w = -self.n + 2 * i
-                name = f"v[{w}]"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors) if factors else "1"
-            if coeff == 1 and factors:
-                names.append(mono)
-            elif coeff == -1 and factors:
-                names.append(f"-{mono}")
-            else:
-                names.append(f"{coeff}*{mono}" if factors else str(coeff))
-        return " + ".join(names).replace("+ -", "- ")
+        names = [f"v[{2 * i - self.n}]" for i in range(self.n + 1)]
+        return _signed_sum(
+            (coeff, "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e))
+            for exps, coeff in sorted(self.terms.items())  # lowest basis first
+        )
 
     def __repr__(self):
         return f"<SymElement n={self.n} {self}>"

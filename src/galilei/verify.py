@@ -104,14 +104,22 @@ def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) ->
 # Criterion 2: invariant-series closed identities
 # ---------------------------------------------------------------------------
 
+#: k -> (generator degrees, relation degree or None) of the invariant ring of Sym(L(k))
+_INVARIANT_RINGS = {
+    3: ((4,), None),
+    4: ((2, 3), None),
+    5: ((4, 8, 12, 18), 36),
+    6: ((2, 4, 6, 10, 15), 30),
+}
+
+
 def _invariant_targets() -> Dict[int, RationalFunction]:
-    one = Polynomial.one("q")
-    q = Polynomial.monomial
+    """The Hilbert series (1 - q^e) / prod (1 - q^d) of each ring in ``_INVARIANT_RINGS``."""
     return {
-        3: RationalFunction(one, genfun.geometric_den(4)),
-        4: RationalFunction(one, genfun.geometric_den(2, 3)),
-        5: RationalFunction(one - q("q", 36), genfun.geometric_den(4, 8, 12, 18)),
-        6: RationalFunction(one - q("q", 30), genfun.geometric_den(2, 4, 6, 10, 15)),
+        k: RationalFunction(
+            genfun.geometric_den(rel) if rel else Polynomial.one("q"), genfun.geometric_den(*gens)
+        )
+        for k, (gens, rel) in _INVARIANT_RINGS.items()
     }
 
 
@@ -197,14 +205,6 @@ def check_negativity(degree: int = 60) -> List[Verdict]:
 # Criterion 4: invariant-ring structure detection
 # ---------------------------------------------------------------------------
 
-_EXPECTED_STRUCTURE = {
-    3: ((4,), None),
-    4: ((2, 3), None),
-    5: ((4, 8, 12, 18), 36),
-    6: ((2, 4, 6, 10, 15), 30),
-}
-
-
 def structure_verdict(k: int, degree: int) -> Tuple[Optional[genfun.InvariantStructure], Verdict]:
     """The detector reads a structure off the invariant series; a refusal FAILs with its reason."""
     name = "invariant structure recognized"
@@ -217,7 +217,7 @@ def structure_verdict(k: int, degree: int) -> Tuple[Optional[genfun.InvariantStr
 
 def check_structure_detection(degree: int = 60) -> List[Verdict]:
     verdicts = []
-    for k, (gens, rel) in _EXPECTED_STRUCTURE.items():
+    for k, (gens, rel) in _INVARIANT_RINGS.items():
         expected = genfun.InvariantStructure(gens, rel)
         st, recognized = structure_verdict(k, degree)
         got = recognized.detail if st is None else f"got {st.describe()}"
@@ -236,42 +236,32 @@ def check_structure_detection(degree: int = 60) -> List[Verdict]:
 # Criterion 5: Young-lattice matrices, ranks and determinants
 # ---------------------------------------------------------------------------
 
-def _x() -> Polynomial:
-    return Polynomial.variable("x")
-
-
-def _printed_m_matrices() -> Dict[int, Tuple[List, List, List[List[Polynomial]]]]:
-    x = _x()
+def _printed_m_matrices() -> Dict[int, Tuple[List, List[List[Polynomial]]]]:
+    """n -> (columns, entries) of the reference M_n; its rows are (1^1)..(1^n)."""
+    x = Polynomial.variable("x")
     c = lambda v: Polynomial.constant("x", v)
     zero = Polynomial.zero("x")
     one = Polynomial.one("x")
-    m2 = (
-        [partition(2), partition(1, 1)],
-        [[one, x - c(1)], [zero, one]],
-    )
-    m3 = (
-        [partition(3), partition(2, 1), partition(1, 1, 1)],
-        [
-            [one, (x - c(1)) * 3, (x - c(1)) * (x - c(2))],
-            [zero, c(2), x - c(2)],
-            [zero, zero, one],
-        ],
-    )
-    m4 = (
-        [partition(4), partition(3, 1), partition(2, 2), partition(2, 1, 1), partition(1, 1, 1, 1)],
-        [
-            [one, (x - c(1)) * 4, (x - c(1)) * 3, (x - c(1)) * (x - c(2)) * 6, (x - c(1)) * (x - c(2)) * (x - c(3))],
-            [zero, c(2), c(2), (x - c(2)) * 5, (x - c(2)) * (x - c(3))],
-            [zero, zero, zero, c(3), x - c(3)],
-            [zero, zero, zero, zero, one],
-        ],
-    )
-    m1 = ([partition(1)], [[one]])
     return {
-        1: (m1[0], [younglat.column(1)], m1[1]),
-        2: (m2[0], [younglat.column(k) for k in (1, 2)], m2[1]),
-        3: (m3[0], [younglat.column(k) for k in (1, 2, 3)], m3[1]),
-        4: (m4[0], [younglat.column(k) for k in (1, 2, 3, 4)], m4[1]),
+        1: ([partition(1)], [[one]]),
+        2: ([partition(2), partition(1, 1)], [[one, x - c(1)], [zero, one]]),
+        3: (
+            [partition(3), partition(2, 1), partition(1, 1, 1)],
+            [
+                [one, (x - c(1)) * 3, (x - c(1)) * (x - c(2))],
+                [zero, c(2), x - c(2)],
+                [zero, zero, one],
+            ],
+        ),
+        4: (
+            [partition(4), partition(3, 1), partition(2, 2), partition(2, 1, 1), partition(1, 1, 1, 1)],
+            [
+                [one, (x - c(1)) * 4, (x - c(1)) * 3, (x - c(1)) * (x - c(2)) * 6, (x - c(1)) * (x - c(2)) * (x - c(3))],
+                [zero, c(2), c(2), (x - c(2)) * 5, (x - c(2)) * (x - c(3))],
+                [zero, zero, zero, c(3), x - c(3)],
+                [zero, zero, zero, zero, one],
+            ],
+        ),
     }
 
 
@@ -298,8 +288,9 @@ def det_verdicts(d: younglat.DetFactorization, upto: int) -> List[Verdict]:
 
 def check_young_lattice(n_max: int = 12) -> List[Verdict]:
     verdicts = []
-    for n, (cols, rows, entries) in sorted(_printed_m_matrices().items()):
+    for n, (cols, entries) in sorted(_printed_m_matrices().items()):
         m = younglat.path_matrix(n)
+        rows = [younglat.column(j) for j in range(1, n + 1)]
         ok = m.cols == cols and m.rows == rows and m.entries == entries
         verdicts.append(_verdict(f"M_{n} matches the reference matrix entry-for-entry", ok))
 

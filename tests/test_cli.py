@@ -322,9 +322,10 @@ def test_unknown_command_exits_nonzero():
 
 
 def test_exit_status_reflects_verdicts():
-    report = Report("demo", {}, verdicts=[Verdict("good", True)])
+    report = Report("demo", {})
+    report.verdicts = [Verdict("good", True)]
     assert report.all_passed
-    report = Report("demo", {}, verdicts=[Verdict("good", True), Verdict("bad", False)])
+    report.verdicts = [Verdict("good", True), Verdict("bad", False)]
     assert not report.all_passed
 
 

@@ -14,6 +14,7 @@ from galilei.exact import (
     polynomial_gcd,
     series_expand,
 )
+from galilei.symalg import SymElement
 
 
 def q(*coeffs):
@@ -282,3 +283,62 @@ def test_first_negative_coefficient():
     # q^3 (1+q+q^2) / (1 + q - q^3 - q^4 - q^5 + q^7 + q^8): turns at 18
     rf = RationalFunction(q(0, 0, 0, 1, 1, 1), q(1, 1, 0, -1, -1, -1, 0, 1, 1))
     assert series_expand(rf, 30).first_negative() == 18
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.choice((1, -1))
+    if kind == 2:
+        return rng.randint(-30, 30)
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def test_printed_sums_parse_back_to_their_coefficients():
+    # sympy reads each printed string (^ as **, each v[w] a symbol) and must
+    # find exactly the coefficients of the printed value
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2107)
+    for _ in range(300):
+        var = rng.choice("qx")
+        p = Polynomial(var, [_random_scalar(rng) for _ in range(rng.randint(0, 7))])
+        parsed = sympy.Poly(sympy.sympify(str(p).replace("^", "**")), sympy.Symbol(var))
+        got = [Fraction(str(c)) for c in reversed(parsed.all_coeffs())]
+        assert got == (list(p.coeffs) or [0]), str(p)
+
+        n = rng.randint(0, 5)
+        names = {f"v[{2 * i - n}]": sympy.Symbol(f"v{i}") for i in range(n + 1)}
+        terms = {
+            tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n + 1)): _random_scalar(rng)
+            for _ in range(rng.randint(0, 6))
+        }
+        element = SymElement(n, terms)
+        text = str(element).replace("^", "**")
+        for name, symbol in names.items():
+            text = text.replace(name, symbol.name)
+        parsed = sympy.Poly(sympy.sympify(text), *names.values())
+        got = {m: Fraction(str(c)) for m, c in parsed.terms() if c != 0}
+        assert got == element.terms, str(element)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Polynomial("x", ()), "0"),
+        (Polynomial("x", (0, -1)), "-x"),
+        (Polynomial("q", (-3,)), "-3"),
+        (Polynomial("q", (1, 0, -1)), "1 - q^2"),
+        (Polynomial("x", (Fraction(-5, 2), -1, 1)), "-5/2 - x + x^2"),
+        (SymElement(4), "0"),
+        (SymElement(4, {(0,) * 5: -3}), "-3"),
+        (SymElement(2, {(0, 0, 0): 1, (1, 0, 1): -1}), "1 - v[-2]*v[2]"),
+        (
+            SymElement(4, {(0, 0, 3, 0, 0): 1, (0, 1, 1, 1, 0): Fraction(-9, 2), (0, 2, 0, 0, 1): 7}),
+            "v[0]^3 - 9/2*v[-2]*v[0]*v[2] + 7*v[-2]^2*v[4]",
+        ),
+    ],
+)
+def test_printed_sum_edge_cases(value, text):
+    assert str(value) == text

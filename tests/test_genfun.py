@@ -1,3 +1,4 @@
+import ast
 import re
 from collections import Counter
 from math import comb
@@ -180,6 +181,41 @@ def test_weight_row_unpacks_fields_of_every_width():
             assert genfun.weight_row(k, n) == expected, (degree, n)
     genfun.clear_memo_caches()
     assert widths == set(range(1, 10))
+
+
+@pytest.mark.parametrize("k, degree, size", [(8, 120, 6), (32, 45, 10)])
+def test_recur_results_unpack_like_enum(k, degree, size):
+    # the recursion's result goes through the decoder of weight rows: machine
+    # words for 6-byte fields, int.from_bytes for 10-byte ones; f_enum reads
+    # its fields in place and shares no decoder with it
+    genfun.clear_memo_caches()
+    try:
+        assert genfun._recur_width(k, degree) == 8 * size
+        for l in (0, 1, 2, k, k * degree - 3):
+            assert genfun.f_recur(k, l, degree) == genfun.f_enum(k, l, degree), l
+    finally:
+        genfun.clear_memo_caches()
+
+
+def _genfun_functions_reached(name):
+    """The genfun functions ``name`` reaches through the names their bodies load."""
+    tree = ast.parse(Path(genfun.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn not in reached:
+            reached.add(fn)
+            todo += [n.id for n in ast.walk(defs[fn]) if isinstance(n, ast.Name) and n.id in defs]
+    return reached
+
+
+def test_enum_and_recursion_routes_share_no_genfun_function():
+    # criterion 1 cross-checks the two routes, so a decoder or table reader
+    # that both call could hide one bug from both
+    enum, recur = _genfun_functions_reached("f_enum"), _genfun_functions_reached("f_recur")
+    assert "_read_fields" in enum and "_unpack" in recur
+    assert not enum & recur, enum & recur
 
 
 def _table_highest_weight_first(k, degree):
