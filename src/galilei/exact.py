@@ -12,7 +12,10 @@ only its final ``monic`` leaves the integers.  Polynomials are dense in a
 single formal variable (``q`` for counting series, ``x`` for edge labels),
 rational functions are values kept in a canonical form with coprime
 numerator/denominator and monic denominator, with no arithmetic of their own,
-and truncated power series carry their truncation degree explicitly.
+and truncated power series carry their truncation degree explicitly.  Each
+value has one builder: ``Polynomial("x")`` is zero, ``Polynomial("q", (1,))``
+one, ``Polynomial("x", (0, 1))`` the variable, and a ``RationalFunction``
+takes both parts.
 ``_signed_sum`` is the one printer of a signed sum of terms, used by
 polynomials here and by ``symalg``'s elements.
 """
@@ -59,7 +62,7 @@ class Polynomial:
     Each coefficient is an ``int`` when it is integral and a ``Fraction``
     otherwise, as in ``TruncatedSeries``.  The coefficient list never has
     trailing zeros; the zero polynomial has an empty coefficient tuple and
-    degree ``-1`` (sentinel).
+    degree ``-1`` (sentinel).  ``divmod`` is the one division.
     """
 
     __slots__ = ("var", "coeffs")
@@ -70,30 +73,6 @@ class Polynomial:
             cs.pop()
         self.var = var
         self.coeffs = tuple(cs)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, var: str) -> "Polynomial":
-        return cls(var, ())
-
-    @classmethod
-    def constant(cls, var: str, c: ScalarLike) -> "Polynomial":
-        return cls(var, (c,))
-
-    @classmethod
-    def one(cls, var: str) -> "Polynomial":
-        return cls(var, (1,))
-
-    @classmethod
-    def variable(cls, var: str) -> "Polynomial":
-        return cls(var, (0, 1))
-
-    @classmethod
-    def monomial(cls, var: str, degree: int, coeff: ScalarLike = 1) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be non-negative")
-        return cls(var, (0,) * degree + (coeff,))
 
     # -- basic queries ------------------------------------------------------
 
@@ -111,11 +90,6 @@ class Polynomial:
             return self.coeffs[i]
         return 0
 
-    def leading_coefficient(self) -> ScalarLike:
-        if self.is_zero:
-            return 0
-        return self.coeffs[-1]
-
     def __call__(self, point: ScalarLike) -> ScalarLike:
         if type(point) is not int:
             point = _as_scalar(point)
@@ -132,7 +106,7 @@ class Polynomial:
                 raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.var, other)
+            return Polynomial(self.var, (other,))
         return None
 
     def __add__(self, other):
@@ -161,7 +135,7 @@ class Polynomial:
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.var)
+            return Polynomial(self.var)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -190,9 +164,6 @@ class Polynomial:
                     rem[shift + i] -= factor * c
         return Polynomial(self.var, quot), Polynomial(self.var, rem[:d])
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Division known a priori to be remainder-free; checked."""
         q, r = divmod(self, other)
@@ -203,7 +174,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        lead = self.leading_coefficient()
+        lead = self.coeffs[-1]
         return Polynomial(self.var, [Fraction(c, lead) for c in self.coeffs])
 
     def scale(self, c: ScalarLike) -> "Polynomial":
@@ -241,14 +212,14 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
     Nonzero constant factors leave the monic gcd unchanged, so each input is
     first cleared of denominators.  Scaling a by lead(b)^(deg a - deg b + 1)
-    then makes every quotient step of ``a % b`` an integer, and dividing each
-    remainder by its content keeps the coefficients small.
+    then makes every quotient step of a divided by b an integer, and dividing
+    each remainder by its content keeps the coefficients small.
     """
     if a.var != b.var:
         raise ValueError("variable mismatch in gcd")
     a, b = (p.scale(math.lcm(*(c.denominator for c in p.coeffs))) for p in (a, b))
     while b:
-        r = a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)) % b
+        r = divmod(a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)), b)[1]
         content = math.gcd(*r.coeffs)
         if content > 1:
             r = Polynomial(r.var, [c // content for c in r.coeffs])
@@ -263,26 +234,25 @@ class RationalFunction:
     monic, so structural equality decides equality of rational functions and
     the printed form is unique.  It is a value, not a field element: a check
     that combines closed forms works on their numerators and denominators and
-    compares a/b with c/d by cross-multiplying, a*d == c*b.
+    compares a/b with c/d by cross-multiplying, a*d == c*b.  Both parts are
+    always given; a zero numerator gets the denominator 1.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Optional[Polynomial] = None):
-        if den is None:
-            den = Polynomial.one(num.var)
+    def __init__(self, num: Polynomial, den: Polynomial):
         if num.var != den.var:
             raise ValueError("variable mismatch")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            den = Polynomial.one(num.var)
+            den = Polynomial(num.var, (1,))
         else:
             g = polynomial_gcd(num, den)
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead = den.leading_coefficient()
+            lead = den.coeffs[-1]
             if lead != 1:
                 num = num.scale(Fraction(1, lead))
                 den = den.scale(Fraction(1, lead))

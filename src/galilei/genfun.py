@@ -51,14 +51,14 @@ class StructureNotRecognizedError(RuntimeError):
 
 
 def _qpow(n: int) -> Polynomial:
-    return Polynomial.monomial("q", n)
+    return Polynomial("q", (0,) * n + (1,))
 
 
 def geometric_den(*degrees: int) -> Polynomial:
     """Product of (1 - q^d) over the given degrees."""
-    out = Polynomial.one("q")
+    out = one = Polynomial("q", (1,))
     for d in degrees:
-        out = out * (Polynomial.one("q") - _qpow(d))
+        out = out * (one - _qpow(d))
     return out
 
 
@@ -277,7 +277,7 @@ def f_recur(k: int, l: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries
 # ---------------------------------------------------------------------------
 
 def _closed_k3(l: int) -> RationalFunction:
-    one = Polynomial.one("q")
+    one = Polynomial("q", (1,))
     den = geometric_den(2, 2, 4)
     r = l % 3
     if r == 0:
@@ -285,14 +285,14 @@ def _closed_k3(l: int) -> RationalFunction:
     elif r == 1:
         num = (one + _qpow(2).scale(2) - _qpow((2 * l + 4) // 3)).shift((l + 2) // 3)
     else:
-        num = (Polynomial.constant("q", 2) + _qpow(2) - _qpow((2 * l + 2) // 3)).shift((l + 4) // 3)
+        num = (Polynomial("q", (2,)) + _qpow(2) - _qpow((2 * l + 2) // 3)).shift((l + 4) // 3)
     return RationalFunction(num, den)
 
 
 def _closed_k4(l: int) -> RationalFunction:
     if l % 2 == 1:
-        return RationalFunction(Polynomial.zero("q"))
-    one = Polynomial.one("q")
+        return RationalFunction(Polynomial("q"), Polynomial("q", (1,)))
+    one = Polynomial("q", (1,))
     den = geometric_den(1, 1, 2, 3)
     if l % 4 == 0:
         num = (one + _qpow(2) - _qpow(l // 4 + 1)).shift(l // 4)
@@ -346,13 +346,13 @@ def f_closed(k: int, l: int) -> RationalFunction:
         raise NoClosedFormError(f"no closed form for k={k}, l={l}")
     if k == 0:
         if l == 0:
-            return RationalFunction(Polynomial.one("q"), geometric_den(1))
-        return RationalFunction(Polynomial.zero("q"))
+            return RationalFunction(Polynomial("q", (1,)), geometric_den(1))
+        return RationalFunction(Polynomial("q"), Polynomial("q", (1,)))
     if k == 1:
         return RationalFunction(_qpow(l), geometric_den(2))
     if k == 2:
         if l % 2 == 1:
-            return RationalFunction(Polynomial.zero("q"))
+            return RationalFunction(Polynomial("q"), Polynomial("q", (1,)))
         return RationalFunction(_qpow(l // 2), geometric_den(1, 2))
     if k == 3:
         return _closed_k3(l)
@@ -493,7 +493,7 @@ def reconstruct_structure_series(
         geom = TruncatedSeries([1 if n % d == 0 else 0 for n in range(degree + 1)])
         out = out * geom
     if structure.relation_degree is not None:
-        rel = Polynomial.one("q") - _qpow(structure.relation_degree)
+        rel = Polynomial("q", (1,)) - _qpow(structure.relation_degree)
         out = out * TruncatedSeries.from_polynomial(rel, degree)
     return out
 

@@ -90,7 +90,7 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for j in row:
             col_nz[j].add(i)
     rows, cols = list(range(n)), list(range(n))
-    factor = Polynomial.one(var)
+    factor = Polynomial(var, (1,))
     pending = [(True, i) for i in range(n)] + [(False, j) for j in range(n)]
     while pending:
         is_row, k = pending.pop()
@@ -98,7 +98,7 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         if line is None or len(line) > 1:
             continue
         if not line:
-            return Polynomial.zero(var)
+            return Polynomial(var)
         (other,) = line
         i, j = (k, other) if is_row else (other, k)
         factor = factor * matrix[i][j]
@@ -134,8 +134,8 @@ def _newton_interpolate(var: str, values: Sequence[int]) -> Polynomial:
                 raise ArithmeticError("values do not come from an integer-coefficient polynomial")
             diffs[i] = q
     # Horner over the Newton basis x(x-1)...(x-t+1)
-    x = Polynomial.variable(var)
-    result = Polynomial.zero(var)
+    x = Polynomial(var, (0, 1))
+    result = Polynomial(var)
     for t in range(len(diffs) - 1, -1, -1):
         result = result * (x - t) + diffs[t]
     return result

@@ -12,7 +12,8 @@ Every weight of L(n) has the parity of n, so these coefficients are
 integers.  The e-coefficients are the fixed convention; the f-coefficients are
 forced by the sl2 relations and certified by the commutator property tests.
 Element coefficients follow ``exact``'s rule: an int when integral, a
-Fraction otherwise.
+Fraction otherwise.  An element is built from its term table alone, the
+invariants C2 and C3 of Sym(L(4)) included.
 
 The independence certificate is stated in the rescaled basis
 w_j = c_j * v_j, with c_j the product of the raising coefficients below j.
@@ -60,20 +61,6 @@ class SymElement:
                 clean[tuple(exps)] = coeff
         self.terms = clean
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def one(cls, n: int) -> "SymElement":
-        return cls(n, {(0,) * (n + 1): 1})
-
-    @classmethod
-    def generator(cls, n: int, weight: int) -> "SymElement":
-        """The basis vector of the given weight, as a degree-1 element."""
-        idx = _weight_index(n, weight)
-        exps = [0] * (n + 1)
-        exps[idx] = 1
-        return cls(n, {tuple(exps): 1})
-
     # -- structure -----------------------------------------------------------
 
     def _compatible(self, other: "SymElement"):
@@ -111,14 +98,6 @@ class SymElement:
                 out[key] = out.get(key, 0) + c1 * c2
         return SymElement(self.n, out)
 
-    def __pow__(self, k: int) -> "SymElement":
-        if k < 0:
-            raise ValueError("negative power")
-        result = SymElement.one(self.n)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, SymElement):
             return NotImplemented
@@ -150,12 +129,6 @@ class SymElement:
 
     def __repr__(self):
         return f"<SymElement n={self.n} {self}>"
-
-
-def _weight_index(n: int, weight: int) -> int:
-    if (weight + n) % 2 != 0 or abs(weight) > n:
-        raise ValueError(f"no basis vector of weight {weight} in L({n})")
-    return (weight + n) // 2
 
 
 def _raise_coefficient(n: int, weight: int) -> int:
@@ -215,32 +188,23 @@ def is_invariant(p: SymElement) -> bool:
 # The two invariants of Sym(L(4))
 # ---------------------------------------------------------------------------
 
-def _v4(weight: int) -> SymElement:
-    return SymElement.generator(4, weight)
-
-
 def build_C2() -> SymElement:
-    """The degree-2 invariant v0^2 - 3 v_{-2} v_2 + 12 v_{-4} v_4."""
-    return (
-        _v4(0) * _v4(0)
-        + (_v4(-2) * _v4(2)).scale(-3)
-        + (_v4(-4) * _v4(4)).scale(12)
-    )
+    """The degree-2 invariant v0^2 - 3 v_{-2} v_2 + 12 v_{-4} v_4, as a term
+    table over the exponents of (v_{-4}, v_{-2}, v_0, v_2, v_4)."""
+    return SymElement(4, {(0, 0, 2, 0, 0): 1, (0, 1, 0, 1, 0): -3, (1, 0, 0, 0, 1): 12})
 
 
 def build_C3() -> SymElement:
-    """The degree-3 invariant
-
-    v0^3 - 9/2 v_{-2} v0 v_2 + 27/2 v_{-2}^2 v_4 + 27/2 v_{-4} v_2^2
-    - 36 v_{-4} v0 v_4.
-    """
-    return (
-        _v4(0) ** 3
-        + (_v4(-2) * _v4(0) * _v4(2)).scale(Fraction(-9, 2))
-        + (_v4(-2) ** 2 * _v4(4)).scale(Fraction(27, 2))
-        + (_v4(-4) * _v4(2) ** 2).scale(Fraction(27, 2))
-        + (_v4(-4) * _v4(0) * _v4(4)).scale(-36)
-    )
+    """The degree-3 invariant v0^3 - 9/2 v_{-2} v0 v_2 + 27/2 v_{-2}^2 v_4
+    + 27/2 v_{-4} v_2^2 - 36 v_{-4} v0 v_4, as a term table over the exponents
+    of (v_{-4}, v_{-2}, v_0, v_2, v_4)."""
+    return SymElement(4, {
+        (0, 0, 3, 0, 0): 1,
+        (0, 1, 1, 1, 0): Fraction(-9, 2),
+        (0, 2, 0, 0, 1): Fraction(27, 2),
+        (1, 0, 0, 2, 0): Fraction(27, 2),
+        (1, 0, 1, 0, 1): -36,
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def _invariant_targets() -> Dict[int, RationalFunction]:
     """The Hilbert series (1 - q^e) / prod (1 - q^d) of each ring in ``_INVARIANT_RINGS``."""
     return {
         k: RationalFunction(
-            genfun.geometric_den(rel) if rel else Polynomial.one("q"), genfun.geometric_den(*gens)
+            genfun.geometric_den(rel) if rel else Polynomial("q", (1,)), genfun.geometric_den(*gens)
         )
         for k, (gens, rel) in _INVARIANT_RINGS.items()
     }
@@ -238,10 +238,9 @@ def check_structure_detection(degree: int = 60) -> List[Verdict]:
 
 def _printed_m_matrices() -> Dict[int, Tuple[List, List[List[Polynomial]]]]:
     """n -> (columns, entries) of the reference M_n; its rows are (1^1)..(1^n)."""
-    x = Polynomial.variable("x")
-    c = lambda v: Polynomial.constant("x", v)
-    zero = Polynomial.zero("x")
-    one = Polynomial.one("x")
+    x = Polynomial("x", (0, 1))
+    c = lambda v: Polynomial("x", (v,))
+    zero, one = c(0), c(1)
     return {
         1: ([partition(1)], [[one]]),
         2: ([partition(2), partition(1, 1)], [[one, x - c(1)], [zero, one]]),

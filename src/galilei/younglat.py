@@ -64,7 +64,7 @@ def column(k: int) -> Partition:
 
 @lru_cache(maxsize=None)
 def bounded_partitions(n: int) -> Tuple[Partition, ...]:
-    """All partitions of n with parts <= MAX_PART, in decreasing lex order."""
+    """Partitions of n with parts <= MAX_PART, in decreasing lex order, as the search meets them."""
     out: List[Tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, acc: Tuple[int, ...]):
@@ -75,7 +75,6 @@ def bounded_partitions(n: int) -> Tuple[Partition, ...]:
             rec(remaining - p, p, acc + (p,))
 
     rec(n, MAX_PART, ())
-    out.sort(reverse=True)
     return tuple(Partition(p) for p in out)
 
 
@@ -109,7 +108,7 @@ def edges_from(p: Partition) -> Tuple[Tuple[int, Polynomial], ...]:
         if new_value == 1:
             label = Polynomial("x", (-len(p), 1))
         else:
-            label = Polynomial.constant("x", p.count(new_value - 1))
+            label = Polynomial("x", (p.count(new_value - 1),))
         edges.append((positions[p[:row] + (new_value,) + p[row + 1 :]], label))
     return tuple(edges)
 
@@ -145,7 +144,7 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
             [(j, label if at is None else label(at)) for j, label in edges_from(p)]
             for p in levels[m]
         ]
-    zero, one = (Polynomial.zero("x"), Polynomial.one("x")) if at is None else (0, 1)
+    zero, one = (Polynomial("x"), Polynomial("x", (1,))) if at is None else (0, 1)
     entries = []
     for k in range(1, n + 1):
         weights: List[Optional[Weight]] = [None] * len(levels[k])
@@ -222,7 +221,7 @@ def build_Nn(n: int) -> PathMatrix:
     rows = dominance_extension(list(psi.values()))
     positions = _positions(n)
     row_index = {positions[r]: i for i, r in enumerate(rows)}
-    zero = Polynomial.zero("x")
+    zero = Polynomial("x")
     entries = [[zero] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
         for target, label in edges_from(c):

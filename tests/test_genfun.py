@@ -533,10 +533,8 @@ def test_planted_invariant_target_defect_names_coefficient(monkeypatch):
     def planted():
         targets = original()
         # the k=5 relation in degree 36 moved to degree 38
-        one = Polynomial.one("q")
-        targets[5] = RationalFunction(
-            one - Polynomial.monomial("q", 38), genfun.geometric_den(4, 8, 12, 18)
-        )
+        one = Polynomial("q", (1,))
+        targets[5] = RationalFunction(one - one.shift(38), genfun.geometric_den(4, 8, 12, 18))
         return targets
 
     monkeypatch.setattr(verify, "_invariant_targets", planted)
@@ -611,20 +609,19 @@ def test_closed_form_k3_l2_branch():
     # l = 2 (mod 3) branch: q^((l+4)/3) (2 + q^2 - q^((2l+2)/3)) over
     # (1-q^2)^2 (1-q^4)
     got = genfun.f_closed(3, 2)
-    num = Polynomial("q", (2, 0, 1)) - Polynomial.monomial("q", 2)
+    num = Polynomial("q", (2, 0, 1)) - Polynomial("q", (0, 0, 1))
     num = num.shift(2)
     expected = RationalFunction(num, genfun.geometric_den(2, 2, 4))
     assert got == expected
 
 
 def test_invariant_series_identities():
-    one = Polynomial.one("q")
-    mono = Polynomial.monomial
+    one = Polynomial("q", (1,))
     targets = {
         3: RationalFunction(one, genfun.geometric_den(4)),
         4: RationalFunction(one, genfun.geometric_den(2, 3)),
-        5: RationalFunction(one - mono("q", 36), genfun.geometric_den(4, 8, 12, 18)),
-        6: RationalFunction(one - mono("q", 30), genfun.geometric_den(2, 4, 6, 10, 15)),
+        5: RationalFunction(one - one.shift(36), genfun.geometric_den(4, 8, 12, 18)),
+        6: RationalFunction(one - one.shift(30), genfun.geometric_den(2, 4, 6, 10, 15)),
     }
     for k, target in targets.items():
         num, den = closed_difference(k, 0)

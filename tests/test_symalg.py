@@ -10,6 +10,11 @@ from galilei import symalg, verify, younglat
 from galilei.symalg import SymElement, adjoint_action as act
 
 
+def _basis(n, i):
+    """The basis vector of weight -n + 2i in Sym(L(n)), as a degree-1 element."""
+    return SymElement(n, {tuple(int(j == i) for j in range(n + 1)): 1})
+
+
 def monomials_up_to(n, max_degree):
     for degree in range(max_degree + 1):
         for combo in combinations_with_replacement(range(n + 1), degree):
@@ -37,11 +42,7 @@ def weight_component_monomials(n, degree, weight):
 
 
 def test_basis_action_examples():
-    v4 = SymElement.generator(4, 4)
-    vm4 = SymElement.generator(4, -4)
-    vm2 = SymElement.generator(4, -2)
-    v2 = SymElement.generator(4, 2)
-    v0 = SymElement.generator(4, 0)
+    vm4, vm2, v0, v2, v4 = (_basis(4, i) for i in range(5))
     assert act("e", v4).is_zero
     assert act("e", vm4) == vm2
     assert act("e", vm2) == v0.scale(2)
@@ -105,16 +106,44 @@ def test_invariants():
     assert act("e", c2).is_zero and act("f", c2).is_zero
     assert act("e", c3).is_zero and act("f", c3).is_zero
     assert symalg.is_invariant(c2 * c3)
-    assert symalg.is_invariant(SymElement.one(4))
-    assert not symalg.is_invariant(SymElement.generator(4, 0))
+    assert symalg.is_invariant(SymElement(4, {(0,) * 5: 1}))
+    assert not symalg.is_invariant(_basis(4, 2))
+
+
+def test_invariant_tables_match_products_of_basis_vectors():
+    """The term tables of C2 and C3 against their construction as sums of
+    scaled products of basis vectors, coefficient types included."""
+    vm4, vm2, v0, v2, v4 = (_basis(4, i) for i in range(5))
+    c2 = v0 * v0 + (vm2 * v2).scale(-3) + (vm4 * v4).scale(12)
+    c3 = (
+        v0 * v0 * v0
+        + (vm2 * v0 * v2).scale(Fraction(-9, 2))
+        + (vm2 * vm2 * v4).scale(Fraction(27, 2))
+        + (vm4 * v2 * v2).scale(Fraction(27, 2))
+        + (vm4 * v0 * v4).scale(-36)
+    )
+
+    def typed(element):
+        return {exps: (c, type(c)) for exps, c in element.terms.items()}
+
+    assert typed(symalg.build_C2()) == typed(c2) == {
+        (0, 0, 2, 0, 0): (1, int),
+        (0, 1, 0, 1, 0): (-3, int),
+        (1, 0, 0, 0, 1): (12, int),
+    }
+    assert typed(symalg.build_C3()) == typed(c3) == {
+        (0, 0, 3, 0, 0): (1, int),
+        (0, 1, 1, 1, 0): (Fraction(-9, 2), Fraction),
+        (0, 2, 0, 0, 1): (Fraction(27, 2), Fraction),
+        (1, 0, 0, 2, 0): (Fraction(27, 2), Fraction),
+        (1, 0, 1, 0, 1): (-36, int),
+    }
 
 
 def test_independence_small_cases():
     assert symalg.independence_check(1) == 1
     vectors = symalg.independence_vectors(2)
-    v_m4 = SymElement.generator(4, -4)
-    v_m2 = SymElement.generator(4, -2)
-    v_0 = SymElement.generator(4, 0)
+    v_m4, v_m2, v_0 = (_basis(4, i) for i in range(3))
     assert vectors[0] == v_m2 * v_m2
     # e(v_{-4} v_{-2}) = v_{-2}^2 + 2 v_{-4} v_0
     assert vectors[1] == v_m2 * v_m2 + (v_m4 * v_0).scale(2)
@@ -187,10 +216,12 @@ def test_criterion_6_applies_nine_actions_per_relation_monomial(monkeypatch):
 
 
 def test_independence_vectors_match_the_power_chain_construction():
-    v_m4, v_m2 = SymElement.generator(4, -4), SymElement.generator(4, -2)
+    v_m4, v_m2 = _basis(4, 0), _basis(4, 1)
     for k in range(1, 13):
         for i, got in enumerate(symalg.independence_vectors(k)):
-            p = v_m4 ** i * v_m2 ** (k - i)
+            p = SymElement(4, {(0,) * 5: 1})
+            for factor in [v_m4] * i + [v_m2] * (k - i):
+                p = p * factor
             for _ in range(i):
                 p = act("e", p)
             assert got.terms == p.terms, (k, i)
@@ -254,6 +285,6 @@ def test_float_and_string_scalars_are_rejected():
     with pytest.raises(TypeError):
         SymElement(4, {(1, 0, 0, 0, 0): 0.1})
     with pytest.raises(TypeError):
-        SymElement.one(4).scale("1/3")
+        _basis(4, 0).scale("1/3")
     with pytest.raises(TypeError):
-        SymElement.one(4).scale(0.5)
+        _basis(4, 0).scale(0.5)

@@ -17,6 +17,10 @@ A public method or property whose name is loaded as an attribute nowhere in
 the package outside its own class is likewise reached only from the tests or
 from its own class, whose reader could compute it in place.  Dunder methods
 are left out: the language calls them.
+
+A class method whose body, apart from its docstring, is a single
+``return cls(...)`` restates the constructor under a second name; callers
+call the constructor.
 """
 
 import ast
@@ -120,6 +124,33 @@ def method_reads():
     }
 
 
+def _is_constructor_wrapper(method):
+    """Whether a method node is a class method whose body, apart from its
+    docstring, is a single ``return cls(...)``."""
+    if not any(isinstance(d, ast.Name) and d.id == "classmethod" for d in method.decorator_list):
+        return False
+    body = method.body[1:] if ast.get_docstring(method) is not None else method.body
+    return (
+        len(body) == 1
+        and isinstance(body[0], ast.Return)
+        and isinstance(body[0].value, ast.Call)
+        and isinstance(body[0].value.func, ast.Name)
+        and body[0].value.func.id == "cls"
+    )
+
+
+def constructor_wrappers():
+    """Names, as "module.Class.method", of the package's constructor wrappers."""
+    return [
+        f"{path.stem}.{cls.name}.{method.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and _is_constructor_wrapper(method)
+    ]
+
+
 def test_every_class_field_is_read_in_the_package():
     reads = field_reads()
     # the scan sees both kinds of declaration, and the fields under a label
@@ -136,5 +167,26 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_every_public_method_is_read_in_the_package():
     reads = method_reads()
     # the scan sees methods, class methods and properties
-    assert reads.keys() >= {"exact.Polynomial.monic", "exact.Polynomial.zero", "exact.Polynomial.degree"}
+    assert reads.keys() >= {"exact.Polynomial.monic", "exact.TruncatedSeries.from_polynomial", "exact.Polynomial.degree"}
     assert sorted(method for method, read in reads.items() if not read) == []
+
+
+def test_no_class_method_only_restates_the_constructor():
+    # the check sees a wrapper, with or without a docstring, and passes a
+    # class method that does more than call the constructor
+    (example,) = ast.parse(
+        "class P:\n"
+        "    @classmethod\n"
+        "    def zero(cls, var):\n"
+        "        return cls(var, ())\n"
+        "    @classmethod\n"
+        "    def one(cls, var):\n"
+        "        \"\"\"One.\"\"\"\n"
+        "        return cls(var, (1,))\n"
+        "    @classmethod\n"
+        "    def padded(cls, p, n):\n"
+        "        head = p[:n]\n"
+        "        return cls(head)\n"
+    ).body
+    assert [_is_constructor_wrapper(m) for m in example.body] == [True, True, False]
+    assert constructor_wrappers() == []
