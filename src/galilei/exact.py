@@ -91,8 +91,6 @@ class Polynomial:
         return 0
 
     def __call__(self, point: ScalarLike) -> ScalarLike:
-        if type(point) is not int:
-            point = _as_scalar(point)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -118,8 +116,6 @@ class Polynomial:
             self.var,
             [self.coefficient(i) + other.coefficient(i) for i in range(n)],
         )
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Polynomial(self.var, [-c for c in self.coeffs])
@@ -298,20 +294,6 @@ class TruncatedSeries:
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.truncation, other.truncation)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):

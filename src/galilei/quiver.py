@@ -1,5 +1,7 @@
 """Block quivers of the fixed-central-character category and their projectives.
 
+The arrows follow the reflection rule of ``sl2rep.hc_tensor`` at the outer
+indices j = n - 4 and n + 4 of L(4) (x) V(n), as ``arrows_from`` states.
 The simples fall into three blocks:
 
 1. V(n) for odd n, arranged on a line ... V(11) - V(7) - V(3) - V(1) - V(5)
@@ -28,28 +30,15 @@ from .sl2rep import SimpleHC, V, Vp, hc_tensor
 
 
 def arrows_from(s: SimpleHC) -> List[SimpleHC]:
-    """Targets of the quiver arrows out of s (each arrow has multiplicity 1)."""
+    """Targets of the arrows out of s, each of multiplicity 1: V(n) points
+    to V(|n - 4|) and V(n + 4), except that the j = 0 arrow of V(4) goes to
+    both V'(0) and V'(2); each primed simple points to V(4) alone."""
     if s.primed:
         return [V(4)]
     n = s.index
-    if n % 2 == 1:
-        targets = []
-        if n - 4 >= 1:
-            targets.append(V(n - 4))
-        if n == 1:
-            targets.append(V(3))
-        if n == 3:
-            targets.append(V(1))
-        targets.append(V(n + 4))
-        return sorted(targets)
-    if n % 4 == 2:
-        if n == 2:
-            return [V(2), V(6)]  # loop, then along the half-line
-        return [V(n - 4), V(n + 4)]
-    # n = 0 (mod 4)
     if n == 4:
         return [Vp(0), Vp(2), V(8)]
-    return [V(n - 4), V(n + 4)]
+    return [V(abs(n - 4)), V(n + 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ list of finite-dimensional types
     V'(0): L(0), L(4), L(8), ...      V'(2): L(2), L(6), L(10), ...
     V(n):  L(n), L(n+2), L(n+4), ...
 
-and the explicit case split for tensoring with L(k).
+and one reflection rule for tensoring with L(k), stated at ``hc_tensor``:
+Clebsch-Gordan's range of indices, with the indices below 0 reflected.
 """
 
 from __future__ import annotations
@@ -176,39 +177,25 @@ def g_types(s: SimpleHC, max_l: int) -> Dict[int, int]:
 
 
 def hc_tensor(k: int, s: SimpleHC) -> HCMultiset:
-    """Decomposition of L(k) (x) s into simples, by the explicit case split."""
+    """Decomposition of L(k) (x) s into simples, by one reflection rule.
+
+    L(k) (x) V(n) has V(|j|) for each j = n - k, n - k + 2, ..., n + k:
+    ``clebsch_gordan``'s range, with a j below 0 reflected, not dropped, and
+    j = 0 standing for V'(0) + V'(2).  L(k) (x) V'(s) is half of the n = 0
+    case: V(j) for j = 1..k of k's parity, and V'((s + k) mod 4) for even k.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
     out: HCMultiset = Counter()
     if s.primed:
-        if k % 2 == 1:
-            out.update(V(j) for j in range(1, k + 1, 2))
-        else:
-            if k % 4 == 0:
-                out[s] += 1
-            else:
-                out[Vp(2 if s.index == 0 else 0)] += 1
-            out.update(V(j) for j in range(2, k + 1, 2))
+        if k % 2 == 0:
+            out[Vp((s.index + k) % 4)] += 1
+        out.update(V(j) for j in range(2 - k % 2, k + 1, 2))
         return out
-
     n = s.index
-    if k < n:
-        out.update(V(j) for j in range(n - k, n + k + 1, 2))
-    elif k == n:
-        out[Vp(0)] += 1
-        out[Vp(2)] += 1
-        out.update(V(j) for j in range(2, 2 * n + 1, 2))
-    else:
-        # k > n; k = n is handled above, so the doubled range is non-empty.
-        if (k - n) % 2 == 0:
-            out[Vp(0)] += 1
-            out[Vp(2)] += 1
-            doubled = range(2, k - n + 1, 2)
-        else:
-            doubled = range(1, k - n + 1, 2)
-        for j in doubled:
-            out[V(j)] += 2
-        out.update(V(j) for j in range(k - n + 2, k + n + 1, 2))
+    if k >= n and (k - n) % 2 == 0:
+        out.update((Vp(0), Vp(2)))
+    out.update(V(abs(j)) for j in range(n - k, n + k + 1, 2) if j)
     return out
 
 

@@ -71,13 +71,6 @@ class SymElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "SymElement") -> "SymElement":
-        self._compatible(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return SymElement(self.n, out)
-
     def __sub__(self, other: "SymElement") -> "SymElement":
         self._compatible(other)
         out = dict(self.terms)

@@ -498,6 +498,8 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
         )
     )
 
+    # the 8 cover each case of the paper's statement: primed with k odd, k = 0
+    # and k = 2 (mod 4); k < n, k = n, and k > n with k - n even and odd
     printed = [
         (0, V(3), Counter({V(3): 1})),
         (6, Vp(0), Counter({Vp(2): 1, V(2): 1, V(4): 1, V(6): 1})),

@@ -749,7 +749,9 @@ def test_planted_C3_defect_fails_check_invariants_and_criterion_6(capsys, monkey
 
     def planted():
         # the coefficient of v_{-4} v_0 v_4 moved from -36 to -35
-        return original() + symalg.SymElement(4, {(1, 0, 1, 0, 1): 1})
+        terms = dict(original().terms)
+        terms[1, 0, 1, 0, 1] += 1
+        return symalg.SymElement(4, terms)
 
     monkeypatch.setattr(symalg, "build_C3", planted)
     code, out, _ = run_cli(capsys, "symalg", "check-invariants", "--format", "structured")

@@ -355,8 +355,18 @@ def test_f_enum_reads_the_cells_of_sym_weight_dim():
     assert 4 not in genfun._enum_tables
 
 
+def _difference(a, b):
+    """The series a - b, subtracted coefficient by coefficient."""
+    return TruncatedSeries([x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def _negated(a):
+    """The series -a, negated coefficient by coefficient."""
+    return TruncatedSeries([-x for x in a.coeffs])
+
+
 def _enum_difference(k, l, degree):
-    return genfun.f_enum(k, l, degree) - genfun.f_enum(k, l + 2, degree)
+    return _difference(genfun.f_enum(k, l, degree), genfun.f_enum(k, l + 2, degree))
 
 
 def test_multiplicity_series_reads_two_cells_of_sym_weight_dim():
@@ -402,15 +412,15 @@ def test_planted_multiplicity_reads_fail_criteria_2_and_3(monkeypatch):
     # never occurs in Sym(L(4)) (F_2 = F_4); k = 3, 5, 6 and both quotients fail
     assert genfun.f_enum(4, 2, 60) == genfun.f_enum(4, 4, 60)
     monkeypatch.setattr(genfun, "_multiplicity_series",
-                        lambda k, l, degree: genfun.f_enum(k, l, degree) - genfun.f_enum(k, l + 4, degree))
+                        lambda k, l, degree: _difference(genfun.f_enum(k, l, degree), genfun.f_enum(k, l + 4, degree)))
     assert _invariant_and_freeness_verdicts() == ([False, True, False, False], ["got 13", "got 9"])
     # the sign flipped: every invariant series starts at -1, while the quotient
     # divides a negated numerator by a negated divisor and stays as it was
-    monkeypatch.setattr(genfun, "_multiplicity_series", lambda k, l, degree: -original(k, l, degree))
+    monkeypatch.setattr(genfun, "_multiplicity_series", lambda k, l, degree: _negated(original(k, l, degree)))
     assert _invariant_and_freeness_verdicts() == ([False] * 4, [])
     # the sign flipped in the numerator only: its first nonzero term turns negative
     monkeypatch.setattr(genfun, "_multiplicity_series",
-                        lambda k, l, degree: original(k, l, degree) if l == 0 else -original(k, l, degree))
+                        lambda k, l, degree: original(k, l, degree) if l == 0 else _negated(original(k, l, degree)))
     assert _invariant_and_freeness_verdicts() == ([True] * 4, ["got 5", "got 3"])
 
 
@@ -704,16 +714,16 @@ def test_telescoping_and_total_dimension():
     # peeling is valid: F_l - F_{l+2} is coefficientwise non-negative
     for k in (4, 5):
         for l in range(0, 10):
-            diff = genfun.f_enum(k, l, n_max) - genfun.f_enum(k, l + 2, n_max)
+            diff = _enum_difference(k, l, n_max)
             assert diff.first_negative() is None
     # telescoping reconstructs F_{l0} (either parity) once the tail vanishes
     for k, l0 in ((4, 0), (5, 0), (5, 1)):
-        total = genfun.f_enum(k, 0, n_max) - genfun.f_enum(k, 0, n_max)
+        total = [0] * (n_max + 1)
         l = l0
         while l <= k * n_max:
-            total = total + (genfun.f_enum(k, l, n_max) - genfun.f_enum(k, l + 2, n_max))
+            total = [t + c for t, c in zip(total, _enum_difference(k, l, n_max).coeffs)]
             l += 2
-        assert total == genfun.f_enum(k, l0, n_max)
+        assert TruncatedSeries(total) == genfun.f_enum(k, l0, n_max)
     # counting every weight recovers the full symmetric-power dimension
     for k in range(0, 7):
         for n in range(0, 9):

@@ -52,6 +52,57 @@ def test_ext_dimensions():
     assert V(6) not in quiver.arrows_from(V(6))  # no loop away from V(2)
 
 
+def _case_split_arrows(s):
+    """Arrows out of s by the paper's per-block case split, as the package
+    stated it before the reflection rule: the oracle that the rule reproduces."""
+    if s.primed:
+        return [V(4)]
+    n = s.index
+    if n % 2 == 1:
+        targets = []
+        if n - 4 >= 1:
+            targets.append(V(n - 4))
+        if n == 1:
+            targets.append(V(3))
+        if n == 3:
+            targets.append(V(1))
+        targets.append(V(n + 4))
+        return sorted(targets)
+    if n % 4 == 2:
+        if n == 2:
+            return [V(2), V(6)]  # loop, then along the half-line
+        return [V(n - 4), V(n + 4)]
+    if n == 4:
+        return [Vp(0), Vp(2), V(8)]
+    return [V(n - 4), V(n + 4)]
+
+
+def test_reflection_rule_matches_the_case_split():
+    for s in all_simples(400):
+        assert quiver.arrows_from(s) == _case_split_arrows(s), str(s)
+
+
+def test_planted_unreflected_arrow_fails_criterion_9(monkeypatch):
+    # V(n) -> V(max(n - 4, 1)) in place of V(|n - 4|): V(1) loses its arrow
+    # to V(3) and V(2) its loop, and both point to V(1) instead
+    names = ["first radical layers of P(1)..P(5)", "path-counted filtrations match the branch picture"]
+
+    def passed():
+        return [v.passed for v in verify.check_quivers() if any(v.name.startswith(n) for n in names)]
+
+    assert passed() == [True, True] and all(v.passed for v in verify.check_quivers())
+    original = quiver.arrows_from
+
+    def planted(s):
+        if s.primed or s == V(4):
+            return original(s)
+        return [V(max(s.index - 4, 1)), V(s.index + 4)]
+
+    monkeypatch.setattr(quiver, "arrows_from", planted)
+    assert passed() == [False, False]
+    assert sum(not v.passed for v in verify.check_quivers()) == 2
+
+
 def test_arrows_are_symmetric_between_distinct_vertices():
     for s in all_simples(24):
         for t in all_simples(24):

@@ -213,6 +213,67 @@ def test_q0_column_sums():
         assert column == sl2rep.q0_multiplicity(l)
 
 
+def _case_split_tensor(k, s):
+    """L(k) (x) s by the paper's case split, as the package stated it before
+    the reflection rule: the oracle that the rule reproduces."""
+    out = Counter()
+    if s.primed:
+        if k % 2 == 1:
+            out.update(V(j) for j in range(1, k + 1, 2))
+        else:
+            if k % 4 == 0:
+                out[s] += 1
+            else:
+                out[Vp(2 if s.index == 0 else 0)] += 1
+            out.update(V(j) for j in range(2, k + 1, 2))
+        return out
+
+    n = s.index
+    if k < n:
+        out.update(V(j) for j in range(n - k, n + k + 1, 2))
+    elif k == n:
+        out[Vp(0)] += 1
+        out[Vp(2)] += 1
+        out.update(V(j) for j in range(2, 2 * n + 1, 2))
+    else:
+        if (k - n) % 2 == 0:
+            out[Vp(0)] += 1
+            out[Vp(2)] += 1
+            doubled = range(2, k - n + 1, 2)
+        else:
+            doubled = range(1, k - n + 1, 2)
+        for j in doubled:
+            out[V(j)] += 2
+        out.update(V(j) for j in range(k - n + 2, k + n + 1, 2))
+    return out
+
+
+def test_reflection_rule_matches_the_case_split():
+    for k in range(61):
+        for s in [Vp(0), Vp(2)] + [V(n) for n in range(1, 61)]:
+            assert sl2rep.hc_tensor(k, s) == _case_split_tensor(k, s), (k, str(s))
+
+
+def test_planted_dropped_j0_pair_fails_criteria_8_and_9(monkeypatch):
+    # L(k) (x) V(n) without the pair V'(0) + V'(2) that j = 0 stands for
+    def passed():
+        assert verify.check_quivers()[-1].name.startswith("tensor identities")
+        return [v.passed for v in verify.check_tensor_calculus() + verify.check_quivers()]
+
+    assert passed() == [True] * 8
+    original = sl2rep.hc_tensor
+
+    def planted(k, s):
+        out = original(k, s)
+        if not s.primed:
+            del out[Vp(0)], out[Vp(2)]
+        return out
+
+    monkeypatch.setattr(sl2rep, "hc_tensor", planted)
+    # apart from its tensor identities, criterion 9 tensors only with V'(0)
+    assert passed() == [False] * 3 + [True] * 4 + [False]
+
+
 def test_hc_tensor_printed_cases():
     assert sl2rep.hc_tensor(0, V(3)) == Counter({V(3): 1})
     assert sl2rep.hc_tensor(6, Vp(0)) == Counter({Vp(2): 1, V(2): 1, V(4): 1, V(6): 1})

@@ -21,9 +21,21 @@ are left out: the language calls them.
 A class method whose body, apart from its docstring, is a single
 ``return cls(...)`` restates the constructor under a second name; callers
 call the constructor.
+
+The name checks cannot see dunder methods, which the language calls, so
+every function of the package, dunders included, must also be entered when
+the README's commands and ``verify all`` run through ``cli.main`` under a
+profiler; the few that no command enters are allowlisted, each with its
+reason.
 """
 
 import ast
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import galilei
@@ -33,6 +45,19 @@ PACKAGE = Path(galilei.__file__).parent
 ALLOWED = {
     "clear_memo_caches": "the tests' memo reset between planted-defect runs",
     "sym_weight_dim": "one table cell by its own index rules: the tests' oracle for f_enum's in-place reads",
+}
+
+
+NOT_ENTERED = {
+    "exact.Polynomial.__repr__": "a debugging display; reports print str",
+    "exact.RationalFunction.__repr__": "a debugging display; reports print str",
+    "exact.TruncatedSeries.__repr__": "a debugging display; reports print str",
+    "symalg.SymElement.__repr__": "a debugging display; reports print str",
+    "younglat.PathMatrix.__repr__": "a debugging display that leaves out the entries",
+    "exact.RationalFunction.__eq__": "without it, == on closed forms compares identity",
+    "genfun.sym_weight_dim": ALLOWED["sym_weight_dim"],
+    "genfun.clear_memo_caches": ALLOWED["clear_memo_caches"],
+    "verify._series_mismatch": "the detail of a failing series verdict, which planted tests reach",
 }
 
 
@@ -190,3 +215,71 @@ def test_no_class_method_only_restates_the_constructor():
     ).body
     assert [_is_constructor_wrapper(m) for m in example.body] == [True, True, False]
     assert constructor_wrappers() == []
+
+
+# Runs each command line (a JSON list of argv lists) through cli.main with a
+# profiler set before the package is imported, and prints the (file, first
+# line) of every code object entered.
+_PROFILED_RUN = """
+import contextlib, io, json, sys
+entered = set()
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(hook)
+from galilei import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def readme_commands():
+    """The argv lists of the README's command-line block, without the
+    ``verify all [--quick]`` synopsis line."""
+    block = re.search(r"```\n(galilei .*?)```", (PACKAGE.parents[1] / "README.md").read_text(),
+                      re.DOTALL).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if "[" not in line]
+
+
+def package_functions():
+    """{(file, first line): "module.Class.function"} for every function of the
+    package; a decorated function starts at its first decorator, as its code
+    object does."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text(), filename=str(path)), path.stem)]
+        while stack:
+            node, name = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = name
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{name}.{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[str(path.resolve()), first] = inner
+                stack.append((child, inner))
+    return found
+
+
+def entered_code(commands):
+    """(file, first line) of every code object that running ``commands`` enters."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", _PROFILED_RUN, json.dumps(commands)],
+                         env=env, capture_output=True, text=True, check=True)
+    return {(str(Path(f).resolve()), line) for f, line in json.loads(out.stdout)}
+
+
+def test_every_function_is_entered_by_the_commands():
+    commands = readme_commands() + [["verify", "all"], ["verify", "all", "--quick"],
+                                     ["verify", "all", "--format", "structured"]]
+    assert ["quiver", "blocks"] in commands and len(commands) >= 14
+    functions = package_functions()
+    # the scan sees dunders, properties, decorated and nested functions
+    assert {"exact.Polynomial.__mul__", "exact.Polynomial.degree", "sl2rep.SimpleHC.parse",
+            "younglat.bounded_partitions", "younglat.bounded_partitions.rec"} <= set(functions.values())
+    entered = entered_code(commands)
+    missed = {name for key, name in functions.items() if key not in entered}
+    assert sorted(missed) == sorted(NOT_ENTERED)
