@@ -70,11 +70,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _series_ints(series) -> List:
-    # every exposed series has integer coefficients; keep fractions printable
-    return [c if type(c) is int else str(c) for c in series.coeffs]
-
-
 # ---------------------------------------------------------------------------
 # Handlers, one per command of the table COMMANDS below
 # ---------------------------------------------------------------------------
@@ -92,18 +87,20 @@ def _cmd_genfun_series(args, rep: Report) -> None:
         # --method all (CPython 3.11, 2 cores).
         _cell_bound(f"the recursion for k={args.k} to degree {args.degree}",
                     (args.k + 1) // 2 * (args.degree + 1) * (args.k * args.degree + 1))
-    methods = {}
-    if args.method in ("enum", "all"):
-        methods["enum"] = genfun.f_enum(args.k, args.l, args.degree)
     # a route asked for by name refuses its own domain; `all` skips it there
-    if args.method == "recur" or (args.method == "all" and args.k >= 2):
+    routes = (("enum",) + genfun.series_routes(args.k, args.l)
+              if args.method == "all" else (args.method,))
+    methods = {}
+    if "enum" in routes:
+        methods["enum"] = genfun.f_enum(args.k, args.l, args.degree)
+    if "recur" in routes:
         methods["recur"] = genfun.f_recur(args.k, args.l, args.degree)
-    if args.method == "closed" or (args.method == "all" and genfun.has_closed_form(args.k, args.l)):
+    if "closed" in routes:
         rf = genfun.f_closed(args.k, args.l)
         rep.results["closed_form"] = str(rf)
         methods["closed"] = series_expand(rf, args.degree)
     for name, series in methods.items():
-        rep.results[f"{name}_coefficients"] = _series_ints(series)
+        rep.results[f"{name}_coefficients"] = list(series.coeffs)
     if args.method == "all":
         rep.verdicts = [
             verify_mod.route_verdict(name, series, methods["enum"])
@@ -114,7 +111,7 @@ def _cmd_genfun_series(args, rep: Report) -> None:
 
 def _cmd_genfun_invariants(args, rep: Report) -> None:
     _series_bound(args.k, args.degree)
-    rep.results["hilbert_series"] = _series_ints(genfun.invariant_series(args.k, args.degree))
+    rep.results["hilbert_series"] = list(genfun.invariant_series(args.k, args.degree).coeffs)
     structure, recognized = verify_mod.structure_verdict(args.k, args.degree)
     if structure is not None:
         rep.results["structure"] = structure.describe()
@@ -128,7 +125,7 @@ def _cmd_genfun_freeness(args, rep: Report) -> None:
     _series_bound(args.k, args.degree)
     _bound("--l", args.l, SERIES_MAX_L, "series")
     series, negative = genfun.freeness_quotient(args.k, args.l, args.degree)
-    rep.results["quotient_coefficients"] = _series_ints(series)
+    rep.results["quotient_coefficients"] = list(series.coeffs)
     if negative is None:
         rep.results["first_negative"] = "first negative coefficient: none"
     else:

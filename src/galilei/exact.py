@@ -1,21 +1,24 @@
 """Exact scalar, polynomial and truncated-series arithmetic, and rational functions.
 
-Every value here is exact; no floating point is used anywhere.  Polynomial,
-rational-function and truncated-series coefficients are held as ``int``
-wherever they are integral and as ``fractions.Fraction`` only where a real
-denominator appears, since every counting series and every edge label here
-has integer coefficients.  ``_as_scalar`` is the one place that rule lives,
-and every division of coefficients is an exact ``Fraction(a, b)`` normalised
-by it, so callers take ints as they come.  The gcd clears denominators and
-runs by primitive pseudo-remainders, whose divisions all come out as ints;
-only its final ``monic`` leaves the integers.  Polynomials are dense in a
-single formal variable (``q`` for counting series, ``x`` for edge labels),
-rational functions are values kept in a canonical form with coprime
-numerator/denominator and monic denominator, with no arithmetic of their own,
-and truncated power series carry their truncation degree explicitly.  Each
-value has one builder: ``Polynomial("x")`` is zero, ``Polynomial("q", (1,))``
-one, ``Polynomial("x", (0, 1))`` the variable, and a ``RationalFunction``
-takes both parts.
+Every value here is exact; no floating point is used anywhere.  Rational
+functions and truncated series are integer values: every generating function
+checked here is a ratio of integer polynomials whose denominator is a product
+of (1 - q^d) up to sign, so a part or coefficient that is not an ``int`` is a
+``TypeError``.  Polynomials may also hold ``fractions.Fraction`` coefficients,
+where a real denominator appears (``symalg``'s C3 has -9/2 and 27/2):
+``_as_scalar`` keeps each coefficient an ``int`` wherever it is integral, and
+every division of coefficients is an exact ``Fraction(a, b)`` normalised by
+it, so callers take ints as they come.  The gcd runs by primitive
+pseudo-remainders, whose divisions all come out as ints, and returns the
+primitive gcd with a positive lead.  Polynomials are dense in a single formal
+variable (``q`` for counting series, ``x`` for edge labels), rational
+functions are values kept in a canonical form, a coprime integer pair whose
+denominator has positive lead, with no arithmetic of their own, and truncated
+power series carry their truncation degree explicitly and divide only by a
+unit of Z[[q]], a series with constant term 1 or -1.  Each value has one
+builder: ``Polynomial("x")`` is zero, ``Polynomial("q", (1,))`` one,
+``Polynomial("x", (0, 1))`` the variable, and a ``RationalFunction`` takes
+both parts.
 ``_signed_sum`` is the one printer of a signed sum of terms, used by
 polynomials here and by ``symalg``'s elements.
 """
@@ -167,12 +170,6 @@ class Polynomial:
             raise ArithmeticError("division was not exact")
         return q
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial(self.var, [Fraction(c, lead) for c in self.coeffs])
-
     def scale(self, c: ScalarLike) -> "Polynomial":
         c = _as_scalar(c)
         return Polynomial(self.var, [a * c for a in self.coeffs])
@@ -203,35 +200,46 @@ class Polynomial:
         return f"Polynomial({self.var!r}, {self.coeffs!r})"
 
 
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals, by primitive pseudo-remainders.
+def _primitive(*parts: Polynomial) -> Tuple[Polynomial, ...]:
+    """The integer parts divided by the gcd of all their coefficients, and
+    signed so that the last part, when nonzero, has a positive lead; parts
+    that are all zero come back as they are."""
+    content = math.gcd(*(c for p in parts for c in p.coeffs))
+    if parts[-1] and parts[-1].coeffs[-1] < 0:
+        content = -content
+    if content in (0, 1):
+        return parts
+    return tuple(Polynomial(p.var, [c // content for c in p.coeffs]) for p in parts)
 
-    Nonzero constant factors leave the monic gcd unchanged, so each input is
-    first cleared of denominators.  Scaling a by lead(b)^(deg a - deg b + 1)
-    then makes every quotient step of a divided by b an integer, and dividing
-    each remainder by its content keeps the coefficients small.
+
+def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Primitive gcd of two integer polynomials, with a positive lead.
+
+    It runs by primitive pseudo-remainders: scaling a by
+    lead(b)^(deg a - deg b + 1) makes every quotient step of a divided by b an
+    integer, and dividing each remainder by its content keeps the
+    coefficients small.  gcd(0, 0) is 0.
     """
     if a.var != b.var:
         raise ValueError("variable mismatch in gcd")
-    a, b = (p.scale(math.lcm(*(c.denominator for c in p.coeffs))) for p in (a, b))
     while b:
         r = divmod(a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)), b)[1]
-        content = math.gcd(*r.coeffs)
-        if content > 1:
-            r = Polynomial(r.var, [c // content for c in r.coeffs])
-        a, b = b, r
-    return a.monic()
+        a, b = b, _primitive(r)[0]
+    return _primitive(a)[0]
 
 
 class RationalFunction:
-    """Quotient of two polynomials in canonical form.
+    """Quotient of two integer polynomials in canonical form.
 
-    Canonical form: gcd(numerator, denominator) = 1 and the denominator is
-    monic, so structural equality decides equality of rational functions and
-    the printed form is unique.  It is a value, not a field element: a check
-    that combines closed forms works on their numerators and denominators and
-    compares a/b with c/d by cross-multiplying, a*d == c*b.  Both parts are
-    always given; a zero numerator gets the denominator 1.
+    Canonical form: the parts are coprime, their coefficients have no common
+    integer factor, and the denominator has a positive lead, so structural
+    equality decides equality of rational functions and the printed form is
+    unique.  Each closed form here has a denominator with lead 1 in that form.
+    It is a value, not a field element: a check that combines closed forms
+    works on their numerators and denominators and compares a/b with c/d by
+    cross-multiplying, a*d == c*b.  Both parts are always given; a zero
+    numerator gets the denominator 1, and a part with a ``Fraction``
+    coefficient is a ``TypeError``.
     """
 
     __slots__ = ("num", "den")
@@ -241,19 +249,10 @@ class RationalFunction:
             raise ValueError("variable mismatch")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = Polynomial(num.var, (1,))
-        else:
-            g = polynomial_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num.scale(Fraction(1, lead))
-                den = den.scale(Fraction(1, lead))
-        self.num = num
-        self.den = den
+        g = polynomial_gcd(num, den)
+        if g.degree > 0:
+            num, den = num.exact_div(g), den.exact_div(g)
+        self.num, self.den = _primitive(num, den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -270,21 +269,23 @@ class RationalFunction:
 
 
 class TruncatedSeries:
-    """Power series known exactly up to a truncation degree.
+    """Power series with integer coefficients, known exactly up to a truncation degree.
 
-    Each coefficient is an ``int`` when it is integral and a ``Fraction``
-    otherwise, so series of integers are computed in integer arithmetic.
-    Binary operations truncate to the smaller of the two truncation degrees.
-    Division requires the divisor to have a nonzero constant term; when that
-    term is 1 or -1, integer series divide without leaving the integers.
+    A coefficient that is not an ``int`` is a ``TypeError``.  Binary
+    operations truncate to the smaller of the two truncation degrees.
+    Division is by a unit of Z[[q]], a divisor whose constant term is 1 or -1;
+    a constant term of 0 raises ``PoleAtOriginError`` and any other raises
+    ``ArithmeticError``, each naming it.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[ScalarLike]):
+    def __init__(self, coeffs: Sequence[int]):
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        self.coeffs = tuple(c if type(c) is int else _as_scalar(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
+        if not all(type(c) is int for c in self.coeffs):
+            raise TypeError("a truncated series has integer coefficients")
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, truncation: int) -> "TruncatedSeries":
@@ -316,17 +317,18 @@ class TruncatedSeries:
         c0 = other.coeffs[0]
         if c0 == 0:
             raise PoleAtOriginError("division by a series with zero constant term")
+        if c0 != 1 and c0 != -1:
+            raise ArithmeticError(f"division by a series with constant term {c0}, not 1 or -1")
         n = min(self.truncation, other.truncation)
         terms = [(j, c) for j, c in enumerate(other.coeffs[1 : n + 1], 1) if c != 0]
-        unit = c0 == 1 or c0 == -1
         out = []
         for i, acc in enumerate(self.coeffs[: n + 1]):
             for j, c in terms:
                 if j > i:
                     break
                 acc -= c * out[i - j]
-            # dividing by +-1 is multiplying by it, which keeps ints as ints
-            out.append(acc * c0 if unit else _as_scalar(Fraction(acc, c0)))
+            # dividing by +-1 is multiplying by it
+            out.append(acc * c0)
         return TruncatedSeries(out)
 
     def __eq__(self, other):
@@ -348,13 +350,11 @@ class TruncatedSeries:
 def series_expand(rf: RationalFunction, truncation: int) -> TruncatedSeries:
     """Maclaurin expansion of a rational function, exact to the given degree.
 
-    The degree must be non-negative and the denominator must not vanish at
-    the origin.
+    The degree must be non-negative, and the denominator's constant term 1 or
+    -1, as the series division requires.
     """
     if truncation < 0:
         raise ValueError("degree must be non-negative")
-    if rf.den.coefficient(0) == 0:
-        raise PoleAtOriginError("rational function has a pole at the origin")
     num = TruncatedSeries.from_polynomial(rf.num, truncation)
     den = TruncatedSeries.from_polynomial(rf.den, truncation)
     return num / den

@@ -14,6 +14,9 @@ This module computes F_l^(k) by three independent routes:
 * ``f_closed`` -- transcribed closed-form rational functions (k <= 4 for all
                   l, k=5 for l <= 3, k=6 for l in {0,2,4,6}).
 
+``series_routes`` is the one rule for which of the last two apply at (k, l),
+read by criterion 1 and by ``genfun series --method all``.
+
 The recursion evaluates one level at a time by running sums over packed
 series, and its memo holds one table only: the level below k, which later
 calls with the same k and no larger degree reuse.
@@ -372,6 +375,12 @@ def has_closed_form(k: int, l: int) -> bool:
     if k == 6:
         return l in (0, 2, 4, 6)
     return False
+
+
+def series_routes(k: int, l: int) -> Tuple[str, ...]:
+    """The routes checked against the enumeration at (k, l), in report order:
+    the recursion for k >= 2, the closed form where ``has_closed_form`` holds."""
+    return ("recur",) * (k >= 2) + ("closed",) * has_closed_form(k, l)
 
 
 # ---------------------------------------------------------------------------

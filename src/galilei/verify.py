@@ -81,12 +81,9 @@ def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) ->
         mismatches = []
         for l in range(l_max + 1):
             enum = genfun.f_enum(k, l, degree)
-            routes = []
-            if k >= 2:
-                routes.append(("recur", genfun.f_recur(k, l, degree)))
-            if genfun.has_closed_form(k, l):
-                routes.append(("closed", series_expand(genfun.f_closed(k, l), degree)))
-            for route, series in routes:
+            for route in genfun.series_routes(k, l):
+                series = (genfun.f_recur(k, l, degree) if route == "recur"
+                          else series_expand(genfun.f_closed(k, l), degree))
                 v = route_verdict(f"{route} k={k} l={l}", series, enum)
                 if not v.passed:
                     mismatches.append(v.detail)
@@ -167,10 +164,13 @@ def _quotient_verdict(k: int, l: int, shown: str, target: RationalFunction, degr
         return _verdict(name, True)
     if den.is_zero:
         return _verdict(name, False, f"quotient k={k}: the divisor F_0 - F_2 is zero")
+    reduced = RationalFunction(num, den)
     try:
-        got = series_expand(RationalFunction(num, den), degree)
+        got = series_expand(reduced, degree)
     except PoleAtOriginError:
         return _verdict(name, False, f"quotient k={k}: a pole at q=0, the target has none")
+    except ArithmeticError as error:  # a constant term other than 0, 1 or -1
+        return _verdict(name, False, f"quotient k={k}: {error}")
     expected = series_expand(target, degree)
     return _verdict(name, False, _series_mismatch(f"quotient k={k}", got, expected, "target"))
 

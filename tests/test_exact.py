@@ -1,11 +1,17 @@
+import contextlib
+import io
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galilei import cli, exact, genfun
 from galilei.exact import (
     PoleAtOriginError,
     Polynomial,
@@ -50,9 +56,14 @@ def test_polynomial_divmod_and_gcd():
     quot, rem = divmod(a, b)
     assert rem.is_zero and quot == q(1, 1)
     g = polynomial_gcd(q(-1, 0, 0, 0, 1), q(1, 0, -1))  # q^4-1 vs 1-q^2
-    assert g == q(-1, 0, 1).monic()
+    assert g == q(-1, 0, 1)
     # gcd of coprime polynomials is 1
     assert polynomial_gcd(q(1, 1), q(1, 0, 1)) == q(1)
+    # the gcd is primitive with a positive lead, whatever the inputs' content and sign
+    assert polynomial_gcd(q(6, 0, -6), q(-4, -4)) == q(1, 1)
+    assert polynomial_gcd(q(), q(4, -2)) == q(-2, 1)
+    assert polynomial_gcd(q(-6), q()) == q(1)
+    assert polynomial_gcd(q(), q()) == q()
 
 
 def _to_sympy(sympy, p):
@@ -60,10 +71,15 @@ def _to_sympy(sympy, p):
     return sympy.Poly(coeffs, sympy.Symbol("q"), domain=sympy.QQ)
 
 
-def _sympy_monic_gcd(sympy, a, b):
+def _sympy_primitive_gcd(sympy, a, b):
+    """sympy's gcd over the rationals, made monic, then scaled by the lcm of
+    its denominators: the primitive gcd with a positive lead."""
     g = _to_sympy(sympy, a).gcd(_to_sympy(sympy, b))
-    g = g if g.is_zero else g.monic()
-    return q(*(Fraction(str(c)) for c in reversed(g.all_coeffs())))
+    if g.is_zero:
+        return q()
+    coeffs = [Fraction(str(c)) for c in reversed(g.monic().all_coeffs())]
+    scale = lcm(*(c.denominator for c in coeffs))
+    return q(*(c * scale for c in coeffs))
 
 
 def test_polynomial_gcd_matches_sympy():
@@ -81,12 +97,11 @@ def test_polynomial_gcd_matches_sympy():
         common = common + q(*[0] * (common.degree + 1), rng.choice((-6, -2, 3, 5)))
         a, b = poly(4) * common, poly(4) * common
         cases += [(a, b), (b, a), (a, common), (poly(6, 40), poly(5, 40))]
-    # a Fraction coefficient takes the Euclid over the rationals
-    half = q(Fraction(1, 2), 0, Fraction(-3, 4))
-    cases += [(half * q(1, 1), q(-2, 0, 3) * q(2, -1)), (q(1, 1), half)]
+    # content and a negative lead on both sides
+    cases += [(q(-2, 0, 3) * q(6, 6), q(2, 0, -3) * q(-4, 2))]
     for a, b in cases:
-        assert polynomial_gcd(a, b) == _sympy_monic_gcd(sympy, a, b), (a, b)
-    assert polynomial_gcd(half * q(1, 1), q(-2, 0, 3) * q(2, -1)) == q(Fraction(-2, 3), 0, 1)
+        assert polynomial_gcd(a, b) == _sympy_primitive_gcd(sympy, a, b), (a, b)
+    assert polynomial_gcd(q(-2, 0, 3) * q(6, 6), q(2, 0, -3) * q(-4, 2)) == q(-2, 0, 3)
 
 
 def test_polynomial_divmod_property():
@@ -123,7 +138,7 @@ def test_polynomial_ring_laws_and_divmod(data, kind):
         quot, rem = divmod(a, b)
         assert quot * b + rem == a
         assert rem.degree < b.degree
-        results += [quot, rem, b.monic()]
+        results += [quot, rem]
     for p in (a, b, c, *results):
         assert _ints_where_integral(p)
         assert _ints_where_integral(q(p(3), p(Fraction(1, 2))))
@@ -135,11 +150,18 @@ def test_polynomial_divisions_stay_exact():
     # a bare / on two ints would give floats; every division is exact
     quot, rem = divmod(q(1, 0, 1), q(0, 2))
     assert quot == q(0, Fraction(1, 2)) and rem == q(1)
-    assert q(3, 6).monic().coeffs == (Fraction(1, 2), 1)
     assert q(4, 6).scale(Fraction(1, 2)).coeffs == (2, 3)
+    # a rational function is an integer pair: content and sign move, no Fraction appears
     rf = RationalFunction(q(1), q(1, 3))
-    assert rf.num.coeffs == (Fraction(1, 3),) and rf.den.coeffs == (Fraction(1, 3), 1)
-    assert [type(c) for c in RationalFunction(q(2, 4), q(-2, 2)).num.coeffs] == [int, int]
+    assert rf.num.coeffs == (1,) and rf.den.coeffs == (1, 3)
+    rf = RationalFunction(q(2, 4), q(-2, 2))
+    assert rf.num.coeffs == (1, 2) and rf.den.coeffs == (-1, 1)
+    assert RationalFunction(q(-6), q(0, 0, -4)) == RationalFunction(q(3), q(0, 0, 2))
+    assert RationalFunction(q(), q(4, -6, -2)).den == q(1)
+    for num, den in ((q(Fraction(1, 2)), q(1, 1)), (q(1), q(1, Fraction(1, 3))),
+                     (q(Fraction(1, 2), Fraction(1, 2)), q(1, 1)), (q(), q(Fraction(1, 2), 1))):
+        with pytest.raises(TypeError):
+            RationalFunction(num, den)
 
 
 def test_variable_mismatch_rejected():
@@ -164,8 +186,9 @@ def test_rational_function_canonical_idempotent():
         rf = RationalFunction(num, den)
         again = RationalFunction(rf.num, rf.den)
         assert rf == again
-        assert rf.den.coeffs[-1] == 1 or rf.num.is_zero
-        assert polynomial_gcd(rf.num, rf.den).degree <= 0
+        assert rf.den.coeffs[-1] > 0 and gcd(*rf.num.coeffs, *rf.den.coeffs) == 1
+        assert rf.den == q(1) or not rf.num.is_zero
+        assert polynomial_gcd(rf.num, rf.den) == q(1)
 
 
 def test_series_expand_geometric():
@@ -188,7 +211,7 @@ def test_series_multiplicativity():
     for _ in range(40):
         def rand_rf():
             num = q(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
-            den = q(rng.choice([1, 2, -1]), *[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+            den = q(rng.choice([1, -1]), *[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
             return RationalFunction(num, den)
         a, b = rand_rf(), rand_rf()
         product = RationalFunction(a.num * b.num, a.den * b.den)
@@ -213,61 +236,74 @@ _fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 
 
 @st.composite
-def _series_pair(draw, coeff):
-    """(a, b) of one truncation; b's constant term includes -1 and 2."""
+def _series_pair(draw):
+    """(a, b) of one truncation; b's constant term is a unit, 1 or -1."""
     n = draw(st.integers(0, 12))
-    a = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
-    c0 = draw(st.one_of(st.sampled_from([1, -1, 2]), coeff.filter(bool)))
-    b = [c0] + draw(st.lists(coeff, min_size=n, max_size=n))
+    a = draw(st.lists(_ints, min_size=n + 1, max_size=n + 1))
+    b = [draw(st.sampled_from([1, -1]))] + draw(st.lists(_ints, min_size=n, max_size=n))
     return TruncatedSeries(a), TruncatedSeries(b)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_series_pair(_ints))
-def test_series_product_divides_back_integers(pair):
+@given(_series_pair(), _ints.filter(lambda c: c not in (-1, 0, 1)))
+def test_series_product_divides_back_integers(pair, non_unit):
     a, b = pair
     quotient = (a * b) / b
     assert quotient == a
-    if b.coeffs[0] in (1, -1):
-        assert all(type(c) is int for c in quotient.coeffs)
+    assert all(type(c) is int for c in quotient.coeffs)
+    # any other nonzero constant term is refused, and named
+    divisor = TruncatedSeries((non_unit,) + b.coeffs[1:])
+    with pytest.raises(ArithmeticError, match=f"constant term {non_unit}, not 1 or -1"):
+        a / divisor
 
 
 @settings(max_examples=150, deadline=None)
-@given(_series_pair(_fractions))
-def test_series_product_divides_back_fractions(pair):
-    a, b = pair
-    assert (a * b) / b == a
+@given(st.lists(_fractions, max_size=6).map(lambda cs: q(*cs)),
+       st.lists(_fractions, min_size=1, max_size=4).map(lambda cs: q(*cs)))
+def test_polynomial_product_divides_back_fractions(a, b):
+    # divmod over the rationals stays, although series and rational functions are integer
+    if not b.is_zero:
+        assert divmod(a * b, b) == (a, q())
 
 
 _any_poly = st.lists(_ints, max_size=5).map(lambda cs: q(*cs))
-_unit_head = st.builds(lambda c0, rest: q(c0, *rest), _ints.filter(bool), st.lists(_ints, max_size=4))
+_nonzero_head = st.builds(lambda c0, rest: q(c0, *rest), _ints.filter(bool), st.lists(_ints, max_size=4))
+_unit_head = st.builds(lambda c0, rest: q(c0, *rest), st.sampled_from([1, -1]), st.lists(_ints, max_size=4))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_any_poly, _unit_head, _unit_head)
+@given(_any_poly, _unit_head, _nonzero_head)
 def test_rational_function_canonical_form_by_cross_multiplication(p, r, common):
     """RationalFunction(p, r) against the fraction p/r it was built from.
 
     n/d == p/r exactly when n*r == d*p, so the canonical form, reduced by the
-    gcd over the rationals, is compared with the unreduced pair.  Building it
-    from p*c and r*c must reduce to the same form.  r has a nonzero constant
-    term, so both sides also expand as series.
+    primitive gcd and the joint content, is compared with the unreduced pair.
+    Building it from p*c and r*c, where c may carry content and any sign,
+    must reduce to the same form.  r has constant term 1 or -1, so both sides
+    also expand as integer series.
     """
     rf = RationalFunction(p, r)
     assert rf.num * r == rf.den * p
+    assert rf.den.coeffs[-1] > 0 and gcd(*rf.num.coeffs, *rf.den.coeffs) == 1
     assert RationalFunction(p * common, r * common) == rf
     expected = TruncatedSeries.from_polynomial(p, 20) / TruncatedSeries.from_polynomial(r, 20)
     assert series_expand(rf, 20) == expected
 
 
 def test_series_coefficients_are_ints_where_integral():
-    series = TruncatedSeries([Fraction(2), 3, Fraction(1, 2)])
-    assert [type(c) for c in series.coeffs] == [int, int, Fraction]
+    # every coefficient is an int as given; a Fraction, even an integral one, is refused
+    for coeffs in ([Fraction(2), 3], [1, Fraction(1, 2)], [1, 2.0]):
+        with pytest.raises(TypeError):
+            TruncatedSeries(coeffs)
+    with pytest.raises(TypeError):
+        TruncatedSeries.from_polynomial(q(1, Fraction(1, 2)), 3)
     expanded = series_expand(RationalFunction(q(1), q(1, -1)), 4)
     assert all(type(c) is int for c in expanded.coeffs)
-    # a constant term other than +-1 falls back to exact Fractions
-    halves = TruncatedSeries([1, 0, 0]) / TruncatedSeries([2, 0, 0])
-    assert halves.coeffs == (Fraction(1, 2), 0, 0)
+    # a constant term other than +-1 is not a unit of Z[[q]]: no Fraction fallback
+    with pytest.raises(ArithmeticError, match="constant term 2, not 1 or -1"):
+        TruncatedSeries([1, 0, 0]) / TruncatedSeries([2, 0, 0])
+    with pytest.raises(ArithmeticError, match="constant term -3, not 1 or -1"):
+        series_expand(RationalFunction(q(1), q(-3, 1)), 4)
 
 
 def test_first_negative_coefficient():
@@ -342,3 +378,82 @@ def test_printed_sums_parse_back_to_their_coefficients():
 )
 def test_printed_sum_edge_cases(value, text):
     assert str(value) == text
+
+
+def _fraction_origins(run):
+    """Counter of the innermost package function, as "module.qualname", under
+    each Fraction construction while ``run()`` runs.
+
+    ``Fraction.__new__`` and, where Python has it, ``_from_coprime_ints`` are
+    patched as perfbench's tracer patches them; a construction inside
+    ``fractions`` itself, such as the result of Fraction arithmetic, counts
+    for the package frame that called into it.
+    """
+    package = str(Path(exact.__file__).parent)
+    origins = Counter()
+
+    def record():
+        frame = sys._getframe(2)
+        while frame is not None and not frame.f_code.co_filename.startswith(package):
+            frame = frame.f_back
+        code = frame and frame.f_code
+        origins[code and f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"] += 1
+
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        record()
+        return original_new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        coprime = vars(Fraction).get("_from_coprime_ints")
+        if coprime is not None:  # Python >= 3.12 builds results without __new__
+            def counting_coprime(cls, numerator, denominator):
+                record()
+                return coprime.__func__(cls, numerator, denominator)
+
+            patch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        run()
+    return origins
+
+
+def _series_traffic():
+    """``verify all --quick``, the 73 closed forms expanded to degree 60, and
+    the freeness quotients at k = 5 and 6."""
+    genfun.clear_memo_caches()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["verify", "all", "--quick"])
+    forms = [(k, l) for k in range(7) for l in range(13) if genfun.has_closed_form(k, l)]
+    assert len(forms) == 73
+    for k, l in forms:
+        series_expand(genfun.f_closed(k, l), 60)
+    for k in (5, 6):
+        for l in range(13):
+            genfun.freeness_quotient(k, l, 60)
+
+
+def _unexpected(origins):
+    """The origins other than polynomial division over Q and ``symalg``'s C3 arithmetic."""
+    return sorted(o for o in origins if o != "exact.Polynomial.__divmod__" and not o.startswith("symalg."))
+
+
+def test_fractions_come_only_from_divmod_and_symalg():
+    origins = _fraction_origins(_series_traffic)
+    # the recorder sees both kinds that stay
+    assert origins["exact.Polynomial.__divmod__"] > 0 and origins["symalg.build_C3"] > 0
+    assert _unexpected(origins) == []
+
+
+def test_fraction_origin_guard_sees_a_planted_scaling(monkeypatch):
+    original = RationalFunction.__init__
+
+    def planted(self, num, den):
+        # the monic rule's Fraction(1, lead) scaling, back in; the values stay integral
+        original(self, num, den)
+        lead = Fraction(1, self.den.coeffs[-1])
+        self.num, self.den = self.num.scale(lead), self.den.scale(lead)
+
+    monkeypatch.setattr(RationalFunction, "__init__", planted)
+    unexpected = _unexpected(_fraction_origins(_series_traffic))
+    assert {"genfun._closed_k5", "genfun.f_closed"} <= set(unexpected)

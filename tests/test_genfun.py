@@ -520,6 +520,33 @@ def test_planted_pole_fails_the_quotient_verdict(monkeypatch):
     assert verdicts[2].detail == "quotient k=5: a pole at q=0, the target has none"
 
 
+def test_series_routes_follow_the_recursion_and_closed_form_domains():
+    assert genfun.series_routes(0, 0) == ("closed",)
+    assert genfun.series_routes(1, 7) == ("closed",)
+    assert genfun.series_routes(2, 3) == ("recur", "closed")
+    assert genfun.series_routes(5, 4) == ("recur",)
+    assert genfun.series_routes(6, 6) == ("recur", "closed")
+    assert genfun.series_routes(7, 0) == ("recur",)
+
+
+def test_planted_non_unit_divisor_fails_the_quotient_verdict(monkeypatch):
+    original = genfun._closed_k5
+
+    def planted(l):
+        if l != 0:
+            return original(l)
+        # F_0 = 2 F_0 - F_2: the divisor F_0 - F_2 doubles, so the quotient's
+        # reduced denominator 2(1 - q^6 + q^12) starts with 2, not a unit of Z[[q]]
+        f0, f2 = original(0), original(2)
+        return RationalFunction(f0.num.scale(2) * f2.den - f2.num * f0.den, f0.den * f2.den)
+
+    monkeypatch.setattr(genfun, "_closed_k5", planted)
+    verdicts = verify.check_negativity(degree=40)
+    assert [v.passed for v in verdicts] == [True, True, False, True]
+    assert verdicts[2].name == "quotient closed form for k=5: q^5(1+q^2)/(1-q^6+q^12)"
+    assert verdicts[2].detail == "quotient k=5: division by a series with constant term 2, not 1 or -1"
+
+
 def test_planted_structure_defect_names_the_expected_shape(monkeypatch):
     original = genfun.detect_invariant_structure
 

@@ -22,6 +22,11 @@ A class method whose body, apart from its docstring, is a single
 ``return cls(...)`` restates the constructor under a second name; callers
 call the constructor.
 
+A class-body assignment whose value names a function of the same class,
+such as ``__radd__ = __add__``, binds that function under a second name that
+no ``def`` shows, so the checks above and below cannot see whether anything
+reaches it.  Each such alias is allowlisted, with its reason, or flagged.
+
 The name checks cannot see dunder methods, which the language calls, so
 every function of the package, dunders included, must also be entered when
 the README's commands and ``verify all`` run through ``cli.main`` under a
@@ -58,6 +63,11 @@ NOT_ENTERED = {
     "genfun.sym_weight_dim": ALLOWED["sym_weight_dim"],
     "genfun.clear_memo_caches": ALLOWED["clear_memo_caches"],
     "verify._series_mismatch": "the detail of a failing series verdict, which planted tests reach",
+}
+
+
+ALIASES = {
+    "exact.Polynomial.__rmul__": "perfbench's alias test reads it to check that the tracer wraps every alias",
 }
 
 
@@ -176,6 +186,18 @@ def constructor_wrappers():
     ]
 
 
+def class_aliases(tree, module):
+    """"module.Class.name" of each class-body assignment in ``tree`` whose
+    value names a function defined in the same class body."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        functions = {stmt.name for stmt in cls.body if isinstance(stmt, ast.FunctionDef)}
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and functions.intersection(_referenced_names(stmt.value)):
+                yield from (f"{module}.{cls.name}.{t.id}" for t in stmt.targets if isinstance(t, ast.Name))
+
+
 def test_every_class_field_is_read_in_the_package():
     reads = field_reads()
     # the scan sees both kinds of declaration, and the fields under a label
@@ -192,7 +214,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_every_public_method_is_read_in_the_package():
     reads = method_reads()
     # the scan sees methods, class methods and properties
-    assert reads.keys() >= {"exact.Polynomial.monic", "exact.TruncatedSeries.from_polynomial", "exact.Polynomial.degree"}
+    assert reads.keys() >= {"exact.Polynomial.exact_div", "exact.TruncatedSeries.from_polynomial", "exact.Polynomial.degree"}
     assert sorted(method for method, read in reads.items() if not read) == []
 
 
@@ -215,6 +237,23 @@ def test_no_class_method_only_restates_the_constructor():
     ).body
     assert [_is_constructor_wrapper(m) for m in example.body] == [True, True, False]
     assert constructor_wrappers() == []
+
+
+def test_no_class_level_alias_of_a_method_but_the_allowlisted():
+    # the check sees a plain and a wrapped alias, and passes slots and constants
+    planted = ast.parse(
+        "class P:\n"
+        "    __slots__ = ('var',)\n"
+        "    ZERO = ()\n"
+        "    def __add__(self, other):\n"
+        "        return self\n"
+        "    __radd__ = __add__\n"
+        "    plus = staticmethod(__add__)\n"
+    )
+    assert list(class_aliases(planted, "m")) == ["m.P.__radd__", "m.P.plus"]
+    found = [alias for path in sorted(PACKAGE.glob("*.py"))
+             for alias in class_aliases(ast.parse(path.read_text(), filename=str(path)), path.stem)]
+    assert sorted(found) == sorted(ALIASES)
 
 
 # Runs each command line (a JSON list of argv lists) through cli.main with a
