@@ -293,9 +293,10 @@ def _cmd_young_det(args, rep: Report) -> None:
     _bound("--upto", args.upto, YOUNG_MAX_N, "Young-lattice")
     lines = []
     for n in range(2, args.upto + 1):
-        d = younglat.verify_det_factorization(n)
-        lines.append(d.describe())
-        rep.verdicts.extend(verify_mod.det_verdicts(d, args.upto))
+        _, verdicts = verify_mod.det_verdicts(n, args.upto)
+        # the shape verdict's detail is the factorization, or why there is none
+        lines.append(verdicts[0].detail)
+        rep.verdicts.extend(verdicts)
     rep.results["factorizations"] = lines
 
 

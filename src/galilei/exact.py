@@ -18,7 +18,8 @@ power series carry their truncation degree explicitly and divide only by a
 unit of Z[[q]], a series with constant term 1 or -1.  Each value has one
 builder: ``Polynomial("x")`` is zero, ``Polynomial("q", (1,))`` one,
 ``Polynomial("x", (0, 1))`` the variable, and a ``RationalFunction`` takes
-both parts.
+both parts.  ``p * c`` is the one scalar product, and ``p.coeffs`` the one
+read of a coefficient.
 ``_signed_sum`` is the one printer of a signed sum of terms, used by
 polynomials here and by ``symalg``'s elements.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, Fraction]
@@ -88,11 +90,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> ScalarLike:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def __call__(self, point: ScalarLike) -> ScalarLike:
         acc = 0
         for c in reversed(self.coeffs):
@@ -114,11 +111,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.var,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial(self.var, [a + b for a, b in pairs])
 
     def __neg__(self):
         return Polynomial(self.var, [-c for c in self.coeffs])
@@ -133,8 +127,6 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial(self.var)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -170,14 +162,8 @@ class Polynomial:
             raise ArithmeticError("division was not exact")
         return q
 
-    def scale(self, c: ScalarLike) -> "Polynomial":
-        c = _as_scalar(c)
-        return Polynomial(self.var, [a * c for a in self.coeffs])
-
     def shift(self, k: int) -> "Polynomial":
         """Multiply by var**k."""
-        if self.is_zero:
-            return self
         return Polynomial(self.var, (0,) * k + self.coeffs)
 
     # -- comparison ----------------------------------------------------------
@@ -223,7 +209,7 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.var != b.var:
         raise ValueError("variable mismatch in gcd")
     while b:
-        r = divmod(a.scale(b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)), b)[1]
+        r = divmod(a * b.coeffs[-1] ** max(a.degree - b.degree + 1, 0), b)[1]
         a, b = b, _primitive(r)[0]
     return _primitive(a)[0]
 

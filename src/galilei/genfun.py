@@ -286,15 +286,13 @@ def _closed_k3(l: int) -> RationalFunction:
     if r == 0:
         num = (one + _qpow(2) + _qpow(4) - _qpow(2 * l // 3 + 2)).shift(l // 3)
     elif r == 1:
-        num = (one + _qpow(2).scale(2) - _qpow((2 * l + 4) // 3)).shift((l + 2) // 3)
+        num = (one + _qpow(2) * 2 - _qpow((2 * l + 4) // 3)).shift((l + 2) // 3)
     else:
         num = (Polynomial("q", (2,)) + _qpow(2) - _qpow((2 * l + 2) // 3)).shift((l + 4) // 3)
     return RationalFunction(num, den)
 
 
 def _closed_k4(l: int) -> RationalFunction:
-    if l % 2 == 1:
-        return RationalFunction(Polynomial("q"), Polynomial("q", (1,)))
     one = Polynomial("q", (1,))
     den = geometric_den(1, 1, 2, 3)
     if l % 4 == 0:
@@ -347,15 +345,15 @@ def f_closed(k: int, l: int) -> RationalFunction:
         raise ValueError("k, l must be non-negative")
     if not has_closed_form(k, l):
         raise NoClosedFormError(f"no closed form for k={k}, l={l}")
-    if k == 0:
-        if l == 0:
-            return RationalFunction(Polynomial("q", (1,)), geometric_den(1))
+    # every weight of Sym^n(L(k)) has the parity of kn and lies in [-kn, kn]:
+    # for even k no weight is odd, and for k = 0 every weight is 0
+    if k % 2 == 0 and (l % 2 or k == 0 < l):
         return RationalFunction(Polynomial("q"), Polynomial("q", (1,)))
+    if k == 0:
+        return RationalFunction(Polynomial("q", (1,)), geometric_den(1))
     if k == 1:
         return RationalFunction(_qpow(l), geometric_den(2))
     if k == 2:
-        if l % 2 == 1:
-            return RationalFunction(Polynomial("q"), Polynomial("q", (1,)))
         return RationalFunction(_qpow(l // 2), geometric_den(1, 2))
     if k == 3:
         return _closed_k3(l)

@@ -4,7 +4,7 @@ Finite-dimensional simples are identified with their highest weight: L(k) has
 dimension k+1 and weights k, k-2, ..., -k.  The infinite-dimensional simples
 of the fixed-central-character category are opaque labels V'(0), V'(2) and
 V(n) for n >= 1; what the code knows about them is their multiplicity-free
-list of finite-dimensional types
+list of finite-dimensional types, an evenly spaced range of highest weights
 
     V'(0): L(0), L(4), L(8), ...      V'(2): L(2), L(6), L(10), ...
     V(n):  L(n), L(n+2), L(n+4), ...
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from operator import add, sub
-from typing import Counter as CounterT, Dict, List, NamedTuple
+from typing import Counter as CounterT, List, NamedTuple
 
 from .genfun import weight_row
 
@@ -64,9 +64,9 @@ def V(n: int) -> SimpleHC:
     return SimpleHC(False, n)
 
 
-#: Multisets of simple labels are Counters.  Of the multisets of highest
-#: weights, the multiplicity-one ones (``clebsch_gordan``, ``g_types``) are
-#: plain dicts and the peeled characters are Counters.
+#: Multisets of simple labels are Counters, and so are the peeled characters;
+#: a multiplicity-free list of highest weights (``clebsch_gordan``,
+#: ``g_types``) is a range.
 HCMultiset = CounterT[SimpleHC]
 
 
@@ -74,15 +74,12 @@ HCMultiset = CounterT[SimpleHC]
 # Finite-dimensional combinatorics
 # ---------------------------------------------------------------------------
 
-def clebsch_gordan(m: int, n: int) -> Dict[int, int]:
-    """L(m) (x) L(n) = L(m+n) + L(m+n-2) + ... + L(|m-n|), multiplicity one.
-
-    The summands come as a plain dict from highest weight to multiplicity,
-    lowest weight first.
-    """
+def clebsch_gordan(m: int, n: int) -> range:
+    """L(m) (x) L(n) = L(|m-n|) + L(|m-n|+2) + ... + L(m+n), each once: the
+    range of the summands' highest weights, lowest first."""
     if m < 0 or n < 0:
         raise ValueError("highest weights must be non-negative")
-    return dict.fromkeys(range(abs(m - n), m + n + 1, 2), 1)
+    return range(abs(m - n), m + n + 1, 2)
 
 
 def sym_power_decompose(k: int, n: int) -> CounterT[int]:
@@ -115,14 +112,13 @@ def _peel(row: List[int], top: int) -> CounterT[int]:
 def verma_weight_dim(k: int) -> int:
     """Dimension of the weight space 2k below the top of a Verma module.
 
-    Counts monomials in the three negative generators (weights -2, -2, -4),
-    which closes to (k^2+4k+4)/4 for even k and (k^2+4k+3)/4 for odd k.
+    Counts monomials in the three negative generators (weights -2, -2, -4):
+    floor((k+2)^2 / 4), which is (k+2)^2/4 for even k and ((k+2)^2 - 1)/4 for
+    odd k.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k % 2 == 0:
-        return (k * k + 4 * k + 4) // 4
-    return (k * k + 4 * k + 3) // 4
+    return (k + 2) ** 2 // 4
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +163,11 @@ def q00_degree_part(k: int) -> CounterT[int]:
 # Harish-Chandra simples: g-types and tensor calculus
 # ---------------------------------------------------------------------------
 
-def g_types(s: SimpleHC, max_l: int) -> Dict[int, int]:
-    """Multiplicity-free finite-dimensional types of s, up to weight max_l.
-
-    The types come as a plain dict from highest weight to multiplicity one,
-    lowest weight first.
-    """
-    return dict.fromkeys(range(s.index, max_l + 1, 4 if s.primed else 2), 1)
+def g_types(s: SimpleHC, max_l: int) -> range:
+    """The finite-dimensional types of s up to weight max_l, each once: the
+    range of their highest weights, from s's index in steps of 4 for the
+    primed simples and of 2 for V(n)."""
+    return range(s.index, max_l + 1, 4 if s.primed else 2)
 
 
 def hc_tensor(k: int, s: SimpleHC) -> HCMultiset:

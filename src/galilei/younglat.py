@@ -181,9 +181,19 @@ def special_partition(n: int) -> Partition:
     return Partition((3,) + (2,) * ((n - 3) // 2))
 
 
+class PsiError(RuntimeError):
+    """``build_psi`` built a map that is not an injection of level n-1 into
+    level n minus (1^n)."""
+
+
 def build_psi(n: int) -> Dict[Partition, Partition]:
     """Injection of level n-1 into level n: append a part 1, except that the
-    full column (1^{n-1}) maps to the special partition."""
+    full column (1^{n-1}) maps to the special partition.
+
+    The map is checked: every image is a partition of n, no two agree and
+    none is (1^n).  Otherwise it raises ``PsiError``, which names the first
+    partition sent outside level n when there is one.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     psi: Dict[Partition, Partition] = {}
@@ -192,9 +202,12 @@ def build_psi(n: int) -> Dict[Partition, Partition]:
             psi[p] = special_partition(n)
         else:
             psi[p] = Partition(p + (1,))
+    for p, image in psi.items():
+        if sum(image) != n:
+            raise PsiError(f"psi sends {p} to {image}, outside level {n}")
     images = set(psi.values())
     if len(images) != len(psi) or column(n) in images:
-        raise AssertionError("psi is not an injection into level n minus (1^n)")
+        raise PsiError(f"psi is not an injection into level {n} minus (1^{n})")
     return psi
 
 
@@ -271,5 +284,5 @@ def verify_det_factorization(n: int) -> DetFactorization:
         while residue.degree > 0 and residue(i) == 0:
             residue = residue.exact_div(factor)
             roots.append(i)
-    integer_factor = residue.coefficient(0) if residue.degree == 0 else 0
+    integer_factor = residue.coeffs[0] if residue.degree == 0 else 0
     return DetFactorization(n, det, integer_factor, tuple(sorted(roots)))

@@ -672,9 +672,7 @@ def test_planted_clebsch_gordan_defect_fails_criterion_8_through_verify_all(caps
     original = sl2rep.clebsch_gordan
 
     def planted(m, n):
-        summands = original(m, n)
-        del summands[m + n]
-        return summands
+        return original(m, n)[:-1]
 
     monkeypatch.setattr(sl2rep, "clebsch_gordan", planted)
     code, out, _ = run_cli(capsys, "verify", "all", "--format", "structured")
@@ -686,6 +684,72 @@ def test_planted_clebsch_gordan_defect_fails_criterion_8_through_verify_all(caps
         " for k <= 8, simples up to V(8)",
         "[criterion 8] Clebsch-Gordan coherence of iterated tensoring for a, b <= 4",
     ]
+
+
+def _verdicts_structured(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+    payload = json.loads(out)
+    return code, payload["results"], {v["name"]: (v["passed"], v["detail"]) for v in payload["verdicts"]}
+
+
+def _changed(before, after):
+    """Names of the verdicts whose pass flag or detail differs; both runs name the same verdicts."""
+    assert list(before) == list(after)
+    return [name for name in before if before[name] != after[name]]
+
+
+def test_planted_biased_g_types_fails_criteria_8_and_9_through_verify_all(capsys, monkeypatch):
+    # the primed simples lose their lowest type: V'(0) starts at L(4), V'(2) at L(6)
+    _, _, before = _verdicts_structured(capsys, "verify", "all")
+    original = sl2rep.g_types
+
+    def planted(s, max_l):
+        return range(s.index + 4, max_l + 1, 4) if s.primed else original(s, max_l)
+
+    monkeypatch.setattr(sl2rep, "g_types", planted)
+    code, _, after = _verdicts_structured(capsys, "verify", "all")
+    assert code == 1
+    flipped = [name for name in before if before[name][0] != after[name][0]]
+    assert flipped == [
+        "[criterion 8] tensor case split matches the type-multiset oracle"
+        " for k <= 8, simples up to V(8)",
+        "[criterion 9] Q(k) decomposition matches the staircase formula for k <= 12",
+    ]
+
+
+def _plant_psi_level_defect(monkeypatch):
+    # build_psi walks level n - 2 in place of level n - 1
+    source = inspect.getsource(younglat.build_psi)
+    assert source.count("bounded_partitions(n - 1)") == 1
+    namespace = dict(vars(younglat))
+    exec(source.replace("bounded_partitions(n - 1)", "bounded_partitions(n - 2)"), namespace)
+    monkeypatch.setattr(younglat, "build_psi", namespace["build_psi"])
+
+
+def test_planted_psi_level_defect_fails_criterion_5_without_a_traceback(capsys, monkeypatch):
+    _, _, before = _verdicts_structured(capsys, "verify", "all")
+    _plant_psi_level_defect(monkeypatch)
+    code, results, after = _verdicts_structured(capsys, "verify", "all")
+    assert code == 1
+    assert [line.split(" (")[0] for line in results["criteria"]] == [f"criterion {n}" for n in range(1, 10)]
+    shape = "[criterion 5] det N_n = nonzero integer times product of (x-i), i < n, for 2 <= n <= 12"
+    nonzero = "[criterion 5] det N_n is nonzero at x=m for n <= m <= 12"
+    n6 = "[criterion 5] linear-factor multiset of det N_6 is {x-1, x-2, x-3}"
+    assert _changed(before, after) == [shape, nonzero, n6]
+    # at every level build_psi refuses its map, and each verdict names the first stray image
+    failures = f"failures at {list(range(2, 13))}"
+    assert after[shape] == after[nonzero] == (False, failures)
+    assert after[n6] == (False, "psi sends (4) to (4,1), outside level 6")
+
+
+def test_planted_psi_level_defect_fails_young_det(capsys, monkeypatch):
+    _plant_psi_level_defect(monkeypatch)
+    code, out, err = run_cli(capsys, "young", "det", "--upto", "6")
+    assert code == 1 and "Traceback" not in err
+    assert "  psi sends (2) to (2,1), outside level 4" in out
+    assert "FAIL  det N_4 is a nonzero integer times linear factors with roots < 4" \
+        "  (psi sends (2) to (2,1), outside level 4)" in out
+    assert "FAIL  det N_6 stays nonzero at x = 6..6  (psi sends (4) to (4,1), outside level 6)" in out
 
 
 # (argv, the command and params each report prints, in print order)

@@ -150,7 +150,7 @@ def test_polynomial_divisions_stay_exact():
     # a bare / on two ints would give floats; every division is exact
     quot, rem = divmod(q(1, 0, 1), q(0, 2))
     assert quot == q(0, Fraction(1, 2)) and rem == q(1)
-    assert q(4, 6).scale(Fraction(1, 2)).coeffs == (2, 3)
+    assert (q(4, 6) * Fraction(1, 2)).coeffs == (2, 3)
     # a rational function is an integer pair: content and sign move, no Fraction appears
     rf = RationalFunction(q(1), q(1, 3))
     assert rf.num.coeffs == (1,) and rf.den.coeffs == (1, 3)
@@ -452,7 +452,7 @@ def test_fraction_origin_guard_sees_a_planted_scaling(monkeypatch):
         # the monic rule's Fraction(1, lead) scaling, back in; the values stay integral
         original(self, num, den)
         lead = Fraction(1, self.den.coeffs[-1])
-        self.num, self.den = self.num.scale(lead), self.den.scale(lead)
+        self.num, self.den = self.num * lead, self.den * lead
 
     monkeypatch.setattr(RationalFunction, "__init__", planted)
     unexpected = _unexpected(_fraction_origins(_series_traffic))

@@ -538,7 +538,7 @@ def test_planted_non_unit_divisor_fails_the_quotient_verdict(monkeypatch):
         # F_0 = 2 F_0 - F_2: the divisor F_0 - F_2 doubles, so the quotient's
         # reduced denominator 2(1 - q^6 + q^12) starts with 2, not a unit of Z[[q]]
         f0, f2 = original(0), original(2)
-        return RationalFunction(f0.num.scale(2) * f2.den - f2.num * f0.den, f0.den * f2.den)
+        return RationalFunction(f0.num * 2 * f2.den - f2.num * f0.den, f0.den * f2.den)
 
     monkeypatch.setattr(genfun, "_closed_k5", planted)
     verdicts = verify.check_negativity(degree=40)

@@ -62,15 +62,15 @@ def test_simple_label_value_semantics():
 
 
 def test_clebsch_gordan():
-    assert sl2rep.clebsch_gordan(0, 7) == Counter({7: 1})
-    assert sl2rep.clebsch_gordan(1, 1) == Counter({0: 1, 2: 1})
+    assert list(sl2rep.clebsch_gordan(0, 7)) == [7]
+    assert list(sl2rep.clebsch_gordan(1, 1)) == [0, 2]
     # weight-count oracle for (4, 4): multiply characters and peel
     weights = Counter()
     for a in range(-4, 5, 2):
         for b in range(-4, 5, 2):
             weights[a + b] += 1
-    assert peel(weights) == dict(sl2rep.clebsch_gordan(4, 4))
-    assert sl2rep.clebsch_gordan(4, 4) == Counter({0: 1, 2: 1, 4: 1, 6: 1, 8: 1})
+    assert peel(weights) == dict.fromkeys(sl2rep.clebsch_gordan(4, 4), 1)
+    assert list(sl2rep.clebsch_gordan(4, 4)) == [0, 2, 4, 6, 8]
 
 
 def test_sym_power_decompose_against_brute_force():
@@ -306,13 +306,13 @@ def test_hc_tensor_type_multiset_oracle():
         for s in all_simples(8):
             got = Counter()
             for t, mult in sl2rep.hc_tensor(k, s).items():
-                for l, c in sl2rep.g_types(t, bound).items():
-                    got[l] += mult * c
+                for l in sl2rep.g_types(t, bound):
+                    got[l] += mult
             expected = Counter()
-            for l0, c0 in sl2rep.g_types(s, bound + k).items():
-                for l, c in sl2rep.clebsch_gordan(k, l0).items():
+            for l0 in sl2rep.g_types(s, bound + k):
+                for l in sl2rep.clebsch_gordan(k, l0):
                     if l <= bound:
-                        expected[l] += c0 * c
+                        expected[l] += 1
             assert got == expected, (k, str(s))
 
 
@@ -407,7 +407,7 @@ def test_hc_tensor_coherence():
             for s in all_simples(8):
                 lhs = sl2rep.hc_tensor_multiset(a, sl2rep.hc_tensor(b, s))
                 rhs = Counter()
-                for j, mult in sl2rep.clebsch_gordan(a, b).items():
+                for j in sl2rep.clebsch_gordan(a, b):
                     for t, m in sl2rep.hc_tensor(j, s).items():
-                        rhs[t] += mult * m
+                        rhs[t] += m
                 assert lhs == rhs, (a, b, str(s))
