@@ -391,7 +391,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group_only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of the whole command line.  Given a group, only that group's
+    commands get parsers; the top level and every group keep theirs, so each
+    help and error text that can be reached is the same."""
     parser = argparse.ArgumentParser(
         prog="galilei",
         description="Exact verification toolkit for symmetric-power weight series, "
@@ -404,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     for group, (group_help, commands) in COMMANDS.items():
         group_parser = groups.add_parser(group, help=group_help)
         subparsers = group_parser.add_subparsers(dest="command", required=True)
+        if group_only not in (None, group):
+            continue
         for command, (handler, flags) in commands.items():
             p = subparsers.add_parser(command, parents=[common])
             for flag, keywords in flags:
@@ -417,7 +422,9 @@ _NOT_PARAMS = ("group", "command", "handler", "format", "out")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the first word names the group, when it is one: only its commands need parsers
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     # argparse keeps the order the flags are declared in, whatever order they are typed in
     params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
     report = Report(f"{args.group} {args.command}", params)

@@ -22,16 +22,56 @@ both parts.  ``p * c`` is the one scalar product, and ``p.coeffs`` the one
 read of a coefficient.
 ``_signed_sum`` is the one printer of a signed sum of terms, used by
 polynomials here and by ``symalg``'s elements.
+
+``shared`` marks a function whose value no caller changes.  Inside a
+``sharing()`` block it is memoised, keyed on its arguments; outside every
+block it calls straight through.  The outermost block drops the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, Fraction]
+
+#: (function, arguments) -> value, while a ``sharing()`` block runs; else None
+_memo: Optional[Dict[tuple, object]] = None
+
+
+def shared(fn: Callable) -> Callable:
+    """fn, memoised on its positional arguments inside ``sharing()`` and called
+    straight through outside it.  Only for a value that no caller changes."""
+    @functools.wraps(fn)
+    def memoised(*args):
+        if _memo is None:
+            return fn(*args)
+        key = (fn, args)
+        if key not in _memo:
+            _memo[key] = fn(*args)
+        return _memo[key]
+    return memoised
+
+
+class sharing:
+    """``with sharing():`` shares every ``shared`` function's values until the
+    block ends; a nested block reuses the outer memo.  (A class, so that the
+    package loads no ``contextlib``.)"""
+
+    __slots__ = ("outer",)
+
+    def __enter__(self) -> None:
+        global _memo
+        self.outer = _memo
+        if _memo is None:
+            _memo = {}
+
+    def __exit__(self, *exc_info) -> None:
+        global _memo
+        _memo = self.outer
 
 
 class PoleAtOriginError(ZeroDivisionError):
@@ -202,14 +242,15 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Primitive gcd of two integer polynomials, with a positive lead.
 
     It runs by primitive pseudo-remainders: scaling a by
-    lead(b)^(deg a - deg b + 1) makes every quotient step of a divided by b an
-    integer, and dividing each remainder by its content keeps the
-    coefficients small.  gcd(0, 0) is 0.
+    lead(b)^(deg a - deg b + 1), when that factor is not 1, makes every
+    quotient step of a divided by b an integer, and dividing each remainder by
+    its content keeps the coefficients small.  gcd(0, 0) is 0.
     """
     if a.var != b.var:
         raise ValueError("variable mismatch in gcd")
     while b:
-        r = divmod(a * b.coeffs[-1] ** max(a.degree - b.degree + 1, 0), b)[1]
+        scale = b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)
+        r = divmod(a * scale if scale != 1 else a, b)[1]
         a, b = b, _primitive(r)[0]
     return _primitive(a)[0]
 

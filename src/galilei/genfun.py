@@ -39,7 +39,7 @@ import sys
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exact import Polynomial, RationalFunction, TruncatedSeries
+from .exact import Polynomial, RationalFunction, TruncatedSeries, shared
 
 #: Default truncation degree; every claim checked here manifests by degree 36.
 DEFAULT_TRUNCATION = 60
@@ -59,10 +59,14 @@ def _qpow(n: int) -> Polynomial:
 
 def geometric_den(*degrees: int) -> Polynomial:
     """Product of (1 - q^d) over the given degrees."""
-    out = one = Polynomial("q", (1,))
+    out = [1] + [0] * sum(degrees)
+    top = 0
     for d in degrees:
-        out = out * (one - _qpow(d))
-    return out
+        top += d
+        # times (1 - q^d) in place: top down, each out[i - d] read is not yet changed
+        for i in range(top, d - 1, -1):
+            out[i] -= out[i - d]
+    return Polynomial("q", out)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +339,7 @@ def _closed_k6(l: int) -> RationalFunction:
     return RationalFunction(num, geometric_den(1, 2, 2, 2, 3, 5))
 
 
+@shared
 def f_closed(k: int, l: int) -> RationalFunction:
     """The closed-form F_l^(k) as a canonical rational function.
 

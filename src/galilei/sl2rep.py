@@ -20,6 +20,7 @@ from collections import Counter
 from operator import add, sub
 from typing import Counter as CounterT, List, NamedTuple
 
+from .exact import shared
 from .genfun import weight_row
 
 
@@ -170,6 +171,7 @@ def g_types(s: SimpleHC, max_l: int) -> range:
     return range(s.index, max_l + 1, 4 if s.primed else 2)
 
 
+@shared
 def hc_tensor(k: int, s: SimpleHC) -> HCMultiset:
     """Decomposition of L(k) (x) s into simples, by one reflection rule.
 

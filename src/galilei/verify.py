@@ -27,7 +27,7 @@ from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
-from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand
+from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand, sharing
 from .sl2rep import V, Vp
 from .younglat import partition
 
@@ -625,7 +625,14 @@ def run_criterion(number: int, quick: bool = False) -> List[Verdict]:
 
 
 def run_all(quick: bool = False) -> List[Tuple[int, str, List[Verdict]]]:
-    return [
-        (number, title, run_criterion(number, quick=quick))
-        for number, (title, _, _) in CRITERIA.items()
-    ]
+    """Every criterion in order, as (number, title, verdicts).
+
+    The run is one ``sharing()`` block, so it computes each closed form, rank
+    and tensor decomposition once, however many criteria read it; the memo is
+    dropped when the run ends.
+    """
+    with sharing():
+        return [
+            (number, title, run_criterion(number, quick=quick))
+            for number, (title, _, _) in CRITERIA.items()
+        ]

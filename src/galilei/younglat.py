@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import Polynomial
+from .exact import Polynomial, shared
 from .linalg import bareiss_rank, poly_det
 
 MAX_PART = 4
@@ -163,6 +163,7 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
     return PathMatrix([level[-1] for level in levels[1:]], list(levels[n]), entries)
 
 
+@shared
 def rank_at(n: int) -> int:
     """Rank of M_n at x = n over the exact integers, from the int path DP."""
     return bareiss_rank(path_matrix(n, at=n).entries)

@@ -300,6 +300,25 @@ def test_help_text_is_pinned(capsys, monkeypatch):
     assert "".join(blocks) == (Path(__file__).parent / "cli_help.txt").read_text()
 
 
+def test_a_command_builds_the_parsers_of_its_own_group_only(capsys, monkeypatch):
+    """The top level, the common flags, the six groups and the one verify
+    command: 9 parsers, where the whole command line has 23."""
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    main(["verify", "all", "--quick"])
+    assert "command: verify all" in capsys.readouterr().out
+    assert len(built) == 9
+    built.clear()
+    build_parser()
+    assert len(built) == 1 + 1 + 6 + 15
+
+
 def test_every_handler_answers_exactly_one_command():
     defined = {
         value for name, value in vars(cli).items()

@@ -1,5 +1,6 @@
-"""``tools/same_output.py`` sees no difference between identical trees, and
-reports a changed printed string for exactly the commands that print it."""
+"""``tools/same_output.py`` sees no difference between identical trees,
+reports a changed printed string for exactly the commands that print it, and
+runs each of argparse's own error paths."""
 
 import importlib.util
 import shutil
@@ -20,6 +21,16 @@ def _copies(tmp_path):
 def test_identical_trees_differ_nowhere(tmp_path):
     ref, new = _copies(tmp_path)
     assert same_output.compare(ref, new, same_output.command_list()) == []
+
+
+def test_the_list_takes_each_argparse_error_path():
+    argvs = same_output.command_list()
+    assert all(argv in argvs for argv in same_output.ARGPARSE_ERRORS)
+    results = same_output.run(same_output.ROOT / "src", same_output.ARGPARSE_ERRORS)
+    for status, out, err in results:
+        assert (status, out) == (2, "")
+        assert err.startswith("usage: galilei") and "error: " in err
+    assert len({err for _, _, err in results}) == len(results)
 
 
 def test_a_changed_string_is_reported_for_exactly_the_commands_that_print_it(tmp_path):

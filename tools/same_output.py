@@ -16,7 +16,8 @@ and structured; ``genfun series`` with ``--method all`` and ``closed`` at
 degree 20 for k = 0..7 and l = 0..12; ``genfun invariants`` and ``genfun
 freeness --l 1`` for k = 0..8; ``sl2 tensor`` for k = 0..8 against V'(0),
 V'(2), V(1), V(2), V(3), V(4) and V(7); ``symalg check-invariants``
-structured; ``young det --upto 9``; and three refused requests.
+structured; ``young det --upto 9``; three refused requests; and argparse's
+own error paths, ``ARGPARSE_ERRORS``.
 
 Standard library only, with ``git`` and ``tar``.
 """
@@ -60,6 +61,17 @@ _WALL_TIME = re.compile(r'(wall_time_ms"?: )\d+')
 
 Result = Tuple[int, str, str]
 
+#: no group, an unknown group, a group with no command, an unknown command,
+#: a missing required flag and a non-integer --k
+ARGPARSE_ERRORS = [
+    [],
+    ["nosuch"],
+    ["verify"],
+    ["verify", "nosuch"],
+    ["genfun", "series", "--k", "5"],
+    ["genfun", "series", "--k", "five", "--l", "0"],
+]
+
 
 def readme_commands() -> List[List[str]]:
     """The argv lists of the README's command-line block, without the
@@ -91,7 +103,7 @@ def command_list() -> List[List[str]]:
         ["genfun", "series", "--k", "101", "--l", "0"],
         ["quiver", "radical", "--top", "V(0)", "--depth", "1"],
     ]
-    return argvs
+    return argvs + ARGPARSE_ERRORS
 
 
 def run(src: Path, argvs: Sequence[Sequence[str]]) -> List[Result]:
