@@ -34,10 +34,6 @@ class Report:
         self.verdicts: List[Verdict] = []
         self.wall_time_ms = 0
 
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
     def to_json(self) -> str:
         return json.dumps({
             "command": self.command,
@@ -445,8 +441,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     else:
         print(text)
-    if not report.all_passed:
-        failing = [v.name for v in report.verdicts if not v.passed]
+    failing = [v.name for v in report.verdicts if not v.passed]
+    if failing:
         print(f"FAILED: {'; '.join(failing)}", file=sys.stderr)
         return 1
     return 0

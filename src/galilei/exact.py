@@ -4,13 +4,13 @@ Every value here is exact; no floating point is used anywhere.  Rational
 functions and truncated series are integer values: every generating function
 checked here is a ratio of integer polynomials whose denominator is a product
 of (1 - q^d) up to sign, so a part or coefficient that is not an ``int`` is a
-``TypeError``.  Polynomials may also hold ``fractions.Fraction`` coefficients,
-where a real denominator appears (``symalg``'s C3 has -9/2 and 27/2):
-``_as_scalar`` keeps each coefficient an ``int`` wherever it is integral, and
-every division of coefficients is an exact ``Fraction(a, b)`` normalised by
-it, so callers take ints as they come.  The gcd runs by primitive
-pseudo-remainders, whose divisions all come out as ints, and returns the
-primitive gcd with a positive lead.  Polynomials are dense in a single formal
+``TypeError``.  Here a polynomial holds a ``fractions.Fraction`` coefficient
+only as the quotient of a ``divmod`` that does not divide evenly: ``_as_scalar``
+keeps each coefficient an ``int`` wherever it is integral, and every division
+of coefficients is an exact ``Fraction(a, b)`` normalised by it, so callers
+take ints as they come.  The gcd runs by primitive pseudo-remainders, whose
+divisions all come out as ints, and returns the primitive gcd with a positive
+lead.  Polynomials are dense in a single formal
 variable (``q`` for counting series, ``x`` for edge labels), rational
 functions are values kept in a canonical form, a coprime integer pair whose
 denominator has positive lead, with no arithmetic of their own, and truncated
@@ -19,7 +19,8 @@ unit of Z[[q]], a series with constant term 1 or -1.  Each value has one
 builder: ``Polynomial("x")`` is zero, ``Polynomial("q", (1,))`` one,
 ``Polynomial("x", (0, 1))`` the variable, and a ``RationalFunction`` takes
 both parts.  ``p * c`` is the one scalar product, and ``p.coeffs`` the one
-read of a coefficient.
+read of a coefficient.  A polynomial's truth value is its one zero test, as
+a ``symalg`` element's is: it is false exactly when the value is zero.
 ``_signed_sum`` is the one printer of a signed sum of terms, used by
 polynomials here and by ``symalg``'s elements.
 
@@ -126,10 +127,6 @@ class Polynomial:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __call__(self, point: ScalarLike) -> ScalarLike:
         acc = 0
         for c in reversed(self.coeffs):
@@ -181,7 +178,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         d, lead, low = other.degree, other.coeffs[-1], other.coeffs[:-1]
@@ -198,7 +195,7 @@ class Polynomial:
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Division known a priori to be remainder-free; checked."""
         q, r = divmod(self, other)
-        if not r.is_zero:
+        if r:
             raise ArithmeticError("division was not exact")
         return q
 
@@ -214,7 +211,7 @@ class Polynomial:
         return self.var == other.var and self.coeffs == other.coeffs
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.coeffs)
 
     # -- display ---------------------------------------------------------------
 
@@ -274,7 +271,7 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial):
         if num.var != den.var:
             raise ValueError("variable mismatch")
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("zero denominator")
         g = polynomial_gcd(num, den)
         if g.degree > 0:

@@ -84,7 +84,7 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
     var = matrix[0][0].var
-    row_nz = [{j for j, e in enumerate(row) if not e.is_zero} for row in matrix]
+    row_nz = [{j for j, e in enumerate(row) if e} for row in matrix]
     col_nz = [set() for _ in range(n)]
     for i, row in enumerate(row_nz):
         for j in row:

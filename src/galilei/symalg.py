@@ -12,8 +12,11 @@ Every weight of L(n) has the parity of n, so these coefficients are
 integers.  The e-coefficients are the fixed convention; the f-coefficients are
 forced by the sl2 relations and certified by the commutator property tests.
 Element coefficients follow ``exact``'s rule: an int when integral, a
-Fraction otherwise.  An element is built from its term table alone, the
-invariants C2 and C3 of Sym(L(4)) included.
+Fraction otherwise, and as for ``exact``'s polynomials an element's truth value
+is its one zero test.  An element is built from its term table alone, the
+invariants C2 and C3 of Sym(L(4)) included; a check reads the degrees and
+weights of an element's monomials off its terms (``monomial_weight``), so a
+mixed element is a failed check, not an error.
 
 The independence certificate is stated in the rescaled basis
 w_j = c_j * v_j, with c_j the product of the raising coefficients below j.
@@ -67,9 +70,8 @@ class SymElement:
         if self.n != other.n:
             raise ValueError("ambient module mismatch")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
         self._compatible(other)
@@ -98,20 +100,6 @@ class SymElement:
 
     def monomial_weight(self, exps: Exponents) -> int:
         return sum(e * (-self.n + 2 * i) for i, e in enumerate(exps))
-
-    def homogeneous_degree(self) -> int:
-        """Common degree of all monomials (error if mixed or zero)."""
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) != 1:
-            raise ValueError("element is not homogeneous in degree")
-        return degrees.pop()
-
-    def weight(self) -> int:
-        """Common h-weight of all monomials (error if mixed or zero)."""
-        weights = {self.monomial_weight(e) for e in self.terms}
-        if len(weights) != 1:
-            raise ValueError("element is not an h-weight vector")
-        return weights.pop()
 
     def __str__(self):
         names = [f"v[{2 * i - self.n}]" for i in range(self.n + 1)]
@@ -174,7 +162,7 @@ def adjoint_action(generator: str, p: SymElement) -> SymElement:
 
 def is_invariant(p: SymElement) -> bool:
     """True iff both the raising and lowering derivations annihilate p."""
-    return adjoint_action("e", p).is_zero and adjoint_action("f", p).is_zero
+    return not adjoint_action("e", p) and not adjoint_action("f", p)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ criteria aggregate them, and the command line's ``genfun series --method
 all``, ``genfun invariants``, ``young rank``, ``young det``, ``symalg
 check-invariants`` and ``symalg independence`` report them as they are, so
 both surfaces share one predicate per claim.  ``dimension_verdict`` is the
-verdict of ``sl2 sym``.
+verdict of ``sl2 sym``.  A verdict's ``passed`` is a plain ``bool`` read off
+the values it compares, so a malformed value is a FAIL, not an error.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -43,18 +43,17 @@ class Verdict(NamedTuple):
         return f"{tag}  {self.name}{suffix}"
 
 
-def _verdict(name: str, passed: bool, detail: str = "") -> Verdict:
-    return Verdict(name, bool(passed), detail)
-
-
-def _failures(name: str, bad: list) -> Verdict:
-    """Pass when nothing failed; a failure lists what did."""
-    return _verdict(name, not bad, f"failures at {bad}" if bad else "")
+def _failures(name: str, bad: list, reason: str = "") -> Verdict:
+    """Pass when nothing failed; a failure lists what did, then the reason given."""
+    return Verdict(name, not bad, f"failures at {bad}{reason}" if bad else "")
 
 
 def _every(name: str, items: Dict) -> Verdict:
-    """Pass when every per-item verdict does; a failure lists the failing keys."""
-    return _failures(name, [key for key, v in items.items() if not v.passed])
+    """Pass when every per-item verdict does; a failure lists the failing keys
+    and gives the first one's detail."""
+    bad = [key for key, v in items.items() if not v.passed]
+    first = items[bad[0]].detail if bad else ""
+    return _failures(name, bad, f"; {bad[0]}: {first}" if first else "")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,7 @@ def _series_mismatch(label: str, got, ref, ref_name: str = "enum") -> str:
 def route_verdict(label: str, series, enum) -> Verdict:
     """A series route equals the enumeration; a failure names the first mismatch."""
     ok = series == enum
-    return _verdict(f"{label} agrees with enum", ok, "" if ok else _series_mismatch(label, series, enum))
+    return Verdict(f"{label} agrees with enum", ok, "" if ok else _series_mismatch(label, series, enum))
 
 
 def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) -> List[Verdict]:
@@ -88,7 +87,7 @@ def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) ->
                 if not v.passed:
                     mismatches.append(v.detail)
         verdicts.append(
-            _verdict(
+            Verdict(
                 f"series routes agree for k={k}, l<={l_max}, degree<={degree}",
                 not mismatches,
                 "; ".join(mismatches),
@@ -128,7 +127,7 @@ def _closed_difference(k: int, l: int) -> Tuple[Polynomial, Polynomial]:
 
 def _equals(num: Polynomial, den: Polynomial, target: RationalFunction) -> bool:
     """num/den equals target, by cross-multiplying; a zero den never does."""
-    return not den.is_zero and num * target.den == target.num * den
+    return bool(den) and num * target.den == target.num * den
 
 
 def check_closed_identities(degree: int = 60) -> List[Verdict]:
@@ -141,7 +140,7 @@ def check_closed_identities(degree: int = 60) -> List[Verdict]:
         if series != expected:
             mismatches.append(_series_mismatch(f"invariant series k={k}", series, expected, "target"))
         verdicts.append(
-            _verdict(
+            Verdict(
                 f"invariant series identity for k={k} (rational function and series)",
                 not mismatches,
                 "; ".join(mismatches),
@@ -161,18 +160,18 @@ def _quotient_verdict(k: int, l: int, shown: str, target: RationalFunction, degr
     num, den = num * div_den, den * div_num
     name = f"quotient closed form for k={k}: {shown}"
     if _equals(num, den, target):
-        return _verdict(name, True)
-    if den.is_zero:
-        return _verdict(name, False, f"quotient k={k}: the divisor F_0 - F_2 is zero")
+        return Verdict(name, True)
+    if not den:
+        return Verdict(name, False, f"quotient k={k}: the divisor F_0 - F_2 is zero")
     reduced = RationalFunction(num, den)
     try:
         got = series_expand(reduced, degree)
     except PoleAtOriginError:
-        return _verdict(name, False, f"quotient k={k}: a pole at q=0, the target has none")
+        return Verdict(name, False, f"quotient k={k}: a pole at q=0, the target has none")
     except ArithmeticError as error:  # a constant term other than 0, 1 or -1
-        return _verdict(name, False, f"quotient k={k}: {error}")
+        return Verdict(name, False, f"quotient k={k}: {error}")
     expected = series_expand(target, degree)
-    return _verdict(name, False, _series_mismatch(f"quotient k={k}", got, expected, "target"))
+    return Verdict(name, False, _series_mismatch(f"quotient k={k}", got, expected, "target"))
 
 
 def check_negativity(degree: int = 60) -> List[Verdict]:
@@ -180,7 +179,7 @@ def check_negativity(degree: int = 60) -> List[Verdict]:
     for k, l, expected in ((5, 1, 23), (6, 2, 18)):
         _, neg = genfun.freeness_quotient(k, l, degree)
         verdicts.append(
-            _verdict(
+            Verdict(
                 f"first negative coefficient of quotient k={k}, l={l} at degree {expected}",
                 neg == expected,
                 f"got {neg}",
@@ -211,8 +210,8 @@ def structure_verdict(k: int, degree: int) -> Tuple[Optional[genfun.InvariantStr
     try:
         structure = genfun.detect_invariant_structure(k, degree)
     except genfun.StructureNotRecognizedError as exc:
-        return None, _verdict(name, False, str(exc))
-    return structure, _verdict(name, True)
+        return None, Verdict(name, False, str(exc))
+    return structure, Verdict(name, True)
 
 
 def check_structure_detection(degree: int = 60) -> List[Verdict]:
@@ -222,7 +221,7 @@ def check_structure_detection(degree: int = 60) -> List[Verdict]:
         st, recognized = structure_verdict(k, degree)
         got = recognized.detail if st is None else f"got {st.describe()}"
         verdicts.append(
-            _verdict(
+            Verdict(
                 f"invariant structure for k={k}: generators {list(gens)}"
                 + (f", relation degree {rel}" if rel else ", free"),
                 st == expected,
@@ -266,7 +265,7 @@ def _printed_m_matrices() -> Dict[int, Tuple[List, List[List[Polynomial]]]]:
 
 def rank_verdict(n: int, rank: int) -> Verdict:
     """The rank of M_n at x = n, as computed by ``younglat.rank_at``, is n."""
-    return _verdict(f"rank of M_{n} at x={n} equals {n}", rank == n, f"rank {rank}")
+    return Verdict(f"rank of M_{n} at x={n} equals {n}", rank == n, f"rank {rank}")
 
 
 def det_verdicts(n: int, upto: int) -> Tuple[Optional[younglat.DetFactorization], List[Verdict]]:
@@ -280,10 +279,10 @@ def det_verdicts(n: int, upto: int) -> Tuple[Optional[younglat.DetFactorization]
     try:
         d = younglat.verify_det_factorization(n)
     except younglat.PsiError as error:
-        return None, [_verdict(shape, False, str(error)), _verdict(nonzero, False, str(error))]
+        return None, [Verdict(shape, False, str(error)), Verdict(nonzero, False, str(error))]
     return d, [
-        _verdict(shape, d.fully_factored and all(r < n for r in d.roots), d.describe()),
-        _verdict(nonzero, all(d.determinant(m) != 0 for m in range(n, upto + 1))),
+        Verdict(shape, d.fully_factored and all(r < n for r in d.roots), d.describe()),
+        Verdict(nonzero, all(d.determinant(m) != 0 for m in range(n, upto + 1))),
     ]
 
 
@@ -293,7 +292,7 @@ def check_young_lattice(n_max: int = 12) -> List[Verdict]:
         m = younglat.path_matrix(n)
         rows = [younglat.column(j) for j in range(1, n + 1)]
         ok = m.cols == cols and m.rows == rows and m.entries == entries
-        verdicts.append(_verdict(f"M_{n} matches the reference matrix entry-for-entry", ok))
+        verdicts.append(Verdict(f"M_{n} matches the reference matrix entry-for-entry", ok))
 
     ranks = {n: rank_verdict(n, younglat.rank_at(n)) for n in range(1, n_max + 1)}
     verdicts.append(_every(f"rank of M_n at x=n equals n for 1 <= n <= {n_max}", ranks))
@@ -318,7 +317,7 @@ def check_young_lattice(n_max: int = 12) -> List[Verdict]:
     # factor multiset {2,2,3}.  The required multiset is asserted as stated.
     d6, (shape6, _) = dets.get(6) or det_verdicts(6, n_max)
     verdicts.append(
-        _verdict(
+        Verdict(
             "linear-factor multiset of det N_6 is {x-1, x-2, x-3}",
             d6 is not None and sorted(d6.roots) == [1, 2, 3],
             shape6.detail if d6 is None
@@ -346,23 +345,22 @@ def invariance_verdicts(c2: symalg.SymElement, c3: symalg.SymElement) -> List[Ve
     verdicts = []
     for name, element, degree in (("C2", c2, 2), ("C3", c3, 3)):
         verdicts.append(
-            _verdict(
+            Verdict(
                 f"{name} is homogeneous of degree {degree} and weight 0",
-                element.homogeneous_degree() == degree and element.weight() == 0,
+                {sum(e) for e in element.terms} == {degree}
+                and {element.monomial_weight(e) for e in element.terms} == {0},
             )
         )
         for op in ("e", "f"):
             image = symalg.adjoint_action(op, element)
-            verdicts.append(
-                _verdict(f"{op} kills {name}", image.is_zero, "" if image.is_zero else str(image))
-            )
-    verdicts.append(_verdict("product C2*C3 is invariant", symalg.is_invariant(c2 * c3)))
+            verdicts.append(Verdict(f"{op} kills {name}", not image, str(image) if image else ""))
+    verdicts.append(Verdict("product C2*C3 is invariant", symalg.is_invariant(c2 * c3)))
     return verdicts
 
 
 def independence_verdict(k: int, rank: int) -> Verdict:
     """The k iterated raisings are independent: ``independence_check`` found rank k."""
-    return _verdict(f"rank certificate: rank = k = {k}", rank == k, f"rank {rank}")
+    return Verdict(f"rank certificate: rank = k = {k}", rank == k, f"rank {rank}")
 
 
 def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
@@ -379,7 +377,7 @@ def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
         if act("h", f) - act("f", h) != f.scale(-2):
             bad.append((exps, "[h,f]"))
     verdicts.append(
-        _verdict(
+        Verdict(
             "derivations satisfy the sl2 relations on all monomials of degree <= 4",
             not bad,
             f"{len(bad)} failures" if bad else "",
@@ -426,7 +424,7 @@ _Q00_TABLE = {
 def dimension_verdict(k: int, n: int, decomposition: Dict[int, int]) -> Verdict:
     """The summands L(l) x m of Sym^n(L(k)) add up to its dimension C(n+k, k)."""
     total = sum((l + 1) * m for l, m in decomposition.items())
-    return _verdict("total dimension equals C(n+k, k)", total == comb(n + k, k), f"{total}")
+    return Verdict("total dimension equals C(n+k, k)", total == comb(n + k, k), f"{total}")
 
 
 def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int = 30) -> List[Verdict]:
@@ -442,7 +440,7 @@ def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int =
     )
     table_ok = all(dict(graded[k]) == row for k, row in _Q00_TABLE.items())
     verdicts.append(
-        _verdict("graded pieces of Q(0) for degrees <= 4 match the reference table", table_ok)
+        Verdict("graded pieces of Q(0) for degrees <= 4 match the reference table", table_ok)
     )
 
     def pbw_count(k: int) -> int:
@@ -471,10 +469,6 @@ def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int =
 def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     verdicts = []
     simples = [Vp(0), Vp(2)] + [V(n) for n in range(1, n_max + 1)]
-    # call-local memos: the three verdicts below read each decomposition and
-    # each type list once, and both tables are dropped when the check returns
-    tensor = cache(sl2rep.hc_tensor)
-    types = cache(sl2rep.g_types)
 
     # independent route: a decomposition is pinned down by its type multiset,
     # which must equal L(k) tensored against the types of the input simple
@@ -483,11 +477,11 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     for k in range(k_max + 1):
         for s in simples:
             got = [0] * (type_bound + 1)
-            for t, mult in tensor(k, s).items():
-                for l in types(t, type_bound):
+            for t, mult in sl2rep.hc_tensor(k, s).items():
+                for l in sl2rep.g_types(t, type_bound):
                     got[l] += mult
             expected = [0] * (type_bound + 1)
-            for l0 in types(s, type_bound + k):
+            for l0 in sl2rep.g_types(s, type_bound + k):
                 for l in sl2rep.clebsch_gordan(k, l0):
                     if l <= type_bound:
                         expected[l] += 1
@@ -512,7 +506,7 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
         (5, V(3), Counter({Vp(0): 1, Vp(2): 1, V(2): 2, V(4): 1, V(6): 1, V(8): 1})),
         (4, V(1), Counter({V(1): 2, V(3): 2, V(5): 1})),
     ]
-    bad = [(k, str(s)) for k, s, want in printed if tensor(k, s) != want]
+    bad = [(k, str(s)) for k, s, want in printed if sl2rep.hc_tensor(k, s) != want]
     verdicts.append(
         _failures("representative decompositions from each branch of the case split", bad)
     )
@@ -521,10 +515,10 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     for a in range(5):
         for b in range(5):
             for s in simples:
-                lhs = sl2rep.hc_tensor_multiset(a, tensor(b, s))
+                lhs = sl2rep.hc_tensor_multiset(a, sl2rep.hc_tensor(b, s))
                 rhs = {}
                 for j in sl2rep.clebsch_gordan(a, b):
-                    for t, m in tensor(j, s).items():
+                    for t, m in sl2rep.hc_tensor(j, s).items():
                         rhs[t] = rhs.get(t, 0) + m
                 if dict(lhs) != rhs:
                     bad.append((a, b, str(s)))
@@ -546,7 +540,7 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
         for l in range(1, depth + 1):
             ok = ok and f[l] == Counter({V(4 * l): 1})
     verdicts.append(
-        _verdict(f"both primed projectives are uniserial with layers V(4l), depth <= {depth}", ok)
+        Verdict(f"both primed projectives are uniserial with layers V(4l), depth <= {depth}", ok)
     )
 
     loewy = {

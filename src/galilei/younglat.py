@@ -260,7 +260,7 @@ class DetFactorization(NamedTuple):
         return self.integer_factor != 0
 
     def describe(self) -> str:
-        if self.determinant.is_zero:
+        if not self.determinant:
             return "determinant is zero (structural failure)"
         factors = "".join(f"(x-{r})" for r in self.roots) or "1"
         status = "" if self.fully_factored else "  [nonlinear residue!]"
@@ -276,7 +276,7 @@ def verify_det_factorization(n: int) -> DetFactorization:
     """
     matrix = build_Nn(n)
     det = poly_det(matrix.entries)
-    if det.is_zero:
+    if not det:
         return DetFactorization(n, det, 0, ())
     roots: List[int] = []
     residue = det

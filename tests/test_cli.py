@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -340,12 +341,15 @@ def test_unknown_command_exits_nonzero():
     assert exc.value.code != 0
 
 
-def test_exit_status_reflects_verdicts():
-    report = Report("demo", {})
-    report.verdicts = [Verdict("good", True)]
-    assert report.all_passed
-    report.verdicts = [Verdict("good", True), Verdict("bad", False)]
-    assert not report.all_passed
+def test_exit_status_reflects_verdicts(capsys, monkeypatch):
+    verdicts = []
+    monkeypatch.setitem(cli.COMMANDS["quiver"][1], "blocks",
+                        (lambda args, rep: rep.verdicts.extend(verdicts), []))
+    for added, code, err in (([], 0, ""), ([Verdict("good", True)], 0, ""),
+                             ([Verdict("bad", False)], 1, "FAILED: bad\n")):
+        verdicts += added
+        status, out, printed = run_cli(capsys, "quiver", "blocks")
+        assert (status, printed) == (code, err) and out.startswith("command: quiver blocks\n")
 
 
 def test_bad_simple_label_is_an_error(capsys):
@@ -756,7 +760,7 @@ def test_planted_psi_level_defect_fails_criterion_5_without_a_traceback(capsys, 
     n6 = "[criterion 5] linear-factor multiset of det N_6 is {x-1, x-2, x-3}"
     assert _changed(before, after) == [shape, nonzero, n6]
     # at every level build_psi refuses its map, and each verdict names the first stray image
-    failures = f"failures at {list(range(2, 13))}"
+    failures = f"failures at {list(range(2, 13))}; 2: psi sends () to (1), outside level 2"
     assert after[shape] == after[nonzero] == (False, failures)
     assert after[n6] == (False, "psi sends (4) to (4,1), outside level 6")
 
@@ -824,7 +828,7 @@ def test_planted_rank_defect_fails_young_rank_and_criterion_5(capsys, monkeypatc
     v = _verdict_named(
         verify.check_young_lattice(n_max=4), "rank of M_n at x=n equals n for 1 <= n <= 4"
     )
-    assert not v.passed and v.detail == "failures at [3]"
+    assert not v.passed and v.detail == "failures at [3]; 3: rank 2"
 
 
 def test_planted_C3_defect_fails_check_invariants_and_criterion_6(capsys, monkeypatch):
@@ -862,7 +866,43 @@ def test_planted_independence_defect_fails_cli_and_criterion_6(capsys, monkeypat
         verify.check_symmetric_algebra(k_max=5),
         "iterated raisings are independent for 1 <= k <= 5",
     )
-    assert not v.passed and v.detail == "failures at [5]"
+    assert not v.passed and v.detail == "failures at [5]; 5: rank 4"
+
+
+_INVARIANCE = "C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)"
+
+
+# an extra v0^3 mixes degrees 2 and 3; an extra v0 v2 has degree 2 but weight 2
+@pytest.mark.parametrize("extra", [(0, 0, 3, 0, 0), (0, 0, 1, 1, 0)])
+def test_planted_mixed_C2_fails_check_invariants_and_criterion_6(capsys, monkeypatch, extra):
+    _, _, before = _verdicts_structured(capsys, "verify", "all", "--quick")
+    original = symalg.build_C2
+    monkeypatch.setattr(symalg, "build_C2", lambda: symalg.SymElement(4, {**original().terms, extra: 1}))
+    code, out, err = run_cli(capsys, "symalg", "check-invariants", "--format", "structured")
+    failing = [
+        "C2 is homogeneous of degree 2 and weight 0", "e kills C2", "f kills C2",
+        "product C2*C3 is invariant",
+    ]
+    assert (code, _structured_failures(out), err) == (1, failing, f"FAILED: {'; '.join(failing)}\n")
+    code, results, after = _verdicts_structured(capsys, "verify", "all", "--quick")
+    assert code == 1
+    assert "criterion 6 (symmetric-algebra derivations): FAIL" in results["criteria"]
+    assert _changed(before, after) == [f"[criterion 6] {_INVARIANCE}"]
+    assert after[f"[criterion 6] {_INVARIANCE}"] == (False, f"failures at {failing}")
+
+
+def test_every_verdict_pass_flag_is_a_bool(capsys):
+    for quick in (False, True):
+        for _, _, verdicts in verify.run_all(quick=quick):
+            assert all(type(v.passed) is bool for v in verdicts)
+    # the README's commands, without the `verify all [--quick]` synopsis line
+    block = re.search(r"```\n(galilei .*?)```", (Path(__file__).parents[1] / "README.md").read_text(),
+                      re.DOTALL).group(1)
+    for line in block.splitlines():
+        if "[" not in line:
+            _, out, _ = run_cli(capsys, *shlex.split(line)[1:], "--format", "structured")
+            # json prints true or false only for a bool
+            assert all(type(v["passed"]) is bool for v in json.loads(out)["verdicts"]), line
 
 
 class _Built(Exception):

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
@@ -6,7 +7,7 @@ from math import comb
 import pytest
 
 from galilei import genfun, sl2rep, verify
-from galilei.exact import TruncatedSeries
+from galilei.exact import TruncatedSeries, sharing
 from galilei.sl2rep import SimpleHC, V, Vp
 
 
@@ -362,43 +363,29 @@ def test_planted_multiset_defect_fails_coherence(monkeypatch):
     assert coherence.detail.startswith("failures at [(0, 2, 'V(1)'),")
 
 
-def test_criterion_8_computes_each_decomposition_and_type_list_once(monkeypatch):
-    tensored, typed = [], []
-    inside_multiset = [False]
-    original_tensor, original_types = sl2rep.hc_tensor, sl2rep.g_types
-    original_multiset = sl2rep.hc_tensor_multiset
+def test_criterion_8_inside_sharing_computes_each_decomposition_once():
+    body = sl2rep.hc_tensor.__wrapped__.__code__
+    computed = Counter()
 
-    def counting_tensor(k, s):
-        if not inside_multiset[0]:
-            tensored.append((k, s))
-        return original_tensor(k, s)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            computed[frame.f_locals["k"], frame.f_locals["s"]] += 1
 
-    def counting_types(s, max_l):
-        typed.append((s, max_l))
-        return original_types(s, max_l)
-
-    def multiset(k, m):
-        # the library call under test makes its own hc_tensor calls
-        inside_multiset[0] = True
-        try:
-            return original_multiset(k, m)
-        finally:
-            inside_multiset[0] = False
-
-    monkeypatch.setattr(sl2rep, "hc_tensor", counting_tensor)
-    monkeypatch.setattr(sl2rep, "g_types", counting_types)
-    monkeypatch.setattr(sl2rep, "hc_tensor_multiset", multiset)
     k_max = n_max = 8
-    assert all(v.passed for v in verify.check_tensor_calculus(k_max, n_max))
-    assert len(set(tensored)) == len(tensored)
-    assert len(set(typed)) == len(typed)
-    # every (k, s) of the type oracle, and nothing else: the printed cases and
-    # the coherence loop's j <= 8 read the same table
-    assert set(tensored) == {(k, s) for k in range(k_max + 1) for s in all_simples(n_max)}
-    # each label's types up to the oracle's bound, and each input's up to bound + k
-    bound = 2 * (k_max + n_max) + 8
-    labels = {t for k, s in tensored for t in original_tensor(k, s)}
-    assert set(typed) == {(t, bound) for t in labels} | {(s, bound + k) for k, s in tensored}
+    sys.setprofile(hook)
+    try:
+        with sharing():
+            verdicts = verify.check_tensor_calculus(k_max, n_max)
+    finally:
+        sys.setprofile(None)
+    assert all(v.passed for v in verdicts)
+    assert set(computed.values()) == {1}
+    # every (k, s) of the type oracle; the printed cases and the coherence
+    # loop's j <= 8 read the same values, and the iterated tensoring adds
+    # L(a) (x) t, a <= 4, for the summands t of each decomposition it expands
+    oracle = {(k, s) for k in range(k_max + 1) for s in all_simples(n_max)}
+    assert oracle <= set(computed)
+    assert all(k <= 4 for k, _ in set(computed) - oracle)
 
 
 def test_hc_tensor_coherence():

@@ -11,13 +11,17 @@ status is 1 if any differs.
 
     python tools/same_output.py HEAD~1   # the working tree against HEAD~1
 
-The list: the README's commands; ``verify all`` full and ``--quick``, as text
-and structured; ``genfun series`` with ``--method all`` and ``closed`` at
-degree 20 for k = 0..7 and l = 0..12; ``genfun invariants`` and ``genfun
-freeness --l 1`` for k = 0..8; ``sl2 tensor`` for k = 0..8 against V'(0),
-V'(2), V(1), V(2), V(3), V(4) and V(7); ``symalg check-invariants``
-structured; ``young det --upto 9``; three refused requests; and argparse's
-own error paths, ``ARGPARSE_ERRORS``.
+The list runs every command group at more than the README's one size: the
+README's commands; ``verify all`` full and ``--quick``, as text and
+structured; ``genfun series`` with ``--method all`` and ``closed`` at degree
+20 for k = 0..7 and l = 0..12; ``genfun invariants`` and ``genfun freeness
+--l 1`` for k = 0..8; ``sl2 sym --k 4`` for n = 0..6; ``sl2 q0 --l`` for
+l = 0..20; ``sl2 tensor`` for k = 0..8 against V'(0), V'(2), V(1), V(2),
+V(3), V(4) and V(7); ``symalg check-invariants`` structured; ``symalg
+independence`` for k = 1..11; ``young matrix`` for n = 1..6 and ``--n 5
+--emit``; ``young det --upto 9``; ``quiver radical`` at depth 8 for V'(2)
+and V(1)..V(8); ``quiver decompose-q`` for k = 0..12; five refused
+requests; and argparse's own error paths, ``ARGPARSE_ERRORS``.
 
 Standard library only, with ``git`` and ``tar``.
 """
@@ -93,15 +97,24 @@ def command_list() -> List[List[str]]:
     for k in range(9):
         argvs += [["genfun", "invariants", "--k", str(k)],
                   ["genfun", "freeness", "--k", str(k), "--l", "1"]]
+    argvs += [["sl2", "sym", "--k", "4", "--n", str(n)] for n in range(7)]
+    argvs += [["sl2", "q0", "--l", str(l)] for l in range(21)]
     for k in range(9):
         for simple in ("V'(0)", "V'(2)", "V(1)", "V(2)", "V(3)", "V(4)", "V(7)"):
             argvs.append(["sl2", "tensor", "--k", str(k), "--simple", simple])
+    argvs.append(["symalg", "check-invariants", "--format", "structured"])
+    argvs += [["symalg", "independence", "--k", str(k)] for k in range(1, 12)]
+    argvs += [["young", "matrix", "--n", str(n)] for n in range(1, 7)]
+    argvs += [["young", "matrix", "--n", "5", "--emit"], ["young", "det", "--upto", "9"]]
+    for top in ["V'(2)"] + [f"V({n})" for n in range(1, 9)]:
+        argvs.append(["quiver", "radical", "--top", top, "--depth", "8"])
+    argvs += [["quiver", "decompose-q", "--k", str(k)] for k in range(13)]
     argvs += [
-        ["symalg", "check-invariants", "--format", "structured"],
-        ["young", "det", "--upto", "9"],
         ["young", "rank", "--upto", "-1"],
         ["genfun", "series", "--k", "101", "--l", "0"],
         ["quiver", "radical", "--top", "V(0)", "--depth", "1"],
+        ["sl2", "q0", "--l", "1", "--table", "2"],
+        ["symalg", "independence", "--k", "41"],
     ]
     return argvs + ARGPARSE_ERRORS
 
