@@ -46,7 +46,7 @@ class SimpleHC(_SimpleHCFields):
             raise ValueError("V(n) requires n >= 1")
         return tuple.__new__(cls, (primed, index))
 
-    def __str__(self):
+    def __repr__(self):
         return f"V'({self.index})" if self.primed else f"V({self.index})"
 
     @classmethod

@@ -80,10 +80,6 @@ class SymElement:
             out[exps] = out.get(exps, 0) - c
         return SymElement(self.n, out)
 
-    def scale(self, c: ScalarLike) -> "SymElement":
-        c = _as_scalar(c)
-        return SymElement(self.n, {e: v * c for e, v in self.terms.items()})
-
     def __mul__(self, other: "SymElement") -> "SymElement":
         self._compatible(other)
         out: Dict[Exponents, ScalarLike] = {}

@@ -16,15 +16,19 @@ all``, ``genfun invariants``, ``young rank``, ``young det``, ``symalg
 check-invariants`` and ``symalg independence`` report them as they are, so
 both surfaces share one predicate per claim.  ``dimension_verdict`` is the
 verdict of ``sl2 sym``.  A verdict's ``passed`` is a plain ``bool`` read off
-the values it compares, so a malformed value is a FAIL, not an error.
+the values it compares, so a malformed value is a FAIL, not an error.  Each
+aggregate of criteria 5-9 is one ``_compare`` over (key, got, expected) rows,
+whose FAIL gives the failure count, the first failing key and both of its
+values; ``_every`` rolls per-item verdicts up the same way, an item's value
+being PASS, or FAIL with its detail.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import product, zip_longest
 from math import comb
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
 from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand, sharing
@@ -43,17 +47,20 @@ class Verdict(NamedTuple):
         return f"{tag}  {self.name}{suffix}"
 
 
-def _failures(name: str, bad: list, reason: str = "") -> Verdict:
-    """Pass when nothing failed; a failure lists what did, then the reason given."""
-    return Verdict(name, not bad, f"failures at {bad}{reason}" if bad else "")
+def _compare(name: str, rows: Iterable[Tuple[object, object, object]]) -> Verdict:
+    """Pass when every (key, got, expected) row has got == expected; a failure
+    gives the number of failing rows, then the first one's key and both of its
+    values.  Only that row is formatted."""
+    failing = [row for row in rows if row[1] != row[2]]
+    if not failing:
+        return Verdict(name, True)
+    key, got, expected = failing[0]
+    return Verdict(name, False, f"{len(failing)} failing; first at {key}: got {got}, expected {expected}")
 
 
 def _every(name: str, items: Dict) -> Verdict:
-    """Pass when every per-item verdict does; a failure lists the failing keys
-    and gives the first one's detail."""
-    bad = [key for key, v in items.items() if not v.passed]
-    first = items[bad[0]].detail if bad else ""
-    return _failures(name, bad, f"; {bad[0]}: {first}" if first else "")
+    """Pass when every per-item verdict does; an item's value is PASS, or FAIL with its detail."""
+    return _compare(name, ((k, "PASS" if v.passed else f"FAIL ({v.detail})", "PASS") for k, v in items.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +287,10 @@ def det_verdicts(n: int, upto: int) -> Tuple[Optional[younglat.DetFactorization]
         d = younglat.verify_det_factorization(n)
     except younglat.PsiError as error:
         return None, [Verdict(shape, False, str(error)), Verdict(nonzero, False, str(error))]
+    zero = next((m for m in range(n, upto + 1) if d.determinant(m) == 0), None)
     return d, [
         Verdict(shape, d.fully_factored and all(r < n for r in d.roots), d.describe()),
-        Verdict(nonzero, all(d.determinant(m) != 0 for m in range(n, upto + 1))),
+        Verdict(nonzero, zero is None, "" if zero is None else f"det N_{n} is 0 at x = {zero}"),
     ]
 
 
@@ -290,9 +298,10 @@ def check_young_lattice(n_max: int = 12) -> List[Verdict]:
     verdicts = []
     for n, (cols, entries) in sorted(_printed_m_matrices().items()):
         m = younglat.path_matrix(n)
-        rows = [younglat.column(j) for j in range(1, n + 1)]
-        ok = m.cols == cols and m.rows == rows and m.entries == entries
-        verdicts.append(Verdict(f"M_{n} matches the reference matrix entry-for-entry", ok))
+        labels = [younglat.column(j) for j in range(1, n + 1)]
+        rows = [("columns", m.cols, cols), ("rows", m.rows, labels)]
+        rows += [(f"row {label}", got, want) for label, got, want in zip_longest(labels, m.entries, entries)]
+        verdicts.append(_compare(f"M_{n} matches the reference matrix entry-for-entry", rows))
 
     ranks = {n: rank_verdict(n, younglat.rank_at(n)) for n in range(1, n_max + 1)}
     verdicts.append(_every(f"rank of M_n at x=n equals n for 1 <= n <= {n_max}", ranks))
@@ -331,30 +340,23 @@ def check_young_lattice(n_max: int = 12) -> List[Verdict]:
 # Criterion 6: symmetric-algebra derivations and independence
 # ---------------------------------------------------------------------------
 
-def _monomials_up_to(n: int, max_degree: int):
-    for degree in range(max_degree + 1):
-        for combo in combinations_with_replacement(range(n + 1), degree):
-            exps = [0] * (n + 1)
-            for i in combo:
-                exps[i] += 1
-            yield tuple(exps)
-
-
 def invariance_verdicts(c2: symalg.SymElement, c3: symalg.SymElement) -> List[Verdict]:
-    """C2 and C3 have degree 2 and 3 and weight 0, e and f kill each, and C2*C3 is invariant."""
+    """C2 and C3 have degree 2 and 3 and weight 0, e and f kill each, and C2*C3 is invariant;
+    a failure names the degrees and weights found, or the first nonzero image."""
     verdicts = []
     for name, element, degree in (("C2", c2, 2), ("C3", c3, 3)):
-        verdicts.append(
-            Verdict(
-                f"{name} is homogeneous of degree {degree} and weight 0",
-                {sum(e) for e in element.terms} == {degree}
-                and {element.monomial_weight(e) for e in element.terms} == {0},
-            )
-        )
+        degrees = {sum(e) for e in element.terms}
+        weights = {element.monomial_weight(e) for e in element.terms}
+        ok = degrees == {degree} and weights == {0}
+        found = "" if ok else f"degrees {sorted(degrees)}, weights {sorted(weights)}"
+        verdicts.append(Verdict(f"{name} is homogeneous of degree {degree} and weight 0", ok, found))
         for op in ("e", "f"):
             image = symalg.adjoint_action(op, element)
             verdicts.append(Verdict(f"{op} kills {name}", not image, str(image) if image else ""))
-    verdicts.append(Verdict("product C2*C3 is invariant", symalg.is_invariant(c2 * c3)))
+    c2c3 = c2 * c3
+    ok = symalg.is_invariant(c2c3)
+    image = "" if ok else next(f"{op} gives {i}" for op in "ef" if (i := symalg.adjoint_action(op, c2c3)))
+    verdicts.append(Verdict("product C2*C3 is invariant", ok, image))
     return verdicts
 
 
@@ -364,48 +366,38 @@ def independence_verdict(k: int, rank: int) -> Verdict:
 
 
 def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
-    verdicts = []
     act = symalg.adjoint_action
-    bad = []
-    for exps in _monomials_up_to(4, 4):
-        m = symalg.SymElement(4, {exps: 1})
-        e, f, h = act("e", m), act("f", m), act("h", m)
-        if act("e", f) - act("f", e) != h:
-            bad.append((exps, "[e,f]"))
-        if act("h", e) - act("e", h) != e.scale(2):
-            bad.append((exps, "[h,e]"))
-        if act("h", f) - act("f", h) != f.scale(-2):
-            bad.append((exps, "[h,f]"))
-    verdicts.append(
-        Verdict(
-            "derivations satisfy the sl2 relations on all monomials of degree <= 4",
-            not bad,
-            f"{len(bad)} failures" if bad else "",
-        )
-    )
 
+    def relation_rows():
+        # every monomial of degree <= 4 in the five basis vectors of L(4), by its exponents
+        for exps in filter(lambda e: sum(e) <= 4, product(range(5), repeat=5)):
+            m = symalg.SymElement(4, {exps: 1})
+            e, f, h = act("e", m), act("f", m), act("h", m)
+            # [e,f] = h, [h,e] = 2e and [h,f] = -2f, each as got == expected
+            yield (exps, "[e,f]"), act("e", f) - act("f", e), h
+            yield (exps, "[h,e]"), act("h", e) - act("e", h) - e, e
+            yield (exps, "[h,f]"), act("f", h) - act("h", f) - f, f
+
+    relations = _compare(
+        "derivations satisfy the sl2 relations on all monomials of degree <= 4", relation_rows()
+    )
     invariance = invariance_verdicts(symalg.build_C2(), symalg.build_C3())
-    verdicts.append(
-        _failures(
-            "C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)",
-            [v.name for v in invariance if not v.passed],
-        )
-    )
-
     ranks = {k: symalg.independence_check(k) for k in range(1, k_max + 1)}
-    verdicts.append(
+    return [
+        relations,
+        _every(
+            "C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)",
+            {v.name: v for v in invariance},
+        ),
         _every(
             f"iterated raisings are independent for 1 <= k <= {k_max}",
             {k: independence_verdict(k, rank) for k, rank in ranks.items()},
-        )
-    )
-    verdicts.append(
-        _failures(
+        ),
+        _compare(
             "independence ranks agree with the path-matrix ranks",
-            [k for k, rank in ranks.items() if rank != younglat.rank_at(k)],
-        )
-    )
-    return verdicts
+            ((k, rank, younglat.rank_at(k)) for k, rank in ranks.items()),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -428,38 +420,27 @@ def dimension_verdict(k: int, n: int, decomposition: Dict[int, int]) -> Verdict:
 
 
 def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int = 30) -> List[Verdict]:
-    verdicts = []
     graded = {k: sl2rep.q00_degree_part(k) for k in range(degree_max + 1)}
-    bad = []
-    for l in range(l_max + 1):
-        column_sum = sum(graded[k].get(l, 0) for k in graded)
-        if column_sum != sl2rep.q0_multiplicity(l):
-            bad.append(l)
-    verdicts.append(
-        _failures(f"closed multiplicity formula matches graded column sums for l <= {l_max}", bad)
-    )
-    table_ok = all(dict(graded[k]) == row for k, row in _Q00_TABLE.items())
-    verdicts.append(
-        Verdict("graded pieces of Q(0) for degrees <= 4 match the reference table", table_ok)
-    )
 
     def pbw_count(k: int) -> int:
         # monomials in three generators of weights -2, -2, -4 with weight -2k
-        return sum(
-            1
-            for a in range(k + 1)
-            for b in range(k + 1 - a)
-            if (k - a - b) % 2 == 0 and k - a - b >= 0
-        )
+        return sum(1 for a in range(k + 1) for b in range(k + 1 - a) if (k - a - b) % 2 == 0)
 
-    bad = [k for k in range(verma_max + 1) if sl2rep.verma_weight_dim(k) != pbw_count(k)]
-    verdicts.append(
-        _failures(
+    return [
+        _compare(
+            f"closed multiplicity formula matches graded column sums for l <= {l_max}",
+            ((l, sl2rep.q0_multiplicity(l), sum(part.get(l, 0) for part in graded.values()))
+             for l in range(l_max + 1)),
+        ),
+        _compare(
+            "graded pieces of Q(0) for degrees <= 4 match the reference table",
+            ((k, dict(graded[k]), row) for k, row in _Q00_TABLE.items()),
+        ),
+        _compare(
             f"Verma weight-space dimensions match the monomial count for k <= {verma_max}",
-            bad,
-        )
-    )
-    return verdicts
+            ((k, sl2rep.verma_weight_dim(k), pbw_count(k)) for k in range(verma_max + 1)),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +448,14 @@ def check_multiplicities(l_max: int = 40, degree_max: int = 20, verma_max: int =
 # ---------------------------------------------------------------------------
 
 def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
-    verdicts = []
     simples = [Vp(0), Vp(2)] + [V(n) for n in range(1, n_max + 1)]
 
     # independent route: a decomposition is pinned down by its type multiset,
     # which must equal L(k) tensored against the types of the input simple
     type_bound = 2 * (k_max + n_max) + 8
-    bad = []
-    for k in range(k_max + 1):
-        for s in simples:
+
+    def type_rows():
+        for k, s in product(range(k_max + 1), simples):
             got = [0] * (type_bound + 1)
             for t, mult in sl2rep.hc_tensor(k, s).items():
                 for l in sl2rep.g_types(t, type_bound):
@@ -485,14 +465,7 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
                 for l in sl2rep.clebsch_gordan(k, l0):
                     if l <= type_bound:
                         expected[l] += 1
-            if got != expected:
-                bad.append((k, str(s)))
-    verdicts.append(
-        _failures(
-            f"tensor case split matches the type-multiset oracle for k <= {k_max}, simples up to V({n_max})",
-            bad[:4],
-        )
-    )
+            yield (k, s), got, expected
 
     # the 8 cover each case of the paper's statement: primed with k odd, k = 0
     # and k = 2 (mod 4); k < n, k = n, and k > n with k - n even and odd
@@ -506,26 +479,27 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
         (5, V(3), Counter({Vp(0): 1, Vp(2): 1, V(2): 2, V(4): 1, V(6): 1, V(8): 1})),
         (4, V(1), Counter({V(1): 2, V(3): 2, V(5): 1})),
     ]
-    bad = [(k, str(s)) for k, s, want in printed if sl2rep.hc_tensor(k, s) != want]
-    verdicts.append(
-        _failures("representative decompositions from each branch of the case split", bad)
-    )
 
-    bad = []
-    for a in range(5):
-        for b in range(5):
-            for s in simples:
-                lhs = sl2rep.hc_tensor_multiset(a, sl2rep.hc_tensor(b, s))
-                rhs = {}
-                for j in sl2rep.clebsch_gordan(a, b):
-                    for t, m in sl2rep.hc_tensor(j, s).items():
-                        rhs[t] = rhs.get(t, 0) + m
-                if dict(lhs) != rhs:
-                    bad.append((a, b, str(s)))
-    verdicts.append(
-        _failures("Clebsch-Gordan coherence of iterated tensoring for a, b <= 4", bad[:4])
-    )
-    return verdicts
+    def coherence_rows():
+        for a, b, s in product(range(5), range(5), simples):
+            lhs = sl2rep.hc_tensor_multiset(a, sl2rep.hc_tensor(b, s))
+            rhs = {}
+            for j in sl2rep.clebsch_gordan(a, b):
+                for t, m in sl2rep.hc_tensor(j, s).items():
+                    rhs[t] = rhs.get(t, 0) + m
+            yield (a, b, s), dict(lhs), rhs
+
+    return [
+        _compare(
+            f"tensor case split matches the type-multiset oracle for k <= {k_max}, simples up to V({n_max})",
+            type_rows(),
+        ),
+        _compare(
+            "representative decompositions from each branch of the case split",
+            (((k, s), sl2rep.hc_tensor(k, s), want) for k, s, want in printed),
+        ),
+        _compare("Clebsch-Gordan coherence of iterated tensoring for a, b <= 4", coherence_rows()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +507,8 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
 # ---------------------------------------------------------------------------
 
 def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
-    verdicts = []
-    ok = True
-    for top in (Vp(0), Vp(2)):
-        f = quiver.radical_filtration(top, depth)
-        for l in range(1, depth + 1):
-            ok = ok and f[l] == Counter({V(4 * l): 1})
-    verdicts.append(
-        Verdict(f"both primed projectives are uniserial with layers V(4l), depth <= {depth}", ok)
-    )
-
+    tops = [Vp(0), Vp(2)] + [V(k) for k in range(1, k_max + 1)]
+    primed = {top: quiver.radical_filtration(top, depth) for top in tops[:2]}
     loewy = {
         1: Counter({V(3): 1, V(5): 1}),
         2: Counter({V(2): 1, V(6): 1}),
@@ -550,47 +516,38 @@ def check_quivers(depth: int = 8, k_max: int = 12) -> List[Verdict]:
         4: Counter({Vp(0): 1, Vp(2): 1, V(8): 1}),
         5: Counter({V(1): 1, V(9): 1}),
     }
-    bad = [k for k, want in loewy.items() if quiver.radical_filtration(V(k), 1)[1] != want]
-    verdicts.append(
-        _failures("first radical layers of P(1)..P(5) match the reference diagrams", bad)
-    )
-
-    bad = []
-    for top in [Vp(0), Vp(2)] + [V(k) for k in range(1, k_max + 1)]:
-        if quiver.radical_filtration(top, depth) != quiver.expected_filtration(top, depth):
-            bad.append(str(top))
-    verdicts.append(
-        _failures(
-            f"path-counted filtrations match the branch picture to depth {depth} "
-            f"(all four endings covered)",
-            bad,
-        )
-    )
-
-    bad = []
-    for k in range(k_max + 1):
-        expect: Counter = Counter()
-        for s in [Vp(0), Vp(2)] + [V(n) for n in range(1, k + 1)]:
-            if k in sl2rep.g_types(s, k):
-                expect[s] += 1
-        if quiver.decompose_Q(k) != expect:
-            bad.append(k)
-    verdicts.append(
-        _failures(f"Q(k) decomposition matches the staircase formula for k <= {k_max}", bad)
-    )
-
     identities = [
         (1, Vp(0), Counter({V(1): 1})),
         (1, V(1), Counter({Vp(0): 1, Vp(2): 1, V(2): 1})),
         (2, V(1), Counter({V(1): 2, V(3): 1})),
     ]
-    bad = [
-        (k, str(top))
-        for k, top, want in identities
-        if sl2rep.hc_tensor(k, top) != want
+    return [
+        _compare(
+            f"both primed projectives are uniserial with layers V(4l), depth <= {depth}",
+            (((top, l), layers[l], Counter({V(4 * l): 1}))
+             for top, layers in primed.items() for l in range(1, depth + 1)),
+        ),
+        _compare(
+            "first radical layers of P(1)..P(5) match the reference diagrams",
+            ((k, quiver.radical_filtration(V(k), 1)[1], want) for k, want in loewy.items()),
+        ),
+        _compare(
+            f"path-counted filtrations match the branch picture to depth {depth} "
+            f"(all four endings covered)",
+            ((top, quiver.radical_filtration(top, depth), quiver.expected_filtration(top, depth))
+             for top in tops),
+        ),
+        _compare(
+            f"Q(k) decomposition matches the staircase formula for k <= {k_max}",
+            # against the tops V'(0), V'(2), V(1)..V(k) that have L(k) among their types
+            ((k, quiver.decompose_Q(k), Counter(s for s in tops[:k + 2] if k in sl2rep.g_types(s, k)))
+             for k in range(k_max + 1)),
+        ),
+        _compare(
+            "tensor identities L(1)xP'(0), L(1)xP(1), L(2)xP(1)",
+            (((k, top), sl2rep.hc_tensor(k, top), want) for k, top, want in identities),
+        ),
     ]
-    verdicts.append(_failures("tensor identities L(1)xP'(0), L(1)xP(1), L(2)xP(1)", bad))
-    return verdicts
 
 
 # ---------------------------------------------------------------------------

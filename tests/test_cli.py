@@ -760,7 +760,7 @@ def test_planted_psi_level_defect_fails_criterion_5_without_a_traceback(capsys, 
     n6 = "[criterion 5] linear-factor multiset of det N_6 is {x-1, x-2, x-3}"
     assert _changed(before, after) == [shape, nonzero, n6]
     # at every level build_psi refuses its map, and each verdict names the first stray image
-    failures = f"failures at {list(range(2, 13))}; 2: psi sends () to (1), outside level 2"
+    failures = "11 failing; first at 2: got FAIL (psi sends () to (1), outside level 2), expected PASS"
     assert after[shape] == after[nonzero] == (False, failures)
     assert after[n6] == (False, "psi sends (4) to (4,1), outside level 6")
 
@@ -828,7 +828,7 @@ def test_planted_rank_defect_fails_young_rank_and_criterion_5(capsys, monkeypatc
     v = _verdict_named(
         verify.check_young_lattice(n_max=4), "rank of M_n at x=n equals n for 1 <= n <= 4"
     )
-    assert not v.passed and v.detail == "failures at [3]; 3: rank 2"
+    assert not v.passed and v.detail == "1 failing; first at 3: got FAIL (rank 2), expected PASS"
 
 
 def test_planted_C3_defect_fails_check_invariants_and_criterion_6(capsys, monkeypatch):
@@ -843,13 +843,13 @@ def test_planted_C3_defect_fails_check_invariants_and_criterion_6(capsys, monkey
     monkeypatch.setattr(symalg, "build_C3", planted)
     code, out, _ = run_cli(capsys, "symalg", "check-invariants", "--format", "structured")
     assert code == 1
-    failing = _structured_failures(out)
-    assert "e kills C3" in failing and "C2 is homogeneous of degree 2 and weight 0" not in failing
+    assert _structured_failures(out) == ["e kills C3", "f kills C3", "product C2*C3 is invariant"]
     v = _verdict_named(
         verify.check_symmetric_algebra(k_max=3),
         "C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)",
     )
-    assert not v.passed and v.detail == f"failures at {failing}"
+    image = "v[-2]*v[0]*v[4] + 3*v[-4]*v[2]*v[4]"
+    assert not v.passed and v.detail == f"3 failing; first at e kills C3: got FAIL ({image}), expected PASS"
 
 
 def test_planted_independence_defect_fails_cli_and_criterion_6(capsys, monkeypatch):
@@ -866,14 +866,17 @@ def test_planted_independence_defect_fails_cli_and_criterion_6(capsys, monkeypat
         verify.check_symmetric_algebra(k_max=5),
         "iterated raisings are independent for 1 <= k <= 5",
     )
-    assert not v.passed and v.detail == "failures at [5]; 5: rank 4"
+    assert not v.passed and v.detail == "1 failing; first at 5: got FAIL (rank 4), expected PASS"
 
 
 _INVARIANCE = "C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)"
 
 
 # an extra v0^3 mixes degrees 2 and 3; an extra v0 v2 has degree 2 but weight 2
-@pytest.mark.parametrize("extra", [(0, 0, 3, 0, 0), (0, 0, 1, 1, 0)])
+_FOUND = {(0, 0, 3, 0, 0): "degrees [2, 3], weights [0]", (0, 0, 1, 1, 0): "degrees [2], weights [0, 2]"}
+
+
+@pytest.mark.parametrize("extra", list(_FOUND))
 def test_planted_mixed_C2_fails_check_invariants_and_criterion_6(capsys, monkeypatch, extra):
     _, _, before = _verdicts_structured(capsys, "verify", "all", "--quick")
     original = symalg.build_C2
@@ -888,7 +891,41 @@ def test_planted_mixed_C2_fails_check_invariants_and_criterion_6(capsys, monkeyp
     assert code == 1
     assert "criterion 6 (symmetric-algebra derivations): FAIL" in results["criteria"]
     assert _changed(before, after) == [f"[criterion 6] {_INVARIANCE}"]
-    assert after[f"[criterion 6] {_INVARIANCE}"] == (False, f"failures at {failing}")
+    detail = f"4 failing; first at {failing[0]}: got FAIL ({_FOUND[extra]}), expected PASS"
+    assert after[f"[criterion 6] {_INVARIANCE}"] == (False, detail)
+
+
+def test_planted_mixed_C2_fails_its_per_item_verdicts_with_their_values(capsys, monkeypatch):
+    original = symalg.build_C2
+    planted = {**original().terms, (0, 0, 3, 0, 0): 1}
+    monkeypatch.setattr(symalg, "build_C2", lambda: symalg.SymElement(4, planted))
+    _, _, verdicts = _verdicts_structured(capsys, "symalg", "check-invariants")
+    assert verdicts["C2 is homogeneous of degree 2 and weight 0"] == (False, "degrees [2, 3], weights [0]")
+    assert verdicts["product C2*C3 is invariant"] == (False, (
+        "e gives 9*v[0]^5*v[2] - 81/2*v[-2]*v[0]^3*v[2]^2 + 243/2*v[-2]^2*v[0]^2*v[2]*v[4]"
+        " + 243/2*v[-4]*v[0]^2*v[2]^3 - 324*v[-4]*v[0]^3*v[2]*v[4]"
+    ))
+    assert verdicts["C3 is homogeneous of degree 3 and weight 0"] == (True, "")
+
+
+def test_planted_zero_of_det_N4_fails_young_det_and_criterion_5(capsys, monkeypatch):
+    # det N_4 gains the factor x - 7 while its factorization stays as it was
+    original = younglat.verify_det_factorization
+
+    def planted(n):
+        d = original(n)
+        return d._replace(determinant=d.determinant * Polynomial("x", (-7, 1))) if n == 4 else d
+
+    monkeypatch.setattr(younglat, "verify_det_factorization", planted)
+    code, _, verdicts = _verdicts_structured(capsys, "young", "det", "--upto", "8")
+    assert code == 1
+    assert [name for name, (passed, _) in verdicts.items() if not passed] == ["det N_4 stays nonzero at x = 4..8"]
+    assert verdicts["det N_4 stays nonzero at x = 4..8"] == (False, "det N_4 is 0 at x = 7")
+    checks = {v.name: v for v in verify.check_young_lattice(n_max=8)}
+    assert checks["det N_n is nonzero at x=m for n <= m <= 8"].detail == (
+        "1 failing; first at 4: got FAIL (det N_4 is 0 at x = 7), expected PASS"
+    )
+    assert checks["det N_n = nonzero integer times product of (x-i), i < n, for 2 <= n <= 8"].passed
 
 
 def test_every_verdict_pass_flag_is_a_bool(capsys):

@@ -177,7 +177,13 @@ def test_planted_arrow_defect_fails_criterion_9(monkeypatch):
     monkeypatch.setattr(quiver, "arrows_from", planted)
     verdicts = [v for v in verify.check_quivers() if v.name.startswith(name)]
     assert len(verdicts) == 1 and not verdicts[0].passed
-    assert "V(4)" in verdicts[0].detail
+    # the first top whose paths pass through V(4) -> V(8) is V'(0)
+    got = [Counter({Vp(0): 1}), Counter({V(4): 1})] + [Counter()] * 7
+    expected = [Counter({Vp(0): 1})] + [Counter({V(4 * l): 1}) for l in range(1, 9)]
+    assert verdicts[0].detail == f"5 failing; first at V'(0): got {got}, expected {expected}"
+    # the primed projectives lose every layer from the second on, 7 each
+    uniserial = next(v for v in verify.check_quivers() if v.name.startswith("both primed projectives"))
+    assert uniserial.detail == "14 failing; first at (V'(0), 2): got Counter(), expected Counter({V(8): 1})"
 
 
 def test_planted_unidentified_two_cycles_fail_criterion_9(monkeypatch):
@@ -193,8 +199,11 @@ def test_planted_unidentified_two_cycles_fail_criterion_9(monkeypatch):
     monkeypatch.setattr(quiver, "_triple_survives", both_cycles_survive)
     verdicts = [v for v in verify.check_quivers() if v.name.startswith(name)]
     assert len(verdicts) == 1 and not verdicts[0].passed
-    for top in ("V(4)", "V(8)", "V(12)"):
-        assert top in verdicts[0].detail
+    # V(4), V(8) and V(12) fail; below layer 1 of P(4) every left-branch simple comes twice
+    top = [Counter({V(4): 1}), Counter({Vp(0): 1, Vp(2): 1, V(8): 1})]
+    got = top + [Counter({V(4 * l - 4): 2, V(4 * l + 4): 1}) for l in range(2, 9)]
+    expected = top + [Counter({V(4 * l - 4): 1, V(4 * l + 4): 1}) for l in range(2, 9)]
+    assert verdicts[0].detail == f"3 failing; first at V(4): got {got}, expected {expected}"
 
 
 def test_composition_multisets():

@@ -214,6 +214,54 @@ def test_q0_column_sums():
         assert column == sl2rep.q0_multiplicity(l)
 
 
+_C7 = [
+    "closed multiplicity formula matches graded column sums for l <= 12",
+    "graded pieces of Q(0) for degrees <= 4 match the reference table",
+    "Verma weight-space dimensions match the monomial count for k <= 30",
+]
+
+
+def _criterion_7_under(monkeypatch, name, planted):
+    """Criterion 7's verdicts, by position in ``_C7``, with ``sl2rep.<name>`` replaced."""
+    monkeypatch.setattr(sl2rep, name, planted(getattr(sl2rep, name)))
+    verdicts = verify.check_multiplicities(l_max=12)
+    assert [v.name for v in verdicts] == _C7
+    return verdicts
+
+
+def test_planted_q0_multiplicity_fails_the_column_sums_only(monkeypatch):
+    column, table, verma = _criterion_7_under(
+        monkeypatch, "q0_multiplicity", lambda original: lambda l: original(l) + (l == 8)
+    )
+    assert column == (_C7[0], False, "1 failing; first at 8: got 4, expected 3")
+    assert table.passed and verma.passed
+
+
+def test_planted_q00_degree_part_fails_the_reference_table_only(monkeypatch):
+    # L(16) twice in degree 4; the column sums stop at l = 12, so only the table sees it
+    def planted(original):
+        def part(k):
+            out = Counter(original(k))
+            if k == 4:
+                out[16] += 1
+            return out
+        return part
+
+    column, table, verma = _criterion_7_under(monkeypatch, "q00_degree_part", planted)
+    assert table == (_C7[1], False, (
+        "1 failing; first at 4: got {16: 2, 12: 1, 10: 1, 8: 1}, expected {8: 1, 10: 1, 12: 1, 16: 1}"
+    ))
+    assert column.passed and verma.passed
+
+
+def test_planted_verma_weight_dim_fails_the_monomial_count_only(monkeypatch):
+    column, table, verma = _criterion_7_under(
+        monkeypatch, "verma_weight_dim", lambda original: lambda k: original(k) + (k == 7)
+    )
+    assert verma == (_C7[2], False, "1 failing; first at 7: got 21, expected 20")
+    assert column.passed and table.passed
+
+
 def _case_split_tensor(k, s):
     """L(k) (x) s by the paper's case split, as the package stated it before
     the reflection rule: the oracle that the rule reproduces."""
@@ -331,12 +379,14 @@ def test_planted_tensor_branch_defect_fails_criterion_8(monkeypatch):
     monkeypatch.setattr(sl2rep, "hc_tensor", planted)
     verdicts = [v for v in verify.check_tensor_calculus() if v.name.startswith(name)]
     assert len(verdicts) == 1 and not verdicts[0].passed
-    assert "(1, 'V(1)')" in verdicts[0].detail
+    # L(1) x V(1) loses V'(2), whose types L(2), L(6), L(10), ... then count 1, not 2
+    got, expected = [1, 0] + [1, 0, 2, 0] * 9 + [1, 0, 2], [1, 0] + [2, 0] * 19 + [2]
+    assert verdicts[0].detail == f"8 failing; first at (1, V(1)): got {got}, expected {expected}"
 
 
 def test_planted_single_summands_fail_the_type_oracle(monkeypatch):
     # for k > n the summands V(j) with j <= k - n come twice; taking them once
-    # must fail the list-indexed type oracle, which names the first pairs
+    # must fail the list-indexed type oracle, which names the first pair
     original = sl2rep.hc_tensor
 
     def planted(k, s):
@@ -349,7 +399,8 @@ def test_planted_single_summands_fail_the_type_oracle(monkeypatch):
     oracle = verify.check_tensor_calculus()[0]
     assert oracle.name.startswith("tensor case split matches the type-multiset oracle")
     assert not oracle.passed
-    assert oracle.detail == "failures at [(2, 'V(1)'), (3, 'V(1)'), (3, 'V(2)'), (4, 'V(1)')]"
+    got, expected = [0, 1] + [0, 2] * 19 + [0], [0, 2] + [0, 3] * 19 + [0]
+    assert oracle.detail == f"28 failing; first at (2, V(1)): got {got}, expected {expected}"
 
 
 def test_planted_multiset_defect_fails_coherence(monkeypatch):
@@ -360,7 +411,9 @@ def test_planted_multiset_defect_fails_coherence(monkeypatch):
     coherence = verify.check_tensor_calculus()[2]
     assert coherence.name.startswith("Clebsch-Gordan coherence")
     assert not coherence.passed
-    assert coherence.detail.startswith("failures at [(0, 2, 'V(1)'),")
+    assert coherence.detail == (
+        "30 failing; first at (0, 2, V(1)): got {V(1): 1, V(3): 1}, expected {V(1): 2, V(3): 1}"
+    )
 
 
 def test_criterion_8_inside_sharing_computes_each_decomposition_once():

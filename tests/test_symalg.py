@@ -15,6 +15,11 @@ def _basis(n, i):
     return SymElement(n, {tuple(int(j == i) for j in range(n + 1)): 1})
 
 
+def _const(c):
+    """The constant c of Sym(L(4)); a product with it scales an element by c."""
+    return SymElement(4, {(0,) * 5: c})
+
+
 def _sum(*elements):
     """The sum of elements of one Sym(L(n)), added term by term."""
     terms = {}
@@ -59,19 +64,21 @@ def test_basis_action_examples():
     vm4, vm2, v0, v2, v4 = (_basis(4, i) for i in range(5))
     assert not act("e", v4)
     assert act("e", vm4) == vm2
-    assert act("e", vm2) == v0.scale(2)
+    assert act("e", vm2) == SymElement(4, {(0, 0, 1, 0, 0): 2})
     assert act("f", v4) == v2
     assert not act("f", vm4)
     assert not act("h", vm2 * v2)
-    assert act("h", v2 * v2) == (v2 * v2).scale(4)
+    assert act("h", v2 * v2) == SymElement(4, {(0, 0, 0, 2, 0): 4})
 
 
 def test_sl2_relations_on_monomials():
     for exps in monomials_up_to(4, 4):
         m = SymElement(4, {exps: Fraction(1)})
         assert act("e", act("f", m)) - act("f", act("e", m)) == act("h", m)
-        assert act("h", act("e", m)) - act("e", act("h", m)) == act("e", m).scale(2)
-        assert act("h", act("f", m)) - act("f", act("h", m)) == act("f", m).scale(-2)
+        e, f = act("e", m), act("f", m)
+        # [h,e] = 2e and [h,f] = -2f
+        assert act("h", e) - act("e", act("h", m)) - e == e
+        assert act("f", act("h", m)) - act("h", f) - f == f
 
 
 def test_sl2_relations_other_ambient():
@@ -124,13 +131,13 @@ def test_invariant_tables_match_products_of_basis_vectors():
     """The term tables of C2 and C3 against their construction as sums of
     scaled products of basis vectors, coefficient types included."""
     vm4, vm2, v0, v2, v4 = (_basis(4, i) for i in range(5))
-    c2 = _sum(v0 * v0, (vm2 * v2).scale(-3), (vm4 * v4).scale(12))
+    c2 = _sum(v0 * v0, _const(-3) * vm2 * v2, _const(12) * vm4 * v4)
     c3 = _sum(
         v0 * v0 * v0,
-        (vm2 * v0 * v2).scale(Fraction(-9, 2)),
-        (vm2 * vm2 * v4).scale(Fraction(27, 2)),
-        (vm4 * v2 * v2).scale(Fraction(27, 2)),
-        (vm4 * v0 * v4).scale(-36),
+        _const(Fraction(-9, 2)) * vm2 * v0 * v2,
+        _const(Fraction(27, 2)) * vm2 * vm2 * v4,
+        _const(Fraction(27, 2)) * vm4 * v2 * v2,
+        _const(-36) * vm4 * v0 * v4,
     )
 
     def typed(element):
@@ -156,7 +163,11 @@ def test_independence_small_cases():
     v_m4, v_m2, v_0 = (_basis(4, i) for i in range(3))
     assert vectors[0] == v_m2 * v_m2
     # e(v_{-4} v_{-2}) = v_{-2}^2 + 2 v_{-4} v_0
-    assert vectors[1] == _sum(v_m2 * v_m2, (v_m4 * v_0).scale(2))
+    assert vectors[1] == _sum(v_m2 * v_m2, SymElement(4, {(1, 0, 1, 0, 0): 2}))
+
+
+def _failing_invariance_items():
+    return [v.name for v in verify.invariance_verdicts(symalg.build_C2(), symalg.build_C3()) if not v.passed]
 
 
 def test_planted_lowering_defect_fails_the_sl2_relations_and_invariance(monkeypatch):
@@ -166,12 +177,12 @@ def test_planted_lowering_defect_fails_the_sl2_relations_and_invariance(monkeypa
     )
     verdicts = {v.name: v for v in verify.check_symmetric_algebra(k_max=5)}
     relations = verdicts["derivations satisfy the sl2 relations on all monomials of degree <= 4"]
-    assert not relations.passed and relations.detail == "80 failures"
+    assert not relations.passed
+    assert relations.detail == "80 failing; first at ((0, 0, 0, 1, 0), '[e,f]'): got 5*v[2], expected 2*v[2]"
     invariance = verdicts["C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)"]
     assert not invariance.passed
-    assert invariance.detail == (
-        "failures at ['f kills C2', 'f kills C3', 'product C2*C3 is invariant']"
-    )
+    assert invariance.detail == "3 failing; first at f kills C2: got FAIL (-3*v[-2]*v[0]), expected PASS"
+    assert _failing_invariance_items() == ["f kills C2", "f kills C3", "product C2*C3 is invariant"]
     # f never enters the raisings, so both independence verdicts still pass
     assert verdicts["iterated raisings are independent for 1 <= k <= 5"].passed
     assert verdicts["independence ranks agree with the path-matrix ranks"].passed
@@ -186,11 +197,11 @@ def test_planted_raising_defect_fails_the_sl2_relations_and_invariance(monkeypat
     )
     verdicts = {v.name: v for v in verify.check_symmetric_algebra(k_max=5)}
     relations = verdicts["derivations satisfy the sl2 relations on all monomials of degree <= 4"]
-    assert not relations.passed and relations.detail == "80 failures"
+    assert not relations.passed
+    assert relations.detail == "80 failing; first at ((0, 0, 0, 1, 0), '[e,f]'): got 4*v[2], expected 2*v[2]"
     invariance = verdicts["C2 and C3 are invariants (degree 2 and 3, weight 0, killed by e and f)"]
-    assert invariance.detail == (
-        "failures at ['e kills C2', 'e kills C3', 'product C2*C3 is invariant']"
-    )
+    assert invariance.detail == "3 failing; first at e kills C2: got FAIL (2*v[0]*v[2]), expected PASS"
+    assert _failing_invariance_items() == ["e kills C2", "e kills C3", "product C2*C3 is invariant"]
     # a nonzero raising coefficient only rescales coordinates, so the ranks hold
     assert verdicts["iterated raisings are independent for 1 <= k <= 5"].passed
 
@@ -279,7 +290,7 @@ def test_sym_element_arithmetic_keeps_ints(data, kind):
     coeff = _ints if kind == "int" else st.one_of(_ints, _fractions)
     p, q = data.draw(_elements(coeff)), data.draw(_elements(coeff))
     c = data.draw(coeff)
-    results = [p - q, p * q, p.scale(c)]
+    results = [p - q, p * q, _const(c) * p]
     for generator in ("e", "f", "h"):
         lhs = act(generator, p * q)
         assert lhs == _sum(act(generator, p) * q, p * act(generator, q))
@@ -294,6 +305,6 @@ def test_float_and_string_scalars_are_rejected():
     with pytest.raises(TypeError):
         SymElement(4, {(1, 0, 0, 0, 0): 0.1})
     with pytest.raises(TypeError):
-        _basis(4, 0).scale("1/3")
+        _const("1/3")
     with pytest.raises(TypeError):
-        _basis(4, 0).scale(0.5)
+        _const(0.5)

@@ -570,8 +570,14 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
 
     clean_at_3 = yl.path_matrix(3, at=3).entries
     monkeypatch.setattr(yl, "edges_from", planted)
-    failing = {v.name for v in verify.check_young_lattice(n_max=6) if not v.passed}
-    assert "M_3 matches the reference matrix entry-for-entry" in failing - clean
+    failing = {v.name: v.detail for v in verify.check_young_lattice(n_max=6) if not v.passed}
+    assert "M_3 matches the reference matrix entry-for-entry" in failing.keys() - clean
+    # the detail gives the first differing row with both its weights: 2 in place of 1 leads it
+    assert failing["M_3 matches the reference matrix entry-for-entry"] == (
+        "1 failing; first at row (1): got [Polynomial('x', (2,)), Polynomial('x', (-3, 3)),"
+        " Polynomial('x', (2, -3, 1))], expected [Polynomial('x', (1,)), Polynomial('x', (-3, 3)),"
+        " Polynomial('x', (2, -3, 1))]"
+    )
     # the integer route reads the same label rule, through the same memo
     assert yl.path_matrix(3, at=3).entries != clean_at_3
 
