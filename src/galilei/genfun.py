@@ -30,6 +30,11 @@ lattice-count table, read by ``sym_weight_dim`` without building a series.
 for ``f_recur`` (its result); F_l reads one field of every row in place and
 each difference F_l - F_{l+2} two adjacent ones, through one reader.
 k = 0 is an ordinary table: one field per row, each holding 1.
+
+The table keeps the weights >= 0 of each degree only: the weights of a
+finite-dimensional sl2-module are symmetric about 0, so weight -l has the
+dimension of weight l, and no reader reads a negative weight (``sym_weight_dim``
+reads |l|, a series F_l has l >= 0, and ``sl2rep`` peels the dominant half).
 """
 
 from __future__ import annotations
@@ -78,22 +83,26 @@ _enum_tables: Dict[int, Tuple[int, List[int]]] = {}
 
 
 def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
-    """Weight counts of monomials of every degree n <= ``degree``.
+    """Weight counts of monomials of every degree n <= ``degree``, weights >= 0 only.
 
-    Every degree-n monomial has weight congruent to k*n mod 2, so only those
-    weights are stored: row n is one int holding k*n + 1 fields of w bits,
-    field c counting the degree-n monomials of weight 2c - k*n.  No cell
-    exceeds C(n + k, k), the number of degree-n monomials, so with w at least
-    its bit length no field carries into the next; w is a whole number of
-    bytes for ``weight_row``.  One table is kept per k: it serves every
-    smaller degree, and a larger degree drops it before rebuilding.
+    Every degree-n monomial has weight congruent to k*n mod 2, and the weights
+    l and -l have equally many, so only the weights >= 0 of that parity are
+    stored: row n is one int holding k*n//2 + 1 fields of w bits, field j
+    counting the degree-n monomials of weight k*n mod 2 + 2j.  No cell exceeds
+    C(n + k, k), the number of degree-n monomials, so with w at least its bit
+    length no field carries into the next; w is a whole number of bytes for
+    ``weight_row``.  One table is kept per k: it serves every smaller degree,
+    and a larger degree drops it before rebuilding.
 
     The k + 1 factors 1/(1 - t x^i), t marking the degree and x^c field c,
-    one per basis weight 2i - k, are multiplied in lowest weight first.  After
-    the factors of weights -k, ..., 2i - k, row n holds fields 0..i*n only, so
-    the pass of factor i adds ints i*n + 1 fields wide, not k*n + 1: about half
-    the big-int work of taking the highest weight first.  The product, and so
-    every bit of the table, is the same in either order.
+    one per basis weight 2i - k, are multiplied in lowest weight first; field
+    c of a full row n has weight 2c - k*n.  After the factors of weights -k,
+    ..., 2i - k, row n holds fields 0..i*n only, so the pass of factor i adds
+    ints i*n + 1 fields wide, not k*n + 1: about half the big-int work of
+    taking the highest weight first.  The product, and so every bit of the
+    table, is the same in either order.  As soon as the last pass has added
+    row n - 1 into row n it drops that row's negative weights, so the full
+    and the halved tables never coexist.
     """
     entry = _enum_tables.get(k)
     if entry is not None and len(entry[1]) > degree:
@@ -104,10 +113,15 @@ def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
     # Adding one factor of weight 2i - k moves a count from field c of row
     # n - 1 to field c + i of row n (the row offset grows by k/2); pass i
     # leaves row n i*n + 1 fields wide.
-    for i in range(k + 1):
+    for i in range(k):
         shift = i * w
         for n in range(1, degree + 1):
             rows[n] += rows[n - 1] << shift
+    # the last pass, factor k; field (k*n + 1)//2 of a full row n is weight k*n mod 2
+    for n in range(1, degree + 1):
+        rows[n] += rows[n - 1] << k * w
+        rows[n - 1] >>= (k * (n - 1) + 1) // 2 * w
+    rows[degree] >>= (k * degree + 1) // 2 * w
     entry = _enum_tables[k] = (w, rows)
     return entry
 
@@ -115,7 +129,8 @@ def _weight_degree_table(k: int, degree: int) -> Tuple[int, List[int]]:
 def sym_weight_dim(k: int, n: int, l: int) -> int:
     """Dimension of the l-weight space of Sym^n(L(k)): one table field.
 
-    Weights are symmetric about 0, lie in [-kn, kn] and have the parity of kn.
+    Weights are symmetric about 0, lie in [-kn, kn] and have the parity of kn;
+    the table holds the weights >= 0, so weight l is field |l| // 2 of row n.
     """
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
@@ -123,7 +138,7 @@ def sym_weight_dim(k: int, n: int, l: int) -> int:
     if l > k * n or (l + k * n) % 2:
         return 0
     w, rows = _weight_degree_table(k, n)
-    return (rows[n] >> ((l + k * n) // 2 * w)) & ((1 << w) - 1)
+    return (rows[n] >> (l // 2 * w)) & ((1 << w) - 1)
 
 
 def _unpack(packed: int, w: int, count: int) -> List[int]:
@@ -140,27 +155,29 @@ def _unpack(packed: int, w: int, count: int) -> List[int]:
 
 
 def weight_row(k: int, n: int) -> List[int]:
-    """dim Sym^n(L(k))_(2c - kn) for c = 0..kn: one table row, unpacked once."""
+    """dim Sym^n(L(k))_(kn mod 2 + 2j) for j = 0..kn//2: the weights >= 0 of
+    one table row, unpacked once; weight -l has the dimension of weight l."""
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
     w, rows = _weight_degree_table(k, n)
-    return _unpack(rows[n], w, k * n + 1)
+    return _unpack(rows[n], w, k * n // 2 + 1)
 
 
 def _read_fields(k: int, l: int, degree: int, count: int) -> Tuple[int, List[int]]:
     """(w, chunks): chunk n packs ``count`` w-bit fields of row n, from field
-    (l + kn)/2, the weight l, up, read in place from the table fetched once to
-    ``degree``.  Rows with l > kn or l + kn odd read 0, and past a row's end the
-    shift reads zeros.  l > k * degree builds no table and reads zeros (w = 0).
+    l // 2, the weight l, up, read in place from the table fetched once to
+    ``degree``; l >= 0, so the table's weights >= 0 hold every field read.
+    Rows with l > kn or l + kn odd read 0, and past a row's end the shift
+    reads zeros.  l > k * degree builds no table and reads zeros (w = 0).
     """
     if k < 0 or l < 0 or degree < 0:
         raise ValueError("k, l, degree must be non-negative")
     if l > k * degree:
         return 0, [0] * (degree + 1)
     w, rows = _weight_degree_table(k, degree)
-    mask = (1 << count * w) - 1
+    mask, at = (1 << count * w) - 1, l // 2 * w
     return w, [
-        (rows[n] >> ((l + k * n) // 2 * w)) & mask if l <= k * n and (l + k * n) % 2 == 0 else 0
+        (rows[n] >> at) & mask if l <= k * n and (l + k * n) % 2 == 0 else 0
         for n in range(degree + 1)
     ]
 
@@ -393,8 +410,8 @@ def series_routes(k: int, l: int) -> Tuple[str, ...]:
 def _multiplicity_series(k: int, l: int, degree: int) -> TruncatedSeries:
     """F_l - F_{l+2}: the multiplicity of L(l) in each Sym^n(L(k)), by enumeration.
 
-    Fields (l + kn)/2 and (l + kn)/2 + 1 of row n of the weight table, the
-    weights l and l + 2, are adjacent, so one shift and one 2w-bit mask read
+    Fields l // 2 and l // 2 + 1 of row n of the weight table, the weights
+    l and l + 2, are adjacent, so one shift and one 2w-bit mask read
     both.
     """
     w, pairs = _read_fields(k, l, degree, 2)
@@ -405,7 +422,8 @@ def _multiplicity_series(k: int, l: int, degree: int) -> TruncatedSeries:
 def invariant_series(k: int, degree: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """Hilbert series F_0 - F_2 of the invariant ring, to the given degree, by enumeration.
 
-    Each coefficient is fields kn/2 and kn/2 + 1 of one weight-table row,
+    Each coefficient is fields 0 and 1, the weights 0 and 2, of one
+    weight-table row (a row of odd kn holds neither and reads 0),
     read together by ``_multiplicity_series``.
     """
     return _multiplicity_series(k, 0, degree)

@@ -87,22 +87,24 @@ def sym_power_decompose(k: int, n: int) -> CounterT[int]:
     """Multiplicities of each L(l) in the n-th symmetric power of L(k).
 
     Obtained by peeling the weight character: the multiplicity of L(l) is
-    dim Sym^n(L(k))_l - dim Sym^n(L(k))_{l+2}, read from one weight row
-    whose entry c is the dimension of weight 2c - kn.
+    dim Sym^n(L(k))_l - dim Sym^n(L(k))_{l+2}, read from the dominant half of
+    one weight row, whose entry j is the dimension of weight kn mod 2 + 2j.
     """
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
-    return _peel(weight_row(k, n), k * n)
+    return _peel(weight_row(k, n), k * n % 2)
 
 
-def _peel(row: List[int], top: int) -> CounterT[int]:
-    """Nonzero multiplicities of each L(l) in a character whose field c has weight 2c - top."""
+def _peel(row: List[int], low: int) -> CounterT[int]:
+    """Nonzero multiplicities of each L(l), highest l first, in a character
+    given by its dominant half: field j of ``row`` has weight low + 2j >= 0,
+    which fixes the character since weight -l has the dimension of weight l."""
     row = row + [0]
     out: CounterT[int] = Counter()
-    for c in range(top, (top - 1) // 2, -1):
-        mult = row[c] - row[c + 1]
+    for j in range(len(row) - 2, -1, -1):
+        mult = row[j] - row[j + 1]
         if mult:
-            out[2 * c - top] = mult
+            out[low + 2 * j] = mult
     return out
 
 
@@ -146,18 +148,18 @@ def q00_degree_part(k: int) -> CounterT[int]:
     Sym(L(4)) is Q(0) tensored with the free algebra on its invariants of
     degrees 2 and 3, so the piece is the signed sum, not a series product,
     Sym^k - Sym^(k-2) - Sym^(k-3) + Sym^(k-5) of symmetric powers of L(4).
-    Their weight rows are summed with these signs and the sum is peeled
-    once; only nonzero multiplicities are kept.
+    The dominant halves of their weight rows, field j of weight 2j in every
+    row, are summed with these signs and the sum is peeled once; only
+    nonzero multiplicities are kept.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     total = weight_row(4, k)
     for n, op in ((k - 2, sub), (k - 3, sub), (k - 5, add)):
         if n >= 0:
-            # field c of row n has weight 2c - 4n: row n starts 2(k - n) fields into row k
-            row, at = weight_row(4, n), 2 * (k - n)
-            total[at:at + len(row)] = map(op, total[at:at + len(row)], row)
-    return _peel(total, 4 * k)
+            row = weight_row(4, n)
+            total[:len(row)] = map(op, total[:len(row)], row)
+    return _peel(total, 0)
 
 
 # ---------------------------------------------------------------------------

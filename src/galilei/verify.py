@@ -26,7 +26,7 @@ being PASS, or FAIL with its detail.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product, zip_longest
+from itertools import product
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -299,8 +299,12 @@ def check_young_lattice(n_max: int = 12) -> List[Verdict]:
     for n, (cols, entries) in sorted(_printed_m_matrices().items()):
         m = younglat.path_matrix(n)
         labels = [younglat.column(j) for j in range(1, n + 1)]
-        rows = [("columns", m.cols, cols), ("rows", m.rows, labels)]
-        rows += [(f"row {label}", got, want) for label, got, want in zip_longest(labels, m.entries, entries)]
+        # one row per entry, so a failure prints entries as ``young matrix`` does;
+        # the shape rows keep it as strict as comparing whole matrices
+        rows = [("columns", m.cols, cols), ("rows", m.rows, labels), ("row count", len(m.entries), len(entries))]
+        for label, got, want in zip(labels, m.entries, entries):
+            rows.append((f"row {label} length", len(got), len(want)))
+            rows += [(f"row {label}, column {col}", a, b) for col, a, b in zip(cols, got, want)]
         verdicts.append(_compare(f"M_{n} matches the reference matrix entry-for-entry", rows))
 
     ranks = {n: rank_verdict(n, younglat.rank_at(n)) for n in range(1, n_max + 1)}

@@ -1,5 +1,7 @@
 import ast
 import re
+import sys
+import tracemalloc
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -143,12 +145,13 @@ def _check_weight_rows(k, degree):
     # the largest degree first: every row is read from the table built to ``degree``
     for n in range(degree, -1, -1):
         row = genfun.weight_row(k, n)
-        # one entry per weight -kn, -kn + 2, ..., kn
-        assert len(row) == k * n + 1, (k, n)
-        # every monomial of degree n counted once: dim Sym^n L(k)
-        assert sum(row) == comb(n + k, k), (k, n)
-        # the weights of Sym^n L(k) are symmetric about 0
-        assert row == row[::-1], (k, n)
+        # one entry per weight kn mod 2, kn mod 2 + 2, ..., kn
+        assert len(row) == k * n // 2 + 1, (k, n)
+        # every monomial of degree n counted once: dim Sym^n L(k), the weights
+        # below 0 mirroring those above and weight 0, for even kn, counted once
+        assert 2 * sum(row) - (row[0] if k * n % 2 == 0 else 0) == comb(n + k, k), (k, n)
+        # an sl2-module's weight dimensions fall from weight 0 or 1 outward
+        assert all(a >= b for a, b in zip(row, row[1:])), (k, n)
 
 
 def test_enum_table_rows_against_binomial_oracle():
@@ -176,7 +179,7 @@ def test_weight_row_unpacks_fields_of_every_width():
         size = w // 8
         widths.add(size)
         for n in (degree, degree - 1, degree // 2):
-            data = rows[n].to_bytes((k * n + 1) * size, "little")
+            data = rows[n].to_bytes((k * n // 2 + 1) * size, "little")
             expected = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
             assert genfun.weight_row(k, n) == expected, (degree, n)
     genfun.clear_memo_caches()
@@ -228,9 +231,15 @@ def _table_highest_weight_first(k, degree):
     return w, rows
 
 
+def _fields(packed, w, count):
+    return [(packed >> (c * w)) & ((1 << w) - 1) for c in range(count)]
+
+
 def test_weight_table_equals_the_highest_weight_first_table_bit_for_bit():
     # the factors commute, so the order of the passes leaves every bit as it
-    # is; k = 16 reaches fields of 1 to 9 bytes, k = 32 passes 64 bits sooner
+    # is; k = 16 reaches fields of 1 to 9 bytes, k = 32 passes 64 bits sooner.
+    # The stored rows are the reference rows' weights >= 0: the fields from
+    # (kn + 1)//2 up, each reference row a palindrome about weight 0
     cases = [(k, degree) for k in range(1, 9) for degree in (0, 1, 5, 24, 60)]
     cases += [(16, degree) for degree in (1, 3, 6, 12, 20, 31, 47, 69, 101)]
     cases += [(32, degree) for degree in (2, 45)]
@@ -239,12 +248,48 @@ def test_weight_table_equals_the_highest_weight_first_table_bit_for_bit():
     try:
         for k, degree in cases:
             genfun.clear_memo_caches()
-            table = genfun._weight_degree_table(k, degree)
-            assert table == _table_highest_weight_first(k, degree), (k, degree)
-            widths.add(table[0] // 8)
+            w, rows = genfun._weight_degree_table(k, degree)
+            reference_w, reference = _table_highest_weight_first(k, degree)
+            assert (w, len(rows)) == (reference_w, len(reference)), (k, degree)
+            for n, (row, full) in enumerate(zip(rows, reference)):
+                fields = _fields(full, w, k * n + 1)
+                assert fields == fields[::-1], (k, degree, n)
+                assert row == full >> ((k * n + 1) // 2 * w), (k, degree, n)
+            widths.add(w // 8)
     finally:
         genfun.clear_memo_caches()
     assert widths == set(range(1, 10))
+
+
+def _check_table_peak(k=32, degree=45):
+    # building the table passes through rows nearly as wide as the full ones,
+    # every weight from -kn to kn; holding the halved rows beside all of those
+    # would cost about 1.5 times the full table
+    _, full = _table_highest_weight_first(k, degree)
+    full_bytes = sys.getsizeof(full) + sum(map(sys.getsizeof, full))
+    genfun.clear_memo_caches()
+    tracemalloc.start()
+    try:
+        genfun._weight_degree_table(k, degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        genfun.clear_memo_caches()
+    assert peak < 1.25 * full_bytes, (peak, full_bytes)
+
+
+def test_weight_table_build_never_holds_the_full_and_halved_tables():
+    _check_table_peak()
+
+
+def test_planted_list_comprehension_trim_fails_the_peak_bound(monkeypatch):
+    def trim_after(k, degree):
+        w, rows = _table_highest_weight_first(k, degree)
+        return w, [row >> ((k * n + 1) // 2 * w) for n, row in enumerate(rows)]
+
+    monkeypatch.setattr(genfun, "_weight_degree_table", trim_after)
+    with pytest.raises(AssertionError):
+        _check_table_peak()
 
 
 def test_planted_narrow_field_width_fails_the_row_oracle(monkeypatch):

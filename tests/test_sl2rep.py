@@ -81,6 +81,50 @@ def test_sym_power_decompose_against_brute_force():
             assert dict(sl2rep.sym_power_decompose(k, n)) == brute, (k, n)
 
 
+def _half_table_mismatches(max_k=5, max_n=5):
+    """(reader, k, n) for every reader of the halved weight table that
+    disagrees with the monomial count at k <= max_k, n <= max_n."""
+    bad = []
+    for k in range(max_k + 1):
+        genfun.clear_memo_caches()
+        enum = {l: genfun.f_enum(k, l, max_n).coeffs for l in range(k * max_n + 3)}
+        for n in range(max_n + 1):
+            counts, kn = brute_sym_weight_dims(k, n), k * n
+            # field j of a row is weight kn mod 2 + 2j: weight 1, not 0, for odd kn
+            if genfun.weight_row(k, n) != [counts[kn % 2 + 2 * j] for j in range(kn // 2 + 1)]:
+                bad.append(("weight_row", k, n))
+            weights = range(-kn - 3, kn + 4)
+            if [genfun.sym_weight_dim(k, n, l) for l in weights] != [counts[l] for l in weights]:
+                bad.append(("sym_weight_dim", k, n))
+            if [enum[l][n] for l in enum] != [counts[l] for l in enum]:
+                bad.append(("f_enum", k, n))
+            if dict(sl2rep.sym_power_decompose(k, n)) != peel(counts):
+                bad.append(("sym_power_decompose", k, n))
+    return bad
+
+
+def test_half_table_readers_against_monomial_counts():
+    assert _half_table_mismatches() == []
+
+
+def test_planted_off_by_one_field_shift_fails_the_monomial_count(monkeypatch):
+    # every odd-kn row starts one field low, at weight -1, as if the table
+    # kept its fields from kn // 2 up; each weight moves up one field, and the
+    # row keeps kn // 2 + 1 fields
+    original = genfun._weight_degree_table
+
+    def shifted(k, degree):
+        w, rows = original(k, degree)
+        return w, [((row << w) | (row & ((1 << w) - 1))) & ((1 << (k * n // 2 + 1) * w) - 1)
+                   if k * n % 2 else row for n, row in enumerate(rows)]
+
+    monkeypatch.setattr(genfun, "_weight_degree_table", shifted)
+    bad = _half_table_mismatches()
+    assert bad and all(k * n % 2 for _, k, n in bad), bad
+    assert {reader for reader, _, _ in bad} == {"weight_row", "sym_weight_dim", "f_enum", "sym_power_decompose"}
+    genfun.clear_memo_caches()
+
+
 def test_sym_power_examples():
     assert sl2rep.sym_power_decompose(4, 1) == Counter({4: 1})
     assert sl2rep.sym_power_decompose(4, 2) == Counter({0: 1, 4: 1, 8: 1})

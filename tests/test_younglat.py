@@ -572,11 +572,10 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
     monkeypatch.setattr(yl, "edges_from", planted)
     failing = {v.name: v.detail for v in verify.check_young_lattice(n_max=6) if not v.passed}
     assert "M_3 matches the reference matrix entry-for-entry" in failing.keys() - clean
-    # the detail gives the first differing row with both its weights: 2 in place of 1 leads it
+    # the detail gives the one differing entry with both its weights, printed
+    # as ``young matrix`` prints them: 2 in place of 1
     assert failing["M_3 matches the reference matrix entry-for-entry"] == (
-        "1 failing; first at row (1): got [Polynomial('x', (2,)), Polynomial('x', (-3, 3)),"
-        " Polynomial('x', (2, -3, 1))], expected [Polynomial('x', (1,)), Polynomial('x', (-3, 3)),"
-        " Polynomial('x', (2, -3, 1))]"
+        "1 failing; first at row (1), column (3): got 2, expected 1"
     )
     # the integer route reads the same label rule, through the same memo
     assert yl.path_matrix(3, at=3).entries != clean_at_3
@@ -607,6 +606,24 @@ def test_planted_position_swap_fails_criterion_5(monkeypatch):
     # PASS; the reference matrices are what catch a misrouted DP
     assert "M_3 matches the reference matrix entry-for-entry" in failing - clean
     assert planted_at_3 != clean_at_3
+
+
+@pytest.mark.parametrize("reshape, detail", [
+    (lambda entries: [entries[0][:-1]] + entries[1:], "row (1) length: got 2, expected 3"),
+    (lambda entries: entries + [entries[-1]], "row count: got 4, expected 3"),
+])
+def test_planted_matrix_shape_defect_fails_criterion_5(monkeypatch, reshape, detail):
+    # entries are compared one by one, so a short row or an extra row fails
+    # only through the shape rows
+    original = yl.path_matrix
+
+    def planted(n, *args, **kwargs):
+        m = original(n, *args, **kwargs)
+        return m._replace(entries=reshape(m.entries)) if n == 3 else m
+
+    monkeypatch.setattr(yl, "path_matrix", planted)
+    failing = {v.name: v.detail for v in verify.check_young_lattice(n_max=4) if not v.passed}
+    assert failing["M_3 matches the reference matrix entry-for-entry"] == f"1 failing; first at {detail}"
 
 
 def _to_sympy(sympy, x, p):

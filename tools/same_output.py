@@ -15,8 +15,10 @@ The list runs every command group at more than the README's one size: the
 README's commands; ``verify all`` full and ``--quick``, as text and
 structured; ``genfun series`` with ``--method all`` and ``closed`` at degree
 20 for k = 0..7 and l = 0..12; ``genfun invariants`` and ``genfun freeness
---l 1`` for k = 0..8; ``sl2 sym --k 4`` for n = 0..6; ``sl2 q0 --l`` for
-l = 0..20; ``sl2 tensor`` for k = 0..8 against V'(0), V'(2), V(1), V(2),
+--l 1`` for k = 0..8, and ``genfun freeness --k 100 --l 0 --degree 199``;
+``sl2 sym --k 4`` for n = 0..6, and ``sl2 sym`` at odd k*n, k and n each in
+{1, 3, 5}; ``sl2 q0 --l`` for l = 0..20, and ``sl2 q0 --table`` 24 and 996;
+``sl2 tensor`` for k = 0..8 against V'(0), V'(2), V(1), V(2),
 V(3), V(4) and V(7); ``symalg check-invariants`` structured; ``symalg
 independence`` for k = 1..11; ``young matrix`` for n = 1..6 and ``--n 5
 --emit``; ``young det --upto 9``; ``quiver radical`` at depth 8 for V'(2)
@@ -97,8 +99,11 @@ def command_list() -> List[List[str]]:
     for k in range(9):
         argvs += [["genfun", "invariants", "--k", str(k)],
                   ["genfun", "freeness", "--k", str(k), "--l", "1"]]
+    argvs.append(["genfun", "freeness", "--k", "100", "--l", "0", "--degree", "199"])
     argvs += [["sl2", "sym", "--k", "4", "--n", str(n)] for n in range(7)]
+    argvs += [["sl2", "sym", "--k", k, "--n", n] for k in ("1", "3", "5") for n in ("1", "3", "5")]
     argvs += [["sl2", "q0", "--l", str(l)] for l in range(21)]
+    argvs += [["sl2", "q0", "--table", size] for size in ("24", "996")]
     for k in range(9):
         for simple in ("V'(0)", "V'(2)", "V(1)", "V(2)", "V(3)", "V(4)", "V(7)"):
             argvs.append(["sl2", "tensor", "--k", str(k), "--simple", simple])
