@@ -9,15 +9,17 @@ Determinants of matrices with integer-coefficient polynomial entries are
 found in two steps.  First every row or column with at most one nonzero
 entry is peeled off by Laplace expansion, which is exact for any matrix and
 leaves a smaller core (empty for a triangular matrix up to row and column
-order).  The core's determinant is then recovered by evaluating at the
-integer nodes 0..D and Newton-interpolating, which keeps every step in the
-integers: each divided difference on consecutive integer nodes is an
-integer, and every division is checked to be exact.
+order); the peeled entries are multiplied as int coefficient lists, and no
+polynomial is built until the result.  The core's determinant is then
+recovered by evaluating at the integer nodes 0..D and Newton-interpolating,
+which keeps every step in the integers: each divided difference on
+consecutive integer nodes is an integer, and every division is checked to
+be exact.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact import Polynomial
 
@@ -71,12 +73,13 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
     First peels: while some row or column has at most one nonzero entry,
     Laplace-expands along it.  An empty line makes the determinant zero;
-    a single entry goes into a running factor, with a sign flip when its
-    current (row + column) position is odd, and its row and column leave
-    the matrix.  What remains is the core (possibly 0x0).  The core is
-    evaluated at the integer nodes 0..D (D = the sum of its row maxima of
-    degree) and Newton-interpolated; the evaluations are plain integer
-    determinants, and ``bareiss_det`` rejects a non-integer value.
+    a single entry goes into a running factor, an int coefficient list
+    and a sign, with a sign flip when its current (row + column) position
+    is odd, and its row and column leave the matrix.  What remains is the
+    core (possibly 0x0).  The core is evaluated at the integer nodes 0..D
+    (D = the sum of its row maxima of degree) and Newton-interpolated; the
+    evaluations are plain integer determinants, and ``bareiss_det`` rejects
+    a non-integer value.  The one polynomial built is the result.
     """
     n = len(matrix)
     if n == 0:
@@ -84,13 +87,13 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
     var = matrix[0][0].var
-    row_nz = [{j for j, e in enumerate(row) if e} for row in matrix]
+    row_nz = [{j for j, e in enumerate(row) if e.coeffs} for row in matrix]
     col_nz = [set() for _ in range(n)]
     for i, row in enumerate(row_nz):
         for j in row:
             col_nz[j].add(i)
     rows, cols = list(range(n)), list(range(n))
-    factor = Polynomial(var, (1,))
+    factor, sign = [1], 1
     pending = [(True, i) for i in range(n)] + [(False, j) for j in range(n)]
     while pending:
         is_row, k = pending.pop()
@@ -101,9 +104,9 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
             return Polynomial(var)
         (other,) = line
         i, j = (k, other) if is_row else (other, k)
-        factor = factor * matrix[i][j]
+        factor = _times(factor, matrix[i][j].coeffs)
         if (rows.index(i) + cols.index(j)) % 2:
-            factor = -factor
+            sign = -sign
         rows.remove(i)
         cols.remove(j)
         for jj in row_nz[i]:
@@ -116,7 +119,17 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     core = [[matrix[i][j] for j in cols] for i in rows]
     bound = sum(max((e.degree for e in row), default=0) for row in core)
     values = [bareiss_det([[entry(t) for entry in row] for row in core]) for t in range(bound + 1)]
-    return factor * _newton_interpolate(var, values)
+    core_det = _newton_interpolate(var, values)
+    return Polynomial(var, [sign * c for c in _times(factor, core_det.coeffs)])
+
+
+def _times(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The coefficient list of the product of two polynomials, from theirs.
+    ``a`` is nonempty; an empty ``b`` (the zero polynomial) gives zeros."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        out[j : j + len(a)] = [o + x * y for o, x in zip(out[j:], a)]
+    return out
 
 
 def _newton_interpolate(var: str, values: Sequence[int]) -> Polynomial:

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
 from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand, sharing
-from .sl2rep import V, Vp
+from .sl2rep import SimpleHC, V, Vp
 from .younglat import partition
 
 
@@ -457,12 +457,15 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     # independent route: a decomposition is pinned down by its type multiset,
     # which must equal L(k) tensored against the types of the input simple
     type_bound = 2 * (k_max + n_max) + 8
+    types: Dict[SimpleHC, range] = {}  # each summand's types, once per label
 
     def type_rows():
         for k, s in product(range(k_max + 1), simples):
             got = [0] * (type_bound + 1)
             for t, mult in sl2rep.hc_tensor(k, s).items():
-                for l in sl2rep.g_types(t, type_bound):
+                if t not in types:
+                    types[t] = sl2rep.g_types(t, type_bound)
+                for l in types[t]:
                     got[l] += mult
             expected = [0] * (type_bound + 1)
             for l0 in sl2rep.g_types(s, type_bound + k):

@@ -2,12 +2,15 @@
 
 Vertices are partitions with first part <= 4; there is an edge from a
 partition to each partition covering it (one node added).  Edges carry
-polynomial labels in the variable x:
+linear labels in the variable x:
 
 * adding a node in the first column (a new part equal to 1): label x - c,
   where c is the number of parts of the source partition;
 * adding a node in column m > 1: label equal to the number of parts of the
   source partition that are equal to m - 1.
+
+A label is stored as two ints, its slope and its constant: (1, -c) for a
+first-column node and (0, count) for any other.
 
 From these labels the module builds the path-weight matrices M_n (rows
 indexed by the columns (1^k), columns by partitions of n), the injection psi
@@ -18,12 +21,16 @@ headline fact checked downstream: M_n evaluated at x = n has full rank n.
 A partition is the tuple of its parts.  Level m of the lattice is
 ``bounded_partitions(m)``, and an edge names its target by the target's
 position in the next level, so ``path_matrix`` runs one loop over positions,
-for the polynomial M_n and for its values at an integer point alike.
+for the polynomial M_n and for its values at an integer point alike.  At a
+point the loop multiplies ints by slope * point + constant and builds no
+polynomial; only the polynomial M_n and ``build_Nn`` turn the (slope,
+constant) pairs into ``Polynomial`` labels.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import lt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import Polynomial, shared
@@ -43,9 +50,9 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Tuple[int, ...]):
-        if any(p <= 0 for p in parts):
+        if parts and min(parts) <= 0:
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
         return tuple.__new__(cls, parts)
 
@@ -64,18 +71,17 @@ def column(k: int) -> Partition:
 
 @lru_cache(maxsize=None)
 def bounded_partitions(n: int) -> Tuple[Partition, ...]:
-    """Partitions of n with parts <= MAX_PART, in decreasing lex order, as the search meets them."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, acc: Tuple[int, ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            rec(remaining - p, p, acc + (p,))
-
-    rec(n, MAX_PART, ())
-    return tuple(Partition(p) for p in out)
+    """Partitions of n with parts <= MAX_PART, in decreasing lex order: for
+    each first part p, largest first, p followed by each partition of n - p
+    (in its own order) whose parts are at most p."""
+    if n == 0:
+        return (Partition(()),)
+    return tuple(
+        Partition((p,) + rest)
+        for p in range(min(MAX_PART, n), 0, -1)
+        for rest in bounded_partitions(n - p)
+        if not rest or rest[0] <= p
+    )
 
 
 @lru_cache(maxsize=None)
@@ -85,17 +91,17 @@ def _positions(n: int) -> Dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
-def edges_from(p: Partition) -> Tuple[Tuple[int, Polynomial], ...]:
+def edges_from(p: Partition) -> Tuple[Tuple[int, int, int], ...]:
     """All labeled edges out of p (one per addable node, parts <= MAX_PART),
-    each as (target position in ``bounded_partitions(sum(p) + 1)``, label).
+    each as (target position in ``bounded_partitions(sum(p) + 1)``, slope,
+    constant): the edge's label is slope * x + constant.
 
-    No partition is built here: a target is looked up by its raw parts.
-    Memoised: each partition's edges are built once per process, and every
-    caller shares the same tuple and the same label polynomials, which are
-    never mutated.
+    No partition and no polynomial is built here: a target is looked up by
+    its raw parts.  Memoised: each partition's edges are built once per
+    process, and every caller shares the same tuple.
     """
     positions = _positions(sum(p) + 1)
-    edges: List[Tuple[int, Polynomial]] = []
+    edges: List[Tuple[int, int, int]] = []
     for row in range(len(p) + 1):
         if row == len(p):
             new_value = 1
@@ -105,12 +111,14 @@ def edges_from(p: Partition) -> Tuple[Tuple[int, Polynomial], ...]:
             new_value = p[row] + 1
         if new_value > MAX_PART:
             continue
-        if new_value == 1:
-            label = Polynomial("x", (-len(p), 1))
-        else:
-            label = Polynomial("x", (p.count(new_value - 1),))
-        edges.append((positions[p[:row] + (new_value,) + p[row + 1 :]], label))
+        slope, constant = (1, -len(p)) if new_value == 1 else (0, p.count(new_value - 1))
+        edges.append((positions[p[:row] + (new_value,) + p[row + 1 :]], slope, constant))
     return tuple(edges)
+
+
+def _label(slope: int, constant: int) -> Polynomial:
+    """The label slope * x + constant as a polynomial."""
+    return Polynomial("x", (constant, slope))
 
 
 class PathMatrix(NamedTuple):
@@ -132,8 +140,8 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
     listed once as (target position, label).  Row (1^k) is the last position
     of level k; one loop pushes its path weights level by level up to level
     n, whose positions are the columns.  Weights are polynomials in x, or
-    with ``at`` the ints they take at x = at: the same loop then runs on
-    labels evaluated there, and no polynomial is multiplied.
+    with ``at`` the ints they take at x = at: the same loop then runs on the
+    int labels slope * at + constant, and no polynomial is built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -141,7 +149,7 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
     out_edges: Dict[int, List[List[Tuple[int, Weight]]]] = {}
     for m in range(1, n):
         out_edges[m] = [
-            [(j, label if at is None else label(at)) for j, label in edges_from(p)]
+            [(j, _label(s, c) if at is None else s * at + c) for j, s, c in edges_from(p)]
             for p in levels[m]
         ]
     zero, one = (Polynomial("x"), Polynomial("x", (1,))) if at is None else (0, 1)
@@ -198,8 +206,9 @@ def build_psi(n: int) -> Dict[Partition, Partition]:
     if n < 2:
         raise ValueError("n must be at least 2")
     psi: Dict[Partition, Partition] = {}
+    full = column(n - 1)
     for p in bounded_partitions(n - 1):
-        if p == column(n - 1):
+        if p == full:
             psi[p] = special_partition(n)
         else:
             psi[p] = Partition(p + (1,))
@@ -238,10 +247,10 @@ def build_Nn(n: int) -> PathMatrix:
     zero = Polynomial("x")
     entries = [[zero] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
-        for target, label in edges_from(c):
+        for target, slope, constant in edges_from(c):
             i = row_index.get(target)
             if i is not None:
-                entries[i][j] = label
+                entries[i][j] = _label(slope, constant)
     return PathMatrix(rows, cols, entries)
 
 

@@ -239,6 +239,36 @@ def test_poly_det_peels_permuted_triangular_matrices(monkeypatch, row_perm, col_
     assert sizes == [0]  # peeled to an empty core: one node, det 1
 
 
+def test_poly_det_peels_N16_without_a_polynomial_product(monkeypatch):
+    # N_16 peels to a small core: the peeled factor is an int coefficient
+    # list, so the only products are the interpolation's Horner steps
+    entries = yl.build_Nn(16).entries
+    expected = poly_bareiss_det(entries)
+    outside, inside = [], [False]
+    original_mul, original_interpolate = Polynomial.__mul__, linalg._newton_interpolate
+
+    def counting_mul(self, other):
+        if not inside[0]:
+            outside.append(other)
+        return original_mul(self, other)
+
+    def interpolating(var, values):
+        inside[0] = True
+        try:
+            return original_interpolate(var, values)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+    monkeypatch.setattr(linalg, "_newton_interpolate", interpolating)
+    assert poly_det(entries) == expected
+    assert outside == []
+    # positive control: a product outside the interpolation is counted
+    entries[0][0] * entries[0][0]
+    assert outside
+
+
 def test_poly_det_rejects_non_square():
     with pytest.raises(ValueError):
         poly_det([[const(1), const(0), const(2)], [const(0), const(1), const(0)]])
@@ -327,38 +357,49 @@ def test_bounded_partition_counts():
         assert count_partitions(n) == count(n)
         assert len(set(yl.bounded_partitions(n))) == count_partitions(n)
         assert all(p[0] <= 4 for p in yl.bounded_partitions(n))
-    # bounded_partitions returns them in its search's order, which must be decreasing lex
+    # bounded_partitions returns them in the order it builds them, which must be decreasing lex
     for n in range(41):
         level = yl.bounded_partitions(n)
         assert list(level) == sorted(set(level), reverse=True), n
 
 
 def _edge_targets(p):
-    """{printed target: label} for the edges out of p."""
+    """{printed target: (slope, constant)} for the edges out of p."""
     level = yl.bounded_partitions(sum(p) + 1)
-    return {str(level[j]): label for j, label in yl.edges_from(p)}
+    return {str(level[j]): (slope, constant) for j, slope, constant in yl.edges_from(p)}
 
 
 def test_edges_from_examples():
-    [(j, label)] = yl.edges_from(partition())
-    assert yl.bounded_partitions(1)[j] == partition(1) and label == Polynomial("x", (0, 1))
+    # a label is (slope, constant): x - c is (1, -c), a count m is (0, m)
+    [(j, slope, constant)] = yl.edges_from(partition())
+    assert yl.bounded_partitions(1)[j] == partition(1) and (slope, constant) == (1, 0)
 
-    assert _edge_targets(partition(2)) == {"(3)": const(1), "(2,1)": x_minus(1)}
-    assert _edge_targets(partition(2, 2)) == {"(3,2)": const(2), "(2,2,1)": x_minus(2)}
+    assert _edge_targets(partition(2)) == {"(3)": (0, 1), "(2,1)": (1, -1)}
+    assert _edge_targets(partition(2, 2)) == {"(3,2)": (0, 2), "(2,2,1)": (1, -2)}
+    assert _edge_targets(partition(3, 1, 1)) == {"(4,1,1)": (0, 1), "(3,2,1)": (0, 2), "(3,1,1,1)": (1, -3)}
+    assert all(type(v) is int for _j, *label in yl.edges_from(partition(3, 1, 1)) for v in label)
 
     # largest part capped at 4
     assert set(_edge_targets(partition(4, 1))) == {"(4,2)", "(4,1,1)"}
 
 
 def test_edges_from_targets_are_the_level_objects():
-    # each edge names a distinct position of the next level, holding a cover of p
+    # each edge names a distinct position of the next level, holding a cover
+    # of p, and carries the label rule's (slope, constant)
     for size in range(13):
         level = yl.bounded_partitions(size + 1)
         for p in yl.bounded_partitions(size):
-            positions = [j for j, _ in yl.edges_from(p)]
+            edges = yl.edges_from(p)
+            positions = [j for j, _s, _c in edges]
             assert len(set(positions)) == len(positions), p
             for j in positions:
                 assert 0 <= j < len(level) and contains(level[j], p), (p, j)
+            expected = {cover: label for cover, label in _covers(p)}
+            assert {level[j]: _label(s, c) for j, s, c in edges} == expected, p
+
+
+def _label(slope, constant):
+    return Polynomial("x", (constant, slope))
 
 
 def _covers(parts):
@@ -448,40 +489,28 @@ def test_path_matrix_at_a_point_evaluates_the_polynomial_matrix():
 
 
 def test_rank_at_builds_no_polynomial_products_and_each_edge_once(monkeypatch):
-    products = []
-    original_mul = Polynomial.__mul__
-
-    def counting_mul(self, other):
-        products.append(other)
-        return original_mul(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
-    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
     built = []
+    original_init = Polynomial.__init__
 
-    class CountingLabel(Polynomial):
-        """A label polynomial that records its construction: one per edge."""
+    def counting_init(self, var, coeffs=()):
+        built.append(coeffs)
+        original_init(self, var, coeffs)
 
-        def __init__(self, var, coeffs=()):
-            built.append(coeffs)
-            super().__init__(var, coeffs)
-
-    monkeypatch.setattr(yl, "Polynomial", CountingLabel)
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
     yl.edges_from.cache_clear()
     try:
         assert yl.rank_at(12) == 12
-        assert products == []
-        # the DP leaves every partition of size 1..11, so each one's edges were
-        # built, once: one memo miss per partition, and no edge built elsewhere
+        # labels, weights and edges are all ints: not one polynomial is built
+        assert built == []
+        # the DP leaves every partition of size 1..11, so each one's edges
+        # were built, once: one memo miss per partition
         left = [p for size in range(1, 12) for p in yl.bounded_partitions(size)]
-        edges_built = len(built)
-        assert edges_built == sum(len(yl.edges_from(p)) for p in left)
         assert yl.edges_from.cache_info().misses == len(left)
         # positive control: the polynomial route is counted
         yl.path_matrix(3)
-        assert products
+        assert built
     finally:
-        yl.edges_from.cache_clear()  # drop the counting labels
+        yl.edges_from.cache_clear()
 
 
 def test_column_span_recursion():
@@ -563,9 +592,9 @@ def test_planted_edge_label_defect_fails_criterion_5(monkeypatch):
     def planted(p, *args, **kwargs):
         edges = original(p, *args, **kwargs)
         if p == partition(2):
-            # the edge (2) -> (3) is labelled by one part equal to 2, i.e. 1
+            # the edge (2) -> (3) is labelled by one part equal to 2, i.e. (0, 1)
             three = yl._positions(3)[3,]
-            edges = [(j, const(2) if j == three else label) for j, label in edges]
+            edges = [(j, 0, 2) if j == three else (j, s, c) for j, s, c in edges]
         return edges
 
     clean_at_3 = yl.path_matrix(3, at=3).entries

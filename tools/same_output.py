@@ -20,10 +20,11 @@ structured; ``genfun series`` with ``--method all`` and ``closed`` at degree
 {1, 3, 5}; ``sl2 q0 --l`` for l = 0..20, and ``sl2 q0 --table`` 24 and 996;
 ``sl2 tensor`` for k = 0..8 against V'(0), V'(2), V(1), V(2),
 V(3), V(4) and V(7); ``symalg check-invariants`` structured; ``symalg
-independence`` for k = 1..11; ``young matrix`` for n = 1..6 and ``--n 5
---emit``; ``young det --upto 9``; ``quiver radical`` at depth 8 for V'(2)
-and V(1)..V(8); ``quiver decompose-q`` for k = 0..12; five refused
-requests; and argparse's own error paths, ``ARGPARSE_ERRORS``.
+independence`` for k = 1..11; ``young matrix`` for n = 1..6, and ``--emit``
+at n = 5 and 12; ``young rank --upto 16``; ``young det --upto`` 9 and 16;
+``quiver radical`` at depth 8 for V'(2) and V(1)..V(8); ``quiver
+decompose-q`` for k = 0..12; five refused requests; and argparse's own
+error paths, ``ARGPARSE_ERRORS``.
 
 Standard library only, with ``git`` and ``tar``.
 """
@@ -110,7 +111,9 @@ def command_list() -> List[List[str]]:
     argvs.append(["symalg", "check-invariants", "--format", "structured"])
     argvs += [["symalg", "independence", "--k", str(k)] for k in range(1, 12)]
     argvs += [["young", "matrix", "--n", str(n)] for n in range(1, 7)]
-    argvs += [["young", "matrix", "--n", "5", "--emit"], ["young", "det", "--upto", "9"]]
+    argvs += [["young", "matrix", "--n", size, "--emit"] for size in ("5", "12")]
+    argvs.append(["young", "rank", "--upto", "16"])
+    argvs += [["young", "det", "--upto", size] for size in ("9", "16")]
     for top in ["V'(2)"] + [f"V({n})" for n in range(1, 9)]:
         argvs.append(["quiver", "radical", "--top", top, "--depth", "8"])
     argvs += [["quiver", "decompose-q", "--k", str(k)] for k in range(13)]
