@@ -15,7 +15,9 @@ variable (``q`` for counting series, ``x`` for edge labels), rational
 functions are values kept in a canonical form, a coprime integer pair whose
 denominator has positive lead, with no arithmetic of their own, and truncated
 power series carry their truncation degree explicitly and divide only by a
-unit of Z[[q]], a series with constant term 1 or -1.  Each value has one
+unit of Z[[q]], a series with constant term 1 or -1; that division sums
+over the quotient's nonzero terms while they are fewer than the divisor's,
+then over the divisor's.  Each value has one
 builder: ``Polynomial("x")`` is zero, ``Polynomial("q", (1,))`` one,
 ``Polynomial("x", (0, 1))`` the variable, and a ``RationalFunction`` takes
 both parts.  ``p * c`` is the one scalar product, and ``p.coeffs`` the one
@@ -299,7 +301,13 @@ class TruncatedSeries:
     operations truncate to the smaller of the two truncation degrees.
     Division is by a unit of Z[[q]], a divisor whose constant term is 1 or -1;
     a constant term of 0 raises ``PoleAtOriginError`` and any other raises
-    ``ArithmeticError``, each naming it.
+    ``ArithmeticError``, each naming it.  Quotient coefficient i is
+    c0 (a_i - sum_j d_j q_(i-j)), summed over the quotient's nonzero q_s
+    while they are fewer than the divisor's nonzero d_j (j >= 1), and over
+    those d_j from the first step where they are as many; the quotient's
+    nonzero terms only grow, so it switches once.  A sparse quotient of a
+    dense divisor (a freeness quotient) and a dense quotient of a sparse one
+    (a closed form) each cost their sparse side.
     """
 
     __slots__ = ("coeffs",)
@@ -308,7 +316,7 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         self.coeffs = tuple(coeffs)
-        if not all(type(c) is int for c in self.coeffs):
+        if {*map(type, self.coeffs)} != {int}:
             raise TypeError("a truncated series has integer coefficients")
 
     @classmethod
@@ -344,14 +352,28 @@ class TruncatedSeries:
         if c0 != 1 and c0 != -1:
             raise ArithmeticError(f"division by a series with constant term {c0}, not 1 or -1")
         n = min(self.truncation, other.truncation)
-        terms = [(j, c) for j, c in enumerate(other.coeffs[1 : n + 1], 1) if c != 0]
-        out = []
-        for i, acc in enumerate(self.coeffs[: n + 1]):
+        den, top = other.coeffs, self.coeffs
+        terms = [(j, c) for j, c in enumerate(den[1 : n + 1], 1) if c != 0]
+        # support: the quotient's nonzero (s, q_s), summed over while they are
+        # fewer than the divisor's terms; dividing by +-1 is multiplying by it
+        out, support, i = [], [], 0
+        while i <= n and len(support) < len(terms):
+            acc = top[i]
+            for s, b in support:
+                c = den[i - s]
+                if c:
+                    acc -= c * b
+            acc *= c0
+            out.append(acc)
+            if acc:
+                support.append((i, acc))
+            i += 1
+        for i in range(i, n + 1):
+            acc = top[i]
             for j, c in terms:
                 if j > i:
                     break
                 acc -= c * out[i - j]
-            # dividing by +-1 is multiplying by it
             out.append(acc * c0)
         return TruncatedSeries(out)
 

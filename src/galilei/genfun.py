@@ -130,7 +130,8 @@ def sym_weight_dim(k: int, n: int, l: int) -> int:
     """Dimension of the l-weight space of Sym^n(L(k)): one table field.
 
     Weights are symmetric about 0, lie in [-kn, kn] and have the parity of kn;
-    the table holds the weights >= 0, so weight l is field |l| // 2 of row n.
+    the table holds the weights >= 0, so weight l is field |l| // 2 of row n,
+    read with one mask and one shift, as in ``_read_fields``.
     """
     if k < 0 or n < 0:
         raise ValueError("k, n must be non-negative")
@@ -138,7 +139,8 @@ def sym_weight_dim(k: int, n: int, l: int) -> int:
     if l > k * n or (l + k * n) % 2:
         return 0
     w, rows = _weight_degree_table(k, n)
-    return (rows[n] >> (l // 2 * w)) & ((1 << w) - 1)
+    at = l // 2 * w
+    return (rows[n] & ((1 << at + w) - 1)) >> at
 
 
 def _unpack(packed: int, w: int, count: int) -> List[int]:
@@ -167,17 +169,20 @@ def _read_fields(k: int, l: int, degree: int, count: int) -> Tuple[int, List[int
     """(w, chunks): chunk n packs ``count`` w-bit fields of row n, from field
     l // 2, the weight l, up, read in place from the table fetched once to
     ``degree``; l >= 0, so the table's weights >= 0 hold every field read.
-    Rows with l > kn or l + kn odd read 0, and past a row's end the shift
-    reads zeros.  l > k * degree builds no table and reads zeros (w = 0).
+    One mask and one shift per row, masking first, so a read costs the fields
+    below and at the ones read, not the whole row.  Rows with l > kn or
+    l + kn odd read 0, and past a row's end the mask reads zeros.
+    l > k * degree builds no table and reads zeros (w = 0).
     """
     if k < 0 or l < 0 or degree < 0:
         raise ValueError("k, l, degree must be non-negative")
     if l > k * degree:
         return 0, [0] * (degree + 1)
     w, rows = _weight_degree_table(k, degree)
-    mask, at = (1 << count * w) - 1, l // 2 * w
+    at = l // 2 * w
+    mask = (1 << at + count * w) - 1
     return w, [
-        (rows[n] >> at) & mask if l <= k * n and (l + k * n) % 2 == 0 else 0
+        (rows[n] & mask) >> at if l <= k * n and (l + k * n) % 2 == 0 else 0
         for n in range(degree + 1)
     ]
 
@@ -411,8 +416,7 @@ def _multiplicity_series(k: int, l: int, degree: int) -> TruncatedSeries:
     """F_l - F_{l+2}: the multiplicity of L(l) in each Sym^n(L(k)), by enumeration.
 
     Fields l // 2 and l // 2 + 1 of row n of the weight table, the weights
-    l and l + 2, are adjacent, so one shift and one 2w-bit mask read
-    both.
+    l and l + 2, are adjacent, so one mask and one shift read both.
     """
     w, pairs = _read_fields(k, l, degree, 2)
     mask = (1 << w) - 1
@@ -517,13 +521,17 @@ def detect_invariant_structure(
 def reconstruct_structure_series(
     structure: InvariantStructure, degree: int
 ) -> TruncatedSeries:
-    """Expand prod 1/(1-q^d) (times (1-q^e) for a relation) to the degree."""
+    """Expand prod 1/(1-q^d) (times (1-q^e) for a relation) to the degree.
+
+    Each 1/(1-q^d) is one O(degree) division by the polynomial 1 - q^d, not a
+    product with the expanded geometric series; no code is shared with the
+    greedy loop of ``detect_invariant_structure``, which this checks.
+    """
     out = TruncatedSeries([1] + [0] * degree)
     for d in structure.generator_degrees:
-        geom = TruncatedSeries([1 if n % d == 0 else 0 for n in range(degree + 1)])
-        out = out * geom
+        out = out / TruncatedSeries.from_polynomial(geometric_den(d), degree)
     if structure.relation_degree is not None:
-        rel = Polynomial("q", (1,)) - _qpow(structure.relation_degree)
+        rel = geometric_den(structure.relation_degree)
         out = out * TruncatedSeries.from_polynomial(rel, degree)
     return out
 

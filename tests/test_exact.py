@@ -231,6 +231,54 @@ def test_series_division_and_truncation_rules():
         a / TruncatedSeries([0, 1, 1, 1, 1])
 
 
+def _schoolbook_div(a, b):
+    """a / b to the shorter truncation, every term summed: q_i = b_0 (a_i - sum_j b_j q_(i-j))."""
+    out = []
+    for i in range(min(len(a), len(b))):
+        out.append(b[0] * (a[i] - sum(b[j] * out[i - j] for j in range(1, i + 1))))
+    return out
+
+
+def _random_series(rng, size, density, c0=None):
+    coeffs = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(size)]
+    if c0 is not None:
+        coeffs[0] = c0
+    return coeffs
+
+
+def test_series_division_matches_the_schoolbook_oracle():
+    # the division sums over the quotient's nonzero terms while they are fewer
+    # than the divisor's, then over the divisor's; the cases cover quotients
+    # that reach the divisor's term count (a switch mid-series) and quotients
+    # that never do, sparse and dense divisors, zero numerators, unequal
+    # truncations and both unit constant terms
+    rng = random.Random(39)
+    switched = never = 0
+    for case in range(400):
+        c0 = (1, -1)[case % 2]
+        den_density = (0.05, 0.3, 1.0)[case % 3]
+        top_size, den_size = rng.randint(1, 60), rng.randint(1, 60)
+        den = _random_series(rng, den_size, den_density, c0)
+        if case % 5 == 0:
+            top = [0] * top_size
+        elif case % 5 == 1:
+            # a sparse quotient times the divisor, so the quotient stays sparse
+            quotient = _random_series(rng, top_size, 0.05)
+            top = [sum(quotient[j] * den[i - j] for j in range(i + 1) if i - j < den_size)
+                   for i in range(top_size)]
+        else:
+            top = _random_series(rng, top_size, rng.random())
+        expected = _schoolbook_div(top, den)
+        got = TruncatedSeries(top) / TruncatedSeries(den)
+        assert got.coeffs == tuple(expected), (case, top, den)
+        terms = sum(1 for c in den[1 : len(expected)] if c)
+        if sum(1 for c in expected if c) > terms > 0:
+            switched += 1
+        else:
+            never += 1
+    assert switched > 50 and never > 50, (switched, never)
+
+
 _ints = st.integers(-50, 50)
 _fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 

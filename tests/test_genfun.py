@@ -307,6 +307,59 @@ def test_planted_narrow_field_width_fails_the_row_oracle(monkeypatch):
     genfun.clear_memo_caches()
 
 
+def _shift_then_mask_reads(k, l, degree, count):
+    """``_read_fields`` as shifting each whole row down first reads it."""
+    if l > k * degree:
+        return 0, [0] * (degree + 1)
+    w, rows = genfun._weight_degree_table(k, degree)
+    mask, at = (1 << count * w) - 1, l // 2 * w
+    return w, [(rows[n] >> at) & mask if l <= k * n and (l + k * n) % 2 == 0 else 0
+               for n in range(degree + 1)]
+
+
+def test_field_reads_equal_the_shift_then_mask_reference():
+    degree = 12
+    genfun.clear_memo_caches()
+    try:
+        for k in range(9):
+            for l in range(k * degree + 3):
+                for count in (1, 2):
+                    got = genfun._read_fields(k, l, degree, count)
+                    assert got == _shift_then_mask_reads(k, l, degree, count), (k, l, count)
+                expected = _shift_then_mask_reads(k, l, degree, 1)[1]
+                assert [genfun.sym_weight_dim(k, n, l) for n in range(degree + 1)] == expected
+    finally:
+        genfun.clear_memo_caches()
+
+
+def _check_read_copies_no_row(read, k=6, degree=240):
+    # at l = 2 a shift-first read copies all of each row but its lowest field
+    # (row 240 is about 3.6 KB); masking first copies only the fields read
+    genfun.clear_memo_caches()
+    try:
+        _, rows = genfun._weight_degree_table(k, degree)
+        row_bytes = sys.getsizeof(rows[degree])
+        tracemalloc.start()
+        try:
+            reads = read(k, 2, degree, 1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        genfun.clear_memo_caches()
+    assert reads[1][degree] == genfun.sym_weight_dim(k, degree, 2)
+    assert peak - current < row_bytes // 2, (peak - current, row_bytes)
+
+
+def test_field_read_makes_no_whole_row_copy():
+    _check_read_copies_no_row(genfun._read_fields)
+
+
+def test_planted_shift_first_read_fails_the_copy_bound():
+    with pytest.raises(AssertionError):
+        _check_read_copies_no_row(_shift_then_mask_reads)
+
+
 def test_planted_narrow_recursion_width_fails_criterion_1(monkeypatch):
     # the bound C(N+k+1, k+1) is loose (32 bits at k = 6, degree 60, where the
     # largest F_l coefficient has 20), so one byte less still holds every
@@ -750,6 +803,28 @@ def test_structure_detection():
         assert st.generator_degrees == gens
         assert st.relation_degree == rel
         assert genfun.reconstruct_structure_series(st, 60) == genfun.invariant_series(k, 60)
+
+
+def _dense_geometric_product(structure, degree):
+    """prod 1/(1-q^d) (times 1 - q^e) as products with the expanded geometric
+    series 1 + q^d + q^2d + ..., each term a sum over its nonzero terms."""
+    out = [1] + [0] * degree
+    for d in structure.generator_degrees:
+        out = [sum(out[n - m] for m in range(0, n + 1, d)) for n in range(degree + 1)]
+    e = structure.relation_degree
+    if e is not None:
+        out = [c - (out[n - e] if n >= e else 0) for n, c in enumerate(out)]
+    return out
+
+
+def test_reconstruction_equals_the_dense_geometric_product():
+    # the reconstruction divides by each 1 - q^d; the reference multiplies by
+    # each expanded geometric series
+    for k in range(3, 7):
+        structure = genfun.detect_invariant_structure(k, 240)
+        got = genfun.reconstruct_structure_series(structure, 240)
+        assert list(got.coeffs) == _dense_geometric_product(structure, 240), k
+        assert got == genfun.invariant_series(k, 240)
 
 
 def test_invariant_structures_compare_by_value():

@@ -14,8 +14,10 @@ status is 1 if any differs.
 The list runs every command group at more than the README's one size: the
 README's commands; ``verify all`` full and ``--quick``, as text and
 structured; ``genfun series`` with ``--method all`` and ``closed`` at degree
-20 for k = 0..7 and l = 0..12; ``genfun invariants`` and ``genfun freeness
---l 1`` for k = 0..8, and ``genfun freeness --k 100 --l 0 --degree 199``;
+20 for k = 0..7 and l = 0..12, and ``--method all`` at k = 6, l = 0, degree
+240; ``genfun invariants`` and ``genfun freeness --l 1`` for k = 0..8,
+``genfun freeness --k 100 --l 0 --degree 199``, and at degree 240 ``genfun
+invariants`` for k = 5, 6 and ``genfun freeness`` at (k, l) = (5, 1), (6, 2);
 ``sl2 sym --k 4`` for n = 0..6, and ``sl2 sym`` at odd k*n, k and n each in
 {1, 3, 5}; ``sl2 q0 --l`` for l = 0..20, and ``sl2 q0 --table`` 24 and 996;
 ``sl2 tensor`` for k = 0..8 against V'(0), V'(2), V(1), V(2),
@@ -101,6 +103,10 @@ def command_list() -> List[List[str]]:
         argvs += [["genfun", "invariants", "--k", str(k)],
                   ["genfun", "freeness", "--k", str(k), "--l", "1"]]
     argvs.append(["genfun", "freeness", "--k", "100", "--l", "0", "--degree", "199"])
+    for k, l in (("5", "1"), ("6", "2")):
+        argvs += [["genfun", "freeness", "--k", k, "--l", l, "--degree", "240"],
+                  ["genfun", "invariants", "--k", k, "--degree", "240"]]
+    argvs.append(["genfun", "series", "--k", "6", "--l", "0", "--degree", "240", "--method", "all"])
     argvs += [["sl2", "sym", "--k", "4", "--n", str(n)] for n in range(7)]
     argvs += [["sl2", "sym", "--k", k, "--n", n] for k in ("1", "3", "5") for n in ("1", "3", "5")]
     argvs += [["sl2", "q0", "--l", str(l)] for l in range(21)]
