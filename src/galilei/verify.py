@@ -11,27 +11,33 @@ form, path counting vs branch pictures).
 The per-item certificates behind criteria 1, 4, 5 and 6 are small functions
 (``route_verdict``, ``structure_verdict``, ``rank_verdict``,
 ``det_verdicts``, ``invariance_verdicts``, ``independence_verdict``).  The
-criteria aggregate them, and the command line's ``genfun series --method
-all``, ``genfun invariants``, ``young rank``, ``young det``, ``symalg
-check-invariants`` and ``symalg independence`` report them as they are, so
-both surfaces share one predicate per claim.  ``dimension_verdict`` is the
-verdict of ``sl2 sym``.  A verdict's ``passed`` is a plain ``bool`` read off
-the values it compares, so a malformed value is a FAIL, not an error.  Each
-aggregate of criteria 5-9 is one ``_compare`` over (key, got, expected) rows,
-whose FAIL gives the failure count, the first failing key and both of its
-values; ``_every`` rolls per-item verdicts up the same way, an item's value
-being PASS, or FAIL with its detail.
+criteria aggregate them (criterion 1 the rows of ``route_verdict``), and the
+command line's ``genfun series --method all``, ``genfun invariants``,
+``young rank``, ``young det``, ``symalg check-invariants`` and ``symalg
+independence`` report them as they are, so both surfaces share one predicate
+per claim.  ``dimension_verdict`` is the verdict of ``sl2 sym``.  A
+verdict's ``passed`` is a plain ``bool`` read off the values it compares, so
+a malformed value is a FAIL, not an error.  Each aggregate of criteria 1-9 is
+one ``_compare`` over (key, got, expected) rows, whose FAIL gives the failure
+count, the first failing key and both of its values; ``_every`` rolls
+per-item verdicts up the same way, an item's value being PASS, or FAIL with
+its detail.  Criteria 1-3 compare series and polynomials through
+``_coefficient_rows``, which builds no row when the two sides are equal.
+The exceptions word their own detail: criterion 3's first-negative verdicts
+and the per-item ``rank_verdict``, ``independence_verdict`` and
+``dimension_verdict`` print their value on PASS too, and criterion 5's N_6
+multiset verdict names its known discrepancy.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
-from .exact import PoleAtOriginError, Polynomial, RationalFunction, series_expand, sharing
+from .exact import Polynomial, RationalFunction, TruncatedSeries, series_expand, sharing
 from .sl2rep import SimpleHC, V, Vp
 from .younglat import partition
 
@@ -63,44 +69,42 @@ def _every(name: str, items: Dict) -> Verdict:
     return _compare(name, ((k, "PASS" if v.passed else f"FAIL ({v.detail})", "PASS") for k, v in items.items()))
 
 
+def _coefficient_rows(label: str, got, expected) -> List[Tuple[str, object, object]]:
+    """No rows when two series, or two polynomials, are equal, so a passing check
+    builds nothing past the ``==``; else a series' truncation row, then a row
+    ``LABEL q^i`` per coefficient (a polynomial's up to the larger degree)."""
+    if got == expected:
+        return []
+    if isinstance(got, TruncatedSeries):
+        rows = [(f"{label} truncation", got.truncation, expected.truncation)]
+        pairs = zip(got.coeffs, expected.coeffs)
+    else:
+        rows, pairs = [], zip_longest(got.coeffs, expected.coeffs, fillvalue=0)
+    return rows + [(f"{label} q^{i}", a, b) for i, (a, b) in enumerate(pairs)]
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: triple agreement of the three series routes
 # ---------------------------------------------------------------------------
 
-def _series_mismatch(label: str, got, ref, ref_name: str = "enum") -> str:
-    """Name the first coefficient where a series differs from the reference."""
-    for i, (a, b) in enumerate(zip(got.coeffs, ref.coeffs)):
-        if a != b:
-            return f"{label}: q^{i} is {a}, {ref_name} has {b}"
-    return f"{label}: truncation {got.truncation}, {ref_name} has {ref.truncation}"
-
-
 def route_verdict(label: str, series, enum) -> Verdict:
-    """A series route equals the enumeration; a failure names the first mismatch."""
-    ok = series == enum
-    return Verdict(f"{label} agrees with enum", ok, "" if ok else _series_mismatch(label, series, enum))
+    """A series route equals the enumeration, coefficient by coefficient."""
+    return _compare(f"{label} agrees with enum", _coefficient_rows(label, series, enum))
 
 
 def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) -> List[Verdict]:
-    verdicts = []
-    for k in range(k_max + 1):
-        mismatches = []
+    def rows(k):
         for l in range(l_max + 1):
             enum = genfun.f_enum(k, l, degree)
             for route in genfun.series_routes(k, l):
                 series = (genfun.f_recur(k, l, degree) if route == "recur"
                           else series_expand(genfun.f_closed(k, l), degree))
-                v = route_verdict(f"{route} k={k} l={l}", series, enum)
-                if not v.passed:
-                    mismatches.append(v.detail)
-        verdicts.append(
-            Verdict(
-                f"series routes agree for k={k}, l<={l_max}, degree<={degree}",
-                not mismatches,
-                "; ".join(mismatches),
-            )
-        )
-    return verdicts
+                yield from _coefficient_rows(f"{route} k={k} l={l}", series, enum)
+
+    return [
+        _compare(f"series routes agree for k={k}, l<={l_max}, degree<={degree}", rows(k))
+        for k in range(k_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -132,78 +136,51 @@ def _closed_difference(k: int, l: int) -> Tuple[Polynomial, Polynomial]:
     return a.num * b.den - b.num * a.den, a.den * b.den
 
 
-def _equals(num: Polynomial, den: Polynomial, target: RationalFunction) -> bool:
-    """num/den equals target, by cross-multiplying; a zero den never does."""
-    return bool(den) and num * target.den == target.num * den
+def _identity_rows(label: str, num: Polynomial, den: Polynomial, target: RationalFunction) -> List[Tuple]:
+    """Rows for num/den == target: den is nonzero, and num * target.den (got)
+    equals target.num * den (expected)."""
+    return [(f"{label} denominator is nonzero", bool(den), True)] + _coefficient_rows(
+        f"{label} cross-multiplied", num * target.den, target.num * den
+    )
 
 
 def check_closed_identities(degree: int = 60) -> List[Verdict]:
-    verdicts = []
-    for k, target in _invariant_targets().items():
-        mismatches = []
-        if not _equals(*_closed_difference(k, 0), target):
-            mismatches.append(f"k={k}: F_0 - F_2 differs from the target rational function")
-        series, expected = genfun.invariant_series(k, degree), series_expand(target, degree)
-        if series != expected:
-            mismatches.append(_series_mismatch(f"invariant series k={k}", series, expected, "target"))
-        verdicts.append(
-            Verdict(
-                f"invariant series identity for k={k} (rational function and series)",
-                not mismatches,
-                "; ".join(mismatches),
+    return [
+        _compare(
+            f"invariant series identity for k={k} (rational function and series)",
+            _coefficient_rows(
+                f"invariant series k={k}", genfun.invariant_series(k, degree), series_expand(target, degree)
             )
+            + _identity_rows(f"k={k} F_0 - F_2", *_closed_difference(k, 0), target),
         )
-    return verdicts
+        for k, target in _invariant_targets().items()
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3: negativity detection and the two quotient closed forms
 # ---------------------------------------------------------------------------
 
-def _quotient_verdict(k: int, l: int, shown: str, target: RationalFunction, degree: int) -> Verdict:
-    """(F_l - F_{l+2}) / (F_0 - F_2) from the closed forms equals the target."""
-    num, den = _closed_difference(k, l)
-    div_num, div_den = _closed_difference(k, 0)
-    num, den = num * div_den, den * div_num
-    name = f"quotient closed form for k={k}: {shown}"
-    if _equals(num, den, target):
-        return Verdict(name, True)
-    if not den:
-        return Verdict(name, False, f"quotient k={k}: the divisor F_0 - F_2 is zero")
-    reduced = RationalFunction(num, den)
-    try:
-        got = series_expand(reduced, degree)
-    except PoleAtOriginError:
-        return Verdict(name, False, f"quotient k={k}: a pole at q=0, the target has none")
-    except ArithmeticError as error:  # a constant term other than 0, 1 or -1
-        return Verdict(name, False, f"quotient k={k}: {error}")
-    expected = series_expand(target, degree)
-    return Verdict(name, False, _series_mismatch(f"quotient k={k}", got, expected, "target"))
+#: k -> (l, the degree of the first negative coefficient of (F_l - F_{l+2}) / (F_0 - F_2),
+#: and that quotient's closed form: as shown, its numerator's and its denominator's coefficients)
+_QUOTIENTS = {
+    5: (1, 23, "q^5(1+q^2)/(1-q^6+q^12)", (0, 0, 0, 0, 0, 1, 0, 1), (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1)),
+    6: (2, 18, "q^3(1+q+q^2)/(1+q-q^3-q^4-q^5+q^7+q^8)", (0, 0, 0, 1, 1, 1), (1, 1, 0, -1, -1, -1, 0, 1, 1)),
+}
 
 
 def check_negativity(degree: int = 60) -> List[Verdict]:
     verdicts = []
-    for k, l, expected in ((5, 1, 23), (6, 2, 18)):
+    for k, (l, first, *_) in _QUOTIENTS.items():
         _, neg = genfun.freeness_quotient(k, l, degree)
-        verdicts.append(
-            Verdict(
-                f"first negative coefficient of quotient k={k}, l={l} at degree {expected}",
-                neg == expected,
-                f"got {neg}",
-            )
-        )
-    target5 = RationalFunction(
-        Polynomial("q", (1, 0, 1)).shift(5),
-        Polynomial("q", (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1)),
-    )
-    verdicts.append(_quotient_verdict(5, 1, "q^5(1+q^2)/(1-q^6+q^12)", target5, degree))
-    target6 = RationalFunction(
-        Polynomial("q", (1, 1, 1)).shift(3),
-        Polynomial("q", (1, 1, 0, -1, -1, -1, 0, 1, 1)),
-    )
-    verdicts.append(
-        _quotient_verdict(6, 2, "q^3(1+q+q^2)/(1+q-q^3-q^4-q^5+q^7+q^8)", target6, degree)
-    )
+        name = f"first negative coefficient of quotient k={k}, l={l} at degree {first}"
+        verdicts.append(Verdict(name, neg == first, f"got {neg}"))
+    for k, (l, _, shown, num, den) in _QUOTIENTS.items():
+        # the quotient from the closed forms, (a/b) / (c/d) = ad / bc
+        (a, b), (c, d) = _closed_difference(k, l), _closed_difference(k, 0)
+        target = RationalFunction(Polynomial("q", num), Polynomial("q", den))
+        rows = _identity_rows(f"quotient k={k}", a * d, b * c, target)
+        verdicts.append(_compare(f"quotient closed form for k={k}: {shown}", rows))
     return verdicts
 
 
@@ -224,17 +201,11 @@ def structure_verdict(k: int, degree: int) -> Tuple[Optional[genfun.InvariantStr
 def check_structure_detection(degree: int = 60) -> List[Verdict]:
     verdicts = []
     for k, (gens, rel) in _INVARIANT_RINGS.items():
-        expected = genfun.InvariantStructure(gens, rel)
         st, recognized = structure_verdict(k, degree)
-        got = recognized.detail if st is None else f"got {st.describe()}"
-        verdicts.append(
-            Verdict(
-                f"invariant structure for k={k}: generators {list(gens)}"
-                + (f", relation degree {rel}" if rel else ", free"),
-                st == expected,
-                "" if st == expected else f"{got}, expected {expected.describe()}",
-            )
-        )
+        found = recognized.detail if st is None else st.describe()
+        shape = f", relation degree {rel}" if rel else ", free"
+        name = f"invariant structure for k={k}: generators {list(gens)}{shape}"
+        verdicts.append(_compare(name, [(f"k={k}", found, genfun.InvariantStructure(gens, rel).describe())]))
     return verdicts
 
 

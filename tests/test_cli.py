@@ -668,8 +668,8 @@ def test_planted_structure_refusal_fails_genfun_invariants_and_criterion_4(capsy
     assert "structure:" not in out and "generator_degrees" not in out
     verdicts = verify.check_structure_detection(degree=20)
     assert len(verdicts) == 4
-    for v in verdicts:
-        assert not v.passed and v.detail.startswith("planted, expected ")
+    for k, v in zip((3, 4, 5, 6), verdicts):
+        assert not v.passed and v.detail.startswith(f"1 failing; first at k={k}: got planted, expected "), v.detail
 
 
 def test_planted_dropped_summand_fails_sl2_sym(capsys, monkeypatch):
@@ -1041,10 +1041,7 @@ def _strip_timing(out):
     return re.sub(r"^wall_time_ms: \d+\n", "", out, flags=re.M)
 
 
-def test_planted_closed_form_defect_reaches_the_verdicts(capsys, monkeypatch):
-    enumeration_commands = (("genfun", "invariants", "--k", "5"),
-                            ("genfun", "freeness", "--k", "5", "--l", "1"))
-    enumerated = [_strip_timing(run_cli(capsys, *argv)[1]) for argv in enumeration_commands]
+def _plant_closed_k5_l0_defect(monkeypatch):
     original = genfun._closed_k5
 
     def planted(l):
@@ -1055,6 +1052,13 @@ def test_planted_closed_form_defect_reaches_the_verdicts(capsys, monkeypatch):
         return RationalFunction(num, genfun.geometric_den(2, 2, 4, 6, 8))
 
     monkeypatch.setattr(genfun, "_closed_k5", planted)
+
+
+def test_planted_closed_form_defect_reaches_the_verdicts(capsys, monkeypatch):
+    enumeration_commands = (("genfun", "invariants", "--k", "5"),
+                            ("genfun", "freeness", "--k", "5", "--l", "1"))
+    enumerated = [_strip_timing(run_cli(capsys, *argv)[1]) for argv in enumeration_commands]
+    _plant_closed_k5_l0_defect(monkeypatch)
     code, failing = _verify_all_structured(capsys)
     assert code == 1
     series_failures = {
@@ -1062,15 +1066,24 @@ def test_planted_closed_form_defect_reaches_the_verdicts(capsys, monkeypatch):
         if name.startswith(tuple(f"[criterion {n}]" for n in range(1, 5)))
     }
     assert series_failures == {
-        "[criterion 1]": "closed k=5 l=0: q^16 is 650, enum has 649",
-        "[criterion 2]": "k=5: F_0 - F_2 differs from the target rational function",
-        "[criterion 3]": "quotient k=5: q^21 is -1, target has 0",
+        "[criterion 1]": "23 failing; first at closed k=5 l=0 q^16: got 650, expected 649",
+        "[criterion 2]": "17 failing; first at k=5 F_0 - F_2 cross-multiplied q^16: got -12, expected -11",
+        "[criterion 3]": "30 failing; first at quotient k=5 cross-multiplied q^21: got -179, expected -178",
     }
     # the enumeration-only commands no longer consult the closed forms
     for argv, expected in zip(enumeration_commands, enumerated):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert _strip_timing(out) == expected
+
+
+def test_planted_closed_form_defect_fails_genfun_series_all(capsys, monkeypatch):
+    _plant_closed_k5_l0_defect(monkeypatch)
+    code, out, err = run_cli(capsys, "genfun", "series", "--k", "5", "--l", "0", "--method", "all")
+    assert code == 1
+    assert "FAIL  closed agrees with enum  (23 failing; first at closed q^16: got 650, expected 649)\n" in out
+    assert "PASS  recur agrees with enum\n" in out
+    assert err == "FAILED: closed agrees with enum\n"
 
 
 def test_planted_zero_divisor_fails_the_quotient_verdict(capsys, monkeypatch):
@@ -1080,9 +1093,10 @@ def test_planted_zero_divisor_fails_the_quotient_verdict(capsys, monkeypatch):
     code, failing = _verify_all_structured(capsys)
     assert code == 1
     quotient = "[criterion 3] quotient closed form for k=5: q^5(1+q^2)/(1-q^6+q^12)"
-    assert failing[quotient] == "quotient k=5: the divisor F_0 - F_2 is zero"
+    assert failing[quotient] == "41 failing; first at quotient k=5 denominator is nonzero: got False, expected True"
+    # F_0 - F_2 is 0, so its numerator times the target's denominator is too
     assert failing["[criterion 2] invariant series identity for k=5 (rational function and series)"] == (
-        "k=5: F_0 - F_2 differs from the target rational function"
+        "23 failing; first at k=5 F_0 - F_2 cross-multiplied q^0: got 0, expected -1"
     )
 
 
@@ -1104,7 +1118,7 @@ def test_unrecognised_invariant_ring_fails_criterion_4(capsys, monkeypatch):
     name = ("[criterion 4] invariant structure for k=5: generators [4, 8, 12, 18], "
             "relation degree 36")
     assert failing[name] == (
-        "residual is neither 1 nor 1 - q^e for k=5, "
+        "1 failing; first at k=5: got residual is neither 1 nor 1 - q^e for k=5, "
         "expected generator degrees [4, 8, 12, 18] with one relation of degree 36"
     )
     assert not any(n.startswith("[criterion 4]") for n in failing if n != name)

@@ -374,7 +374,7 @@ def test_planted_narrow_recursion_width_fails_criterion_1(monkeypatch):
     # at k = 2 every count fits in 8 bits; every k >= 3 fails, naming a coefficient
     assert [v.passed for v in verdicts] == [True] * 3 + [False] * 4
     for k, v in enumerate(verdicts[3:], start=3):
-        assert re.match(rf"recur k={k} l=\d+: q\^\d+ is \d+, enum has \d+(; |$)", v.detail), v.detail
+        assert re.fullmatch(rf"\d+ failing; first at recur k={k} l=\d+ q\^\d+: got \d+, expected \d+", v.detail), v.detail
 
 
 def test_sym_weight_dim_edge_cases():
@@ -552,7 +552,7 @@ def test_planted_closed_form_defect_fails_criterion_1(monkeypatch):
     verdicts = verify.check_triple_agreement(degree=30, k_max=5, l_max=3)
     assert [v.passed for v in verdicts] == [True] * 5 + [False]
     enum = genfun.f_enum(5, 0, 30).coeffs[8]
-    assert verdicts[5].detail == f"closed k=5 l=0: q^8 is {enum + 1}, enum has {enum}"
+    assert verdicts[5].detail == f"12 failing; first at closed k=5 l=0 q^8: got {enum + 1}, expected {enum}"
 
 
 def test_planted_recursion_defect_fails_criterion_1(monkeypatch):
@@ -570,8 +570,8 @@ def test_planted_recursion_defect_fails_criterion_1(monkeypatch):
         genfun.clear_memo_caches()
     # k = 0, 1 have no recursion route; every k >= 2 fails
     assert [v.passed for v in verdicts] == [True] * 2 + [False] * 4
-    assert verdicts[2].detail.startswith("recur k=2 l=0: q^0 is 0, enum has 1; ")
-    assert verdicts[5].detail.startswith("recur k=5 l=0: q^0 is 0, enum has 1; ")
+    assert verdicts[2].detail == "31 failing; first at recur k=2 l=0 q^0: got 0, expected 1"
+    assert verdicts[5].detail == "120 failing; first at recur k=5 l=0 q^0: got 0, expected 1"
 
 
 def test_planted_quotient_defects_name_the_first_coefficient(monkeypatch):
@@ -594,11 +594,14 @@ def test_planted_quotient_defects_name_the_first_coefficient(monkeypatch):
     monkeypatch.setattr(genfun, "_closed_k5", planted5)
     monkeypatch.setattr(genfun, "_closed_k6", planted6)
     verdicts = verify.check_negativity(degree=40)
-    # F_3 grows by q^5 + ..., so the quotient loses q^5 (target: q^5 + q^7 + ...)
+    # the cross-multiplied sides num * target.den and target.num * den first
+    # differ where the quotient's series and the target's do, as den and
+    # target.den have nonzero constant terms.  F_3 grows by q^5 + ..., so the
+    # quotient loses q^5 (target: q^5 + q^7 + ...)
     assert [v.passed for v in verdicts] == [True, True, False, False]
-    assert verdicts[2].detail == "quotient k=5: q^5 is 0, target has 1"
+    assert verdicts[2].detail == "36 failing; first at quotient k=5 cross-multiplied q^5: got 0, expected 1"
     # F_4 grows by q + ..., so the quotient gains -q (target starts at q^3)
-    assert verdicts[3].detail == "quotient k=6: q^1 is -1, target has 0"
+    assert verdicts[3].detail == "56 failing; first at quotient k=6 cross-multiplied q^1: got -1, expected 0"
 
 
 def test_planted_pole_fails_the_quotient_verdict(monkeypatch):
@@ -608,14 +611,15 @@ def test_planted_pole_fails_the_quotient_verdict(monkeypatch):
         if l != 0:
             return original(l)
         # F_0 = F_2 + q^6 F_0: the divisor F_0 - F_2 starts at q^6, past the
-        # q^5 of F_1 - F_3, so the quotient has a pole at q = 0
+        # q^5 of F_1 - F_3, so the quotient has a pole at q = 0, and the
+        # cross-multiplied target side target.num * den starts at q^11
         f0, f2 = original(0), original(2)
         return RationalFunction(f2.num * f0.den + f0.num.shift(6) * f2.den, f0.den * f2.den)
 
     monkeypatch.setattr(genfun, "_closed_k5", planted)
     verdicts = verify.check_negativity(degree=40)
     assert [v.passed for v in verdicts] == [True, True, False, True]
-    assert verdicts[2].detail == "quotient k=5: a pole at q=0, the target has none"
+    assert verdicts[2].detail == "42 failing; first at quotient k=5 cross-multiplied q^5: got 1, expected 0"
 
 
 def test_series_routes_follow_the_recursion_and_closed_form_domains():
@@ -633,8 +637,8 @@ def test_planted_non_unit_divisor_fails_the_quotient_verdict(monkeypatch):
     def planted(l):
         if l != 0:
             return original(l)
-        # F_0 = 2 F_0 - F_2: the divisor F_0 - F_2 doubles, so the quotient's
-        # reduced denominator 2(1 - q^6 + q^12) starts with 2, not a unit of Z[[q]]
+        # F_0 = 2 F_0 - F_2: the divisor F_0 - F_2 doubles, so the quotient
+        # halves and the target side target.num * den doubles
         f0, f2 = original(0), original(2)
         return RationalFunction(f0.num * 2 * f2.den - f2.num * f0.den, f0.den * f2.den)
 
@@ -642,7 +646,7 @@ def test_planted_non_unit_divisor_fails_the_quotient_verdict(monkeypatch):
     verdicts = verify.check_negativity(degree=40)
     assert [v.passed for v in verdicts] == [True, True, False, True]
     assert verdicts[2].name == "quotient closed form for k=5: q^5(1+q^2)/(1-q^6+q^12)"
-    assert verdicts[2].detail == "quotient k=5: division by a series with constant term 2, not 1 or -1"
+    assert verdicts[2].detail == "38 failing; first at quotient k=5 cross-multiplied q^5: got 1, expected 2"
 
 
 def test_planted_structure_defect_names_the_expected_shape(monkeypatch):
@@ -657,7 +661,7 @@ def test_planted_structure_defect_names_the_expected_shape(monkeypatch):
     verdicts = verify.check_structure_detection(degree=60)
     assert [v.passed for v in verdicts] == [True, True, False, True]
     assert verdicts[2].detail == (
-        "got polynomial algebra, generator degrees [4, 8, 12, 18], "
+        "1 failing; first at k=5: got polynomial algebra, generator degrees [4, 8, 12, 18], "
         "expected generator degrees [4, 8, 12, 18] with one relation of degree 36"
     )
 
@@ -676,7 +680,36 @@ def test_planted_invariant_target_defect_names_coefficient(monkeypatch):
     verdicts = verify.check_closed_identities(degree=60)
     assert [v.passed for v in verdicts] == [True, True, False, True]
     got = genfun.invariant_series(5, 60).coeffs[36]
-    assert f"invariant series k=5: q^36 is {got}, target has {got + 1}" in verdicts[2].detail
+    assert verdicts[2].detail == f"34 failing; first at invariant series k=5 q^36: got {got}, expected {got + 1}"
+
+
+def test_clean_criteria_1_to_4_make_no_coefficient_row(monkeypatch):
+    # a passing check runs only the ==: no row is built, so none is formatted
+    original = verify._coefficient_rows
+    calls, rows = Counter(), Counter()
+
+    def counted(label, got, expected):
+        made = original(label, got, expected)
+        calls[n] += 1
+        rows[n] += len(made)
+        return made
+
+    monkeypatch.setattr(verify, "_coefficient_rows", counted)
+    for n in range(1, 5):
+        assert all(v.passed for v in verify.run_criterion(n)), n
+    # one call per (k, l, route), two per invariant ring (its series and its
+    # rational function) and one per quotient; criterion 4 compares
+    # describe() strings, not coefficients
+    assert calls == Counter({1: 138, 2: 8, 3: 2}) and not +rows
+
+
+def test_coefficient_rows_compare_truncations_and_pad_polynomials_with_zeros():
+    short, long = TruncatedSeries([1, 2]), TruncatedSeries([1, 2, 3])
+    # a series known to a lower degree differs only in its truncation
+    assert verify.route_verdict("closed", short, long).detail == "1 failing; first at closed truncation: got 1, expected 2"
+    # a polynomial's coefficients past its degree are 0
+    rows = verify._coefficient_rows("p", Polynomial("q", (1,)), Polynomial("q", (1, 0, 5)))
+    assert rows == [("p q^0", 1, 1), ("p q^1", 0, 0), ("p q^2", 0, 5)]
 
 
 def test_triple_agreement_small():

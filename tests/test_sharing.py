@@ -83,7 +83,7 @@ def test_verify_all_leaves_no_memo_and_a_later_plant_still_fails_criterion_1(mon
     monkeypatch.setattr(genfun, "_closed_k5", planted)
     c1 = verify.run_criterion(1, quick=True)
     assert [v.passed for v in c1] == [k != 5 for k in range(7)]
-    assert c1[5].detail == "closed k=5 l=0: q^16 is 650, enum has 649"
+    assert c1[5].detail == "8 failing; first at closed k=5 l=0 q^16: got 650, expected 649"
     # a second run shares nothing with the first, so it sees the plant too
     (number, _, again), *_ = verify.run_all(quick=True)
     assert number == 1 and again == c1

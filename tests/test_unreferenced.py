@@ -62,7 +62,6 @@ NOT_ENTERED = {
     "exact.RationalFunction.__eq__": "without it, == on closed forms compares identity",
     "genfun.sym_weight_dim": ALLOWED["sym_weight_dim"],
     "genfun.clear_memo_caches": ALLOWED["clear_memo_caches"],
-    "verify._series_mismatch": "the detail of a failing series verdict, which planted tests reach",
 }
 
 
