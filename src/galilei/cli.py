@@ -203,7 +203,9 @@ SERIES_MAX_K = 100
 SERIES_MAX_L = 20_000
 
 # The Young-lattice commands are certified up to this level (det N_40 is a
-# 588x588 matrix); a larger request is refused before anything is built.
+# 588x588 matrix); a larger request is refused before anything is built.  At
+# the limit (medians of 8 subprocess runs, 2 cores, CPython 3.11.7) `young rank
+# --upto 40` took 0.70 s and `young det --upto 40` 2.69 s.
 YOUNG_MAX_N = 40
 
 # `sl2 tensor` and `quiver decompose-q` list one summand V(j) per step of 2 up

@@ -17,6 +17,11 @@ indexed by the columns (1^k), columns by partitions of n), the injection psi
 of level n-1 into level n, and the square matrices N_n whose determinants
 factor into integer constants times linear factors x - i with i < n.  The
 headline fact checked downstream: M_n evaluated at x = n has full rank n.
+``rank_at`` certifies it on the square minor of M_n(n) on its last n
+columns, the partitions of n with parts <= 2 or a single part 3.  These are
+the last m positions of every level m, and the tails are closed under
+predecessors (removing a node keeps that shape), so every path into the
+minor stays inside them and the DP run on the tails alone yields the minor.
 
 A partition is the tuple of its parts.  Level m of the lattice is
 ``bounded_partitions(m)``, and an edge names its target by the target's
@@ -132,7 +137,7 @@ class PathMatrix(NamedTuple):
         return f"PathMatrix(rows={self.rows!r}, cols={self.cols!r})"
 
 
-def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
+def path_matrix(n: int, at: Optional[int] = None, minor: bool = False) -> PathMatrix:
     """M_n: rows (1^k) for k = 1..n, columns the partitions of n (parts <= 4).
 
     Level m is ``bounded_partitions(m)``, and a partition is addressed by its
@@ -142,14 +147,22 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
     n, whose positions are the columns.  Weights are polynomials in x, or
     with ``at`` the ints they take at x = at: the same loop then runs on the
     int labels slope * at + constant, and no polynomial is built.
+
+    With ``minor`` each level m keeps only its last m positions and the
+    edges out of them, which yields the square minor of M_n on its last n
+    columns (see ``rank_at`` for why the tails hold every path into it).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     levels = [bounded_partitions(m) for m in range(n + 1)]
+    start = [len(level) - m if minor else 0 for m, level in enumerate(levels)]
+    levels = [level[s:] for s, level in zip(start, levels)]
     out_edges: Dict[int, List[List[Tuple[int, Weight]]]] = {}
     for m in range(1, n):
+        first = start[m + 1]
         out_edges[m] = [
-            [(j, _label(s, c) if at is None else s * at + c) for j, s, c in edges_from(p)]
+            [(j - first, _label(s, c) if at is None else s * at + c)
+             for j, s, c in edges_from(p) if j >= first]
             for p in levels[m]
         ]
     zero, one = (Polynomial("x"), Polynomial("x", (1,))) if at is None else (0, 1)
@@ -173,7 +186,20 @@ def path_matrix(n: int, at: Optional[int] = None) -> PathMatrix:
 
 @shared
 def rank_at(n: int) -> int:
-    """Rank of M_n at x = n over the exact integers, from the int path DP."""
+    """Rank of M_n at x = n over the exact integers, from the int path DP.
+
+    M_n has n rows, so a nonsingular n x n minor certifies rank n.  The minor
+    used is the one on the last n columns: in decreasing lex order these are
+    the partitions of n with parts <= 2 or a single part 3, and level m holds
+    floor(m/2) + 1 + floor((m-3)/2) + 1 = m of them, at its end.  Removing a
+    node keeps a partition of that shape, and every partition on a path is
+    contained in the path's end, so every path into the minor stays in the
+    last m positions of each level m: ``path_matrix(n, at=n, minor=True)``
+    computes it exactly.  Should the minor be singular, the rank is that of
+    the whole matrix.
+    """
+    if bareiss_rank(path_matrix(n, at=n, minor=True).entries) == n:
+        return n
     return bareiss_rank(path_matrix(n, at=n).entries)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from galilei import linalg, verify
 from galilei import younglat as yl
+from galilei.cli import YOUNG_MAX_N
 from galilei.exact import Polynomial
 from galilei.linalg import (
     _newton_interpolate,
@@ -479,13 +480,87 @@ def test_rank_at_full_range():
         assert yl.rank_at(n) == n
 
 
+def _in_the_tail(p):
+    """Parts <= 2, or a single part 3 and the rest <= 2."""
+    return max(p) <= 2 or (p[0] == 3 and p[1:2] != (3,))
+
+
 def test_path_matrix_at_a_point_evaluates_the_polynomial_matrix():
     for n in range(1, 13):
         symbolic = yl.path_matrix(n)
+        minor = yl.path_matrix(n, minor=True)
+        # the restricted DP is the full matrix on its last n columns, which are
+        # the n partitions with parts <= 2 or a single 3
+        assert minor.rows == symbolic.rows
+        assert minor.cols == symbolic.cols[-n:] == [c for c in symbolic.cols if _in_the_tail(c)]
+        assert len(minor.cols) == n
+        assert minor.entries == [row[-n:] for row in symbolic.entries], n
         for m in (0, 1, n, n + 5):
             evaluated = yl.path_matrix(n, at=m)
             assert (evaluated.rows, evaluated.cols) == (symbolic.rows, symbolic.cols)
             assert evaluated.entries == [[e(m) for e in row] for row in symbolic.entries], (n, m)
+            assert yl.path_matrix(n, at=m, minor=True).entries == [row[-n:] for row in evaluated.entries], (n, m)
+
+
+def test_the_minor_alone_has_full_rank_up_to_the_cli_limit():
+    # rank_at never needs the whole matrix on the sizes the command line accepts
+    for n in range(1, YOUNG_MAX_N + 1):
+        assert bareiss_rank(yl.path_matrix(n, at=n, minor=True).entries) == n, n
+
+
+def _counting_bareiss_rank(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix[0]))
+        return bareiss_rank(matrix)
+
+    monkeypatch.setattr(yl, "bareiss_rank", counting)
+    return calls
+
+
+def _planted_path_matrix(monkeypatch, plant):
+    """path_matrix with ``plant(n, minor, entries)`` applied to every result."""
+    original = yl.path_matrix
+
+    def planted(n, at=None, minor=False):
+        m = original(n, at, minor)
+        return m._replace(entries=plant(n, minor, [list(row) for row in m.entries]))
+
+    monkeypatch.setattr(yl, "path_matrix", planted)
+
+
+def test_planted_singular_minor_falls_back_to_the_whole_matrix(monkeypatch):
+    # a zero last column makes the minor singular; the whole M_7(7) is left
+    # as it is, of rank 7, so the second elimination restores the rank
+    def plant(n, minor, entries):
+        if minor:
+            for row in entries:
+                row[-1] = 0
+        return entries
+
+    _planted_path_matrix(monkeypatch, plant)
+    calls = _counting_bareiss_rank(monkeypatch)
+    assert yl.rank_at(7) == 7
+    assert calls == [7, len(yl.bounded_partitions(7))]
+
+
+def test_planted_deficient_matrix_lowers_the_rank_and_fails_criterion_5(monkeypatch):
+    # a zero last row makes the minor and M_5(5) itself both rank 4
+    def plant(n, minor, entries):
+        if n == 5:
+            entries[-1] = [0] * len(entries[-1])
+        return entries
+
+    _planted_path_matrix(monkeypatch, plant)
+    calls = _counting_bareiss_rank(monkeypatch)
+    assert yl.rank_at(5) == 4
+    assert calls == [5, len(yl.bounded_partitions(5))]
+    assert verify.rank_verdict(5, yl.rank_at(5)).detail == "rank 4"
+    failing = {v.name: v.detail for v in verify.check_young_lattice(n_max=6) if not v.passed}
+    assert failing["rank of M_n at x=n equals n for 1 <= n <= 6"] == (
+        "1 failing; first at 5: got FAIL (rank 4), expected PASS"
+    )
 
 
 def test_rank_at_builds_no_polynomial_products_and_each_edge_once(monkeypatch):
@@ -497,15 +572,18 @@ def test_rank_at_builds_no_polynomial_products_and_each_edge_once(monkeypatch):
         original_init(self, var, coeffs)
 
     monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    eliminated = _counting_bareiss_rank(monkeypatch)
     yl.edges_from.cache_clear()
     try:
         assert yl.rank_at(12) == 12
+        # the nonsingular 12 x 12 minor is the only matrix eliminated
+        assert eliminated == [12]
         # labels, weights and edges are all ints: not one polynomial is built
         assert built == []
-        # the DP leaves every partition of size 1..11, so each one's edges
-        # were built, once: one memo miss per partition
-        left = [p for size in range(1, 12) for p in yl.bounded_partitions(size)]
-        assert yl.edges_from.cache_info().misses == len(left)
+        # the DP on the minor leaves the last m partitions of each level
+        # m = 1..11, so each one's edges were built, once: one memo miss per
+        # partition, 1 + 2 + ... + 11 of them
+        assert yl.edges_from.cache_info().misses == sum(range(1, 12)) == 66
         # positive control: the polynomial route is counted
         yl.path_matrix(3)
         assert built

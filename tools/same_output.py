@@ -23,8 +23,8 @@ invariants`` for k = 5, 6 and ``genfun freeness`` at (k, l) = (5, 1), (6, 2);
 ``sl2 tensor`` for k = 0..8 against V'(0), V'(2), V(1), V(2),
 V(3), V(4) and V(7); ``symalg check-invariants`` structured; ``symalg
 independence`` for k = 1..11; ``young matrix`` for n = 1..6, and ``--emit``
-at n = 5 and 12; ``young rank --upto 16``; ``young det --upto`` 9 and 16;
-``quiver radical`` at depth 8 for V'(2) and V(1)..V(8); ``quiver
+at n = 5 and 12; ``young rank --upto`` 16 and 24; ``young det --upto`` 9
+and 16; ``quiver radical`` at depth 8 for V'(2) and V(1)..V(8); ``quiver
 decompose-q`` for k = 0..12; five refused requests; and argparse's own
 error paths, ``ARGPARSE_ERRORS``.
 
@@ -118,7 +118,7 @@ def command_list() -> List[List[str]]:
     argvs += [["symalg", "independence", "--k", str(k)] for k in range(1, 12)]
     argvs += [["young", "matrix", "--n", str(n)] for n in range(1, 7)]
     argvs += [["young", "matrix", "--n", size, "--emit"] for size in ("5", "12")]
-    argvs.append(["young", "rank", "--upto", "16"])
+    argvs += [["young", "rank", "--upto", size] for size in ("16", "24")]
     argvs += [["young", "det", "--upto", size] for size in ("9", "16")]
     for top in ["V'(2)"] + [f"V({n})" for n in range(1, 9)]:
         argvs.append(["quiver", "radical", "--top", top, "--depth", "8"])
