@@ -43,19 +43,23 @@ ScalarLike = Union[int, Fraction]
 
 #: (function, arguments) -> value, while a ``sharing()`` block runs; else None
 _memo: Optional[Dict[tuple, object]] = None
+#: a memo lookup's answer when the key is not there
+_ABSENT = object()
 
 
 def shared(fn: Callable) -> Callable:
     """fn, memoised on its positional arguments inside ``sharing()`` and called
-    straight through outside it.  Only for a value that no caller changes."""
+    straight through outside it.  Only for a value that no caller changes.
+    A memo hit is one dict probe."""
     @functools.wraps(fn)
     def memoised(*args):
         if _memo is None:
             return fn(*args)
         key = (fn, args)
-        if key not in _memo:
-            _memo[key] = fn(*args)
-        return _memo[key]
+        value = _memo.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = _memo[key] = fn(*args)
+        return value
     return memoised
 
 

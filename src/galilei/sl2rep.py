@@ -11,10 +11,14 @@ list of finite-dimensional types, an evenly spaced range of highest weights
 
 and one reflection rule for tensoring with L(k), stated at ``hc_tensor``:
 Clebsch-Gordan's range of indices, with the indices below 0 reflected.
+``V`` and ``Vp`` intern their labels: each returns one ``SimpleHC`` per
+index, validated on its first call; an invalid index raises on every call
+and is never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from operator import add, sub
@@ -54,13 +58,15 @@ class SimpleHC(_SimpleHCFields):
         m = re.fullmatch(r"V(')?\(\s*(\d+)\s*\)", text.strip())
         if not m:
             raise ValueError(f"cannot parse simple label {text!r}")
-        return cls(m.group(1) is not None, int(m.group(2)))
+        return (Vp if m.group(1) else V)(int(m.group(2)))
 
 
+@functools.cache
 def Vp(index: int) -> SimpleHC:
     return SimpleHC(True, index)
 
 
+@functools.cache
 def V(n: int) -> SimpleHC:
     return SimpleHC(False, n)
 

@@ -18,6 +18,13 @@ invariants C2 and C3 of Sym(L(4)) included; a check reads the degrees and
 weights of an element's monomials off its terms (``monomial_weight``), so a
 mixed element is a failed check, not an error.
 
+``SymElement(n, terms)`` checks outside input: exponent tuples of length
+n + 1 with non-negative int entries, and exact coefficients.  The results of
+the action, ``-`` and ``*`` come from checked elements, so they go through
+``SymElement._derived``, which checks nothing again; the action's steps are
+memoised in ``_step_tables``, keyed on the coefficient function, n and the
+direction.
+
 The independence certificate is stated in the rescaled basis
 w_j = c_j * v_j, with c_j the product of the raising coefficients below j.
 There e steps along the chain with coefficient 1, and its action on
@@ -31,6 +38,7 @@ the rank, so the v-basis rank computed here is the w-basis rank.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .exact import ScalarLike, _as_scalar, _signed_sum
@@ -58,11 +66,28 @@ class SymElement:
         for exps, coeff in (terms or {}).items():
             if len(exps) != n + 1:
                 raise ValueError("exponent tuple has wrong length")
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponents must be non-negative ints, got {exps!r}")
             if type(coeff) is not int:
                 coeff = _as_scalar(coeff)
             if coeff != 0:
                 clean[tuple(exps)] = coeff
         self.terms = clean
+
+    @classmethod
+    def _derived(cls, n: int, terms: Dict[Exponents, ScalarLike]) -> "SymElement":
+        """The element with these terms, computed from checked elements, so keys
+        and coefficients are not re-checked; zeros are dropped and integral
+        Fractions become ints.  Takes ownership of ``terms``."""
+        self = object.__new__(cls)
+        self.n = n
+        for c in terms.values():
+            if not c or type(c) is not int:
+                terms = {exps: c if type(c) is int or c.denominator != 1 else c.numerator
+                         for exps, c in terms.items() if c}
+                break
+        self.terms = terms
+        return self
 
     # -- structure -----------------------------------------------------------
 
@@ -78,7 +103,7 @@ class SymElement:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) - c
-        return SymElement(self.n, out)
+        return SymElement._derived(self.n, out)
 
     def __mul__(self, other: "SymElement") -> "SymElement":
         self._compatible(other)
@@ -87,7 +112,7 @@ class SymElement:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return SymElement(self.n, out)
+        return SymElement._derived(self.n, out)
 
     def __eq__(self, other):
         if not isinstance(other, SymElement):
@@ -95,7 +120,7 @@ class SymElement:
         return self.n == other.n and self.terms == other.terms
 
     def monomial_weight(self, exps: Exponents) -> int:
-        return sum(e * (-self.n + 2 * i) for i, e in enumerate(exps))
+        return sum(map(mul, exps, range(-self.n, self.n + 1, 2)))
 
     def __str__(self):
         names = [f"v[{2 * i - self.n}]" for i in range(self.n + 1)]
@@ -122,12 +147,19 @@ def _lower_coefficient(n: int, weight: int) -> int:
     return (n - weight + 2) // 2
 
 
+#: (coefficient function, n, shift) -> the nonzero (i, i + shift, coefficient)
+#: steps of e (shift 1) or f (shift -1) on Sym(L(n))
+_step_tables: Dict[tuple, Tuple[Tuple[int, int, int], ...]] = {}
+
+
 def adjoint_action(generator: str, p: SymElement) -> SymElement:
     """Apply e, f or h to an element, extending the basis action by Leibniz.
 
     e and f move one unit of exponent from position i to i + 1 or i - 1,
     scaled by the basis coefficient at weight -n + 2i.  Those nonzero
-    (i, i +- 1, coefficient) steps are read once per call.
+    (i, i +- 1, coefficient) steps are built once per key of ``_step_tables``;
+    the coefficient function in the key is the one the module holds at the
+    call, so a coefficient replaced after import gets a table of its own.
     """
     if generator not in ("e", "f", "h"):
         raise ValueError("generator must be one of 'e', 'f', 'h'")
@@ -138,22 +170,24 @@ def adjoint_action(generator: str, p: SymElement) -> SymElement:
             weight = p.monomial_weight(exps)
             if weight:
                 out[exps] = coeff * weight
-        return SymElement(n, out)
-    if generator == "e":
-        coefficient, shift = _raise_coefficient, 1
-    else:
-        coefficient, shift = _lower_coefficient, -1
-    steps = [(i, i + shift, c) for i in range(n + 1) if (c := coefficient(n, 2 * i - n))]
+        return SymElement._derived(n, out)
+    table = (_raise_coefficient, n, 1) if generator == "e" else (_lower_coefficient, n, -1)
+    steps = _step_tables.get(table)
+    if steps is None:
+        coefficient, _, shift = table
+        steps = _step_tables[table] = tuple(
+            (i, i + shift, c) for i in range(n + 1) if (c := coefficient(n, 2 * i - n))
+        )
     for exps, coeff in p.terms.items():
         for i, j, step in steps:
             e = exps[i]
             if e:
                 new = list(exps)
-                new[i] -= 1
+                new[i] = e - 1
                 new[j] += 1
                 key = tuple(new)
                 out[key] = out.get(key, 0) + coeff * e * step
-    return SymElement(n, out)
+    return SymElement._derived(n, out)
 
 
 def is_invariant(p: SymElement) -> bool:

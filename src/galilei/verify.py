@@ -344,8 +344,10 @@ def check_symmetric_algebra(k_max: int = 12) -> List[Verdict]:
     act = symalg.adjoint_action
 
     def relation_rows():
-        # every monomial of degree <= 4 in the five basis vectors of L(4), by its exponents
-        for exps in filter(lambda e: sum(e) <= 4, product(range(5), repeat=5)):
+        # every monomial of degree <= 4 in the five basis vectors of L(4), by its
+        # exponents, in lexicographic order
+        for exps in ((a, b, c, d, e) for a in range(5) for b in range(5 - a) for c in range(5 - a - b)
+                     for d in range(5 - a - b - c) for e in range(5 - a - b - c - d)):
             m = symalg.SymElement(4, {exps: 1})
             e, f, h = act("e", m), act("f", m), act("h", m)
             # [e,f] = h, [h,e] = 2e and [h,f] = -2f, each as got == expected

@@ -43,6 +43,15 @@ def test_simple_labels():
         SimpleHC.parse("W(3)")
 
 
+def test_labels_are_interned_and_a_refused_label_is_never_cached():
+    assert V(3) is V(3) and Vp(0) is Vp(0) and Vp(2) is Vp(2)
+    assert SimpleHC.parse("V(3)") == V(3)
+    for _ in range(3):
+        for make, index in ((V, 0), (V, -2), (Vp, 1)):
+            with pytest.raises(ValueError):
+                make(index)
+
+
 #: sorted() of every label up to V(12), as recorded from the dataclass labels
 LABEL_ORDER = ["V(1)", "V(2)", "V(3)", "V(4)", "V(5)", "V(6)", "V(7)", "V(8)", "V(9)",
                "V(10)", "V(11)", "V(12)", "V'(0)", "V'(2)"]

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -206,6 +206,42 @@ def test_planted_raising_defect_fails_the_sl2_relations_and_invariance(monkeypat
     assert verdicts["iterated raisings are independent for 1 <= k <= 5"].passed
 
 
+RELATIONS = "derivations satisfy the sl2 relations on all monomials of degree <= 4"
+
+
+def test_a_coefficient_planted_after_use_shows_and_undoing_it_restores_pass(monkeypatch):
+    # the step tables are built during the clean run; each plant must still
+    # give its own FAIL, and undoing it must find no stale table
+    assert all(v.passed for v in verify.check_symmetric_algebra(k_max=5))
+    plants = [
+        ("_lower_coefficient", 2, "got 5*v[2], expected 2*v[2]"),
+        ("_raise_coefficient", 0, "got 4*v[2], expected 2*v[2]"),
+    ]
+    for name, at, got in plants:
+        original = getattr(symalg, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(symalg, name, lambda n, weight: original(n, weight) + (weight == at))
+            verdicts = {v.name: v for v in verify.check_symmetric_algebra(k_max=5)}
+            assert verdicts[RELATIONS].detail == f"80 failing; first at ((0, 0, 0, 1, 0), '[e,f]'): {got}"
+        assert all(v.passed for v in verify.check_symmetric_algebra(k_max=5)), name
+
+
+def test_criterion_6_relation_monomials_are_the_126_of_degree_at_most_4_in_order(monkeypatch):
+    seen = []
+    compare = verify._compare
+
+    def recording(name, rows):
+        if name == RELATIONS:
+            rows = list(rows)
+            seen.extend(dict.fromkeys(exps for (exps, _), _, _ in rows))
+        return compare(name, rows)
+
+    monkeypatch.setattr(verify, "_compare", recording)
+    verify.check_symmetric_algebra(k_max=1)
+    assert seen == [e for e in product(range(5), repeat=5) if sum(e) <= 4]
+    assert len(seen) == 126
+
+
 def test_criterion_6_applies_nine_actions_per_relation_monomial(monkeypatch):
     # e, f and h of each monomial once, then the six images of the three
     # commutators; the raisings apply e i times to the i-th start monomial
@@ -299,6 +335,34 @@ def test_sym_element_arithmetic_keeps_ints(data, kind):
         _assert_exact_coefficients(r)
         if kind == "int":
             assert all(type(v) is int for v in r.terms.values())
+
+
+def _elements_or_c3(coeff):
+    return st.one_of(_elements(coeff), st.just(symalg.build_C3()))
+
+
+@given(st.data(), st.sampled_from(["int", "fraction"]))
+def test_derived_elements_keep_the_element_invariants(data, kind):
+    # results of the action, - and * skip the public constructor's checks, so
+    # each must already be what that constructor would build from its terms
+    coeff = _ints if kind == "int" else st.one_of(_ints, _fractions)
+    p, q = data.draw(_elements_or_c3(coeff)), data.draw(_elements_or_c3(coeff))
+    results = [p - q, q - p, p - p, p * q, p * q - q * p]
+    results += [act(generator, x) for generator in ("e", "f", "h") for x in (p, q, p * q)]
+    for r in results:
+        assert 0 not in r.terms.values()
+        _assert_exact_coefficients(r)
+        assert r == SymElement(r.n, dict(r.terms))
+
+
+def test_negative_exponent_entries_are_rejected():
+    with pytest.raises(ValueError):
+        SymElement(4, {(-1, 0, 0, 0, 2): 1})
+
+
+def test_non_int_exponent_entries_are_rejected():
+    with pytest.raises(ValueError):
+        SymElement(4, {(0.5, 0, 0, 0, 0): 1})
 
 
 def test_float_and_string_scalars_are_rejected():

@@ -22,7 +22,7 @@ invariants`` for k = 5, 6 and ``genfun freeness`` at (k, l) = (5, 1), (6, 2);
 {1, 3, 5}; ``sl2 q0 --l`` for l = 0..20, and ``sl2 q0 --table`` 24 and 996;
 ``sl2 tensor`` for k = 0..8 against V'(0), V'(2), V(1), V(2),
 V(3), V(4) and V(7); ``symalg check-invariants`` structured; ``symalg
-independence`` for k = 1..11; ``young matrix`` for n = 1..6, and ``--emit``
+independence`` for k = 1..11 and 24; ``young matrix`` for n = 1..6, and ``--emit``
 at n = 5 and 12; ``young rank --upto`` 16 and 24; ``young det --upto`` 9
 and 16; ``quiver radical`` at depth 8 for V'(2) and V(1)..V(8); ``quiver
 decompose-q`` for k = 0..12; five refused requests; and argparse's own
@@ -115,7 +115,7 @@ def command_list() -> List[List[str]]:
         for simple in ("V'(0)", "V'(2)", "V(1)", "V(2)", "V(3)", "V(4)", "V(7)"):
             argvs.append(["sl2", "tensor", "--k", str(k), "--simple", simple])
     argvs.append(["symalg", "check-invariants", "--format", "structured"])
-    argvs += [["symalg", "independence", "--k", str(k)] for k in range(1, 12)]
+    argvs += [["symalg", "independence", "--k", str(k)] for k in (*range(1, 12), 24)]
     argvs += [["young", "matrix", "--n", str(n)] for n in range(1, 7)]
     argvs += [["young", "matrix", "--n", size, "--emit"] for size in ("5", "12")]
     argvs += [["young", "rank", "--upto", size] for size in ("16", "24")]
