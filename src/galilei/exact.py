@@ -1,30 +1,30 @@
-"""Exact scalar, polynomial and truncated-series arithmetic, and rational functions.
+"""Exact integer polynomial and truncated-series arithmetic, and rational functions.
 
-Every value here is exact; no floating point is used anywhere.  Rational
-functions and truncated series are integer values: every generating function
-checked here is a ratio of integer polynomials whose denominator is a product
-of (1 - q^d) up to sign, so a part or coefficient that is not an ``int`` is a
-``TypeError``.  Here a polynomial holds a ``fractions.Fraction`` coefficient
-only as the quotient of a ``divmod`` that does not divide evenly: ``_as_scalar``
-keeps each coefficient an ``int`` wherever it is integral, and every division
-of coefficients is an exact ``Fraction(a, b)`` normalised by it, so callers
-take ints as they come.  The gcd runs by primitive pseudo-remainders, whose
-divisions all come out as ints, and returns the primitive gcd with a positive
-lead.  Polynomials are dense in a single formal
-variable (``q`` for counting series, ``x`` for edge labels), rational
-functions are values kept in a canonical form, a coprime integer pair whose
-denominator has positive lead, with no arithmetic of their own, and truncated
-power series carry their truncation degree explicitly and divide only by a
-unit of Z[[q]], a series with constant term 1 or -1; that division sums
-over the quotient's nonzero terms while they are fewer than the divisor's,
-then over the divisor's.  Each value has one
+Every value here is exact; no floating point is used anywhere.  Polynomials,
+rational functions and truncated series are integer values: every generating
+function checked here is a ratio of integer polynomials whose denominator is a
+product of (1 - q^d) up to sign, every Young-lattice determinant is an integer
+polynomial, and a coefficient, part or scalar that is not an ``int`` is a
+``TypeError``.  ``divmod`` of polynomials builds each quotient step as an
+exact ``Fraction(a, b)`` and raises ``ArithmeticError`` at the first one that
+is not an integer; every division made here has integral steps.  The gcd runs
+by primitive pseudo-remainders, whose steps are integral by construction, and
+returns the primitive gcd with a positive lead.  Polynomials are dense in a
+single formal variable (``q`` for counting series, ``x`` for edge labels),
+rational functions are values kept in a canonical form, a coprime integer pair
+whose denominator has positive lead, with no arithmetic of their own, and
+truncated power series carry their truncation degree explicitly and divide
+only by a unit of Z[[q]], a series with constant term 1 or -1; that division
+sums over the quotient's nonzero terms while they are fewer than the
+divisor's, then over the divisor's.  Each value has one
 builder: ``Polynomial("x")`` is zero, ``Polynomial("q", (1,))`` one,
 ``Polynomial("x", (0, 1))`` the variable, and a ``RationalFunction`` takes
 both parts.  ``p * c`` is the one scalar product, and ``p.coeffs`` the one
 read of a coefficient.  A polynomial's truth value is its one zero test, as
 a ``symalg`` element's is: it is false exactly when the value is zero.
 ``_signed_sum`` is the one printer of a signed sum of terms, used by
-polynomials here and by ``symalg``'s elements.
+polynomials here and by ``symalg``'s elements, whose coefficients may be
+Fractions; ``_as_scalar`` is their normaliser.
 
 ``shared`` marks a function whose value no caller changes.  Inside a
 ``sharing()`` block it is memoised, keyed on its arguments; outside every
@@ -81,10 +81,6 @@ class sharing:
         _memo = self.outer
 
 
-class PoleAtOriginError(ZeroDivisionError):
-    """Raised when expanding at q=0 something whose denominator vanishes there."""
-
-
 def _as_scalar(c: ScalarLike) -> ScalarLike:
     """c as an int when it is integral, else as a Fraction."""
     if isinstance(c, Fraction):
@@ -109,18 +105,22 @@ def _signed_sum(terms: Iterable[Tuple[ScalarLike, str]]) -> str:
 
 
 class Polynomial:
-    """Dense univariate polynomial with exact coefficients.
+    """Dense univariate polynomial with integer coefficients.
 
-    Each coefficient is an ``int`` when it is integral and a ``Fraction``
-    otherwise, as in ``TruncatedSeries``.  The coefficient list never has
-    trailing zeros; the zero polynomial has an empty coefficient tuple and
-    degree ``-1`` (sentinel).  ``divmod`` is the one division.
+    A coefficient or scalar operand that is not an ``int`` is a ``TypeError``,
+    as in ``TruncatedSeries``.  The coefficient list never has trailing zeros;
+    the zero polynomial has an empty coefficient tuple and degree ``-1``
+    (sentinel).  ``divmod`` is the one division; a quotient step that is not
+    an integer is an ``ArithmeticError``.
     """
 
     __slots__ = ("var", "coeffs")
 
-    def __init__(self, var: str, coeffs: Iterable[ScalarLike] = ()):
-        cs = [c if type(c) is int else _as_scalar(c) for c in coeffs]
+    def __init__(self, var: str, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"a polynomial has integer coefficients, not {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.var = var
@@ -133,11 +133,11 @@ class Polynomial:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __call__(self, point: ScalarLike) -> ScalarLike:
+    def __call__(self, point: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc if type(acc) is int else _as_scalar(acc)
+        return acc
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -146,7 +146,7 @@ class Polynomial:
             if other.var != self.var:
                 raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial(self.var, (other,))
         return None
 
@@ -194,6 +194,9 @@ class Polynomial:
             top = rem[shift + d]
             if top:
                 factor = quot[shift] = _as_scalar(Fraction(top, lead))
+                if type(factor) is not int:
+                    raise ArithmeticError(
+                        f"quotient step {factor} at degree {shift} is not an integer")
                 for i, c in enumerate(low):
                     rem[shift + i] -= factor * c
         return Polynomial(self.var, quot), Polynomial(self.var, rem[:d])
@@ -268,8 +271,7 @@ class RationalFunction:
     It is a value, not a field element: a check that combines closed forms
     works on their numerators and denominators and compares a/b with c/d by
     cross-multiplying, a*d == c*b.  Both parts are always given; a zero
-    numerator gets the denominator 1, and a part with a ``Fraction``
-    coefficient is a ``TypeError``.
+    numerator gets the denominator 1.
     """
 
     __slots__ = ("num", "den")
@@ -301,10 +303,11 @@ class RationalFunction:
 class TruncatedSeries:
     """Power series with integer coefficients, known exactly up to a truncation degree.
 
-    A coefficient that is not an ``int`` is a ``TypeError``.  Binary
-    operations truncate to the smaller of the two truncation degrees.
+    A coefficient that is not an ``int`` is a ``TypeError``, as in a
+    ``Polynomial``.  Binary operations truncate to the smaller of the two
+    truncation degrees.
     Division is by a unit of Z[[q]], a divisor whose constant term is 1 or -1;
-    a constant term of 0 raises ``PoleAtOriginError`` and any other raises
+    a constant term of 0 raises ``ZeroDivisionError`` and any other raises
     ``ArithmeticError``, each naming it.  Quotient coefficient i is
     c0 (a_i - sum_j d_j q_(i-j)), summed over the quotient's nonzero q_s
     while they are fewer than the divisor's nonzero d_j (j >= 1), and over
@@ -352,7 +355,7 @@ class TruncatedSeries:
             return NotImplemented
         c0 = other.coeffs[0]
         if c0 == 0:
-            raise PoleAtOriginError("division by a series with zero constant term")
+            raise ZeroDivisionError("division by a series with zero constant term")
         if c0 != 1 and c0 != -1:
             raise ArithmeticError(f"division by a series with constant term {c0}, not 1 or -1")
         n = min(self.truncation, other.truncation)

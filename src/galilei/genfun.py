@@ -50,10 +50,6 @@ from .exact import Polynomial, RationalFunction, TruncatedSeries, shared
 DEFAULT_TRUNCATION = 60
 
 
-class NoClosedFormError(ValueError):
-    """Raised for (k, l) pairs with no transcribed closed form."""
-
-
 class StructureNotRecognizedError(RuntimeError):
     """The invariant series matched neither a free nor a one-relation shape."""
 
@@ -366,12 +362,12 @@ def f_closed(k: int, l: int) -> RationalFunction:
     """The closed-form F_l^(k) as a canonical rational function.
 
     Supported exactly where has_closed_form(k, l) holds; anything else
-    raises NoClosedFormError rather than guessing.
+    raises ValueError rather than guessing.
     """
     if k < 0 or l < 0:
         raise ValueError("k, l must be non-negative")
     if not has_closed_form(k, l):
-        raise NoClosedFormError(f"no closed form for k={k}, l={l}")
+        raise ValueError(f"no closed form for k={k}, l={l}")
     # every weight of Sym^n(L(k)) has the parity of kn and lies in [-kn, kn]:
     # for even k no weight is odd, and for k = 0 every weight is 0
     if k % 2 == 0 and (l % 2 or k == 0 < l):

@@ -77,9 +77,9 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     and a sign, with a sign flip when its current (row + column) position
     is odd, and its row and column leave the matrix.  What remains is the
     core (possibly 0x0).  The core is evaluated at the integer nodes 0..D
-    (D = the sum of its row maxima of degree) and Newton-interpolated; the
-    evaluations are plain integer determinants, and ``bareiss_det`` rejects
-    a non-integer value.  The one polynomial built is the result.
+    (D = the sum of its row maxima of degree) and Newton-interpolated; an
+    integer polynomial takes an int at an int node, so the evaluations are
+    plain integer determinants.  The one polynomial built is the result.
     """
     n = len(matrix)
     if n == 0:

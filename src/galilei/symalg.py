@@ -22,7 +22,7 @@ mixed element is a failed check, not an error.
 n + 1 with non-negative int entries, and exact coefficients.  The results of
 the action, ``-`` and ``*`` come from checked elements, so they go through
 ``SymElement._derived``, which checks nothing again; the action's steps are
-memoised in ``_step_tables``, keyed on the coefficient function, n and the
+memoised by ``_steps``, keyed on the coefficient function, n and the
 direction.
 
 The independence certificate is stated in the rescaled basis
@@ -37,9 +37,10 @@ the rank, so the v-basis rank computed here is the w-basis rank.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .exact import ScalarLike, _as_scalar, _signed_sum
 from .linalg import bareiss_rank
@@ -147,9 +148,11 @@ def _lower_coefficient(n: int, weight: int) -> int:
     return (n - weight + 2) // 2
 
 
-#: (coefficient function, n, shift) -> the nonzero (i, i + shift, coefficient)
-#: steps of e (shift 1) or f (shift -1) on Sym(L(n))
-_step_tables: Dict[tuple, Tuple[Tuple[int, int, int], ...]] = {}
+@functools.cache
+def _steps(coefficient: Callable, n: int, shift: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The nonzero (i, i + shift, coefficient) steps of e (shift 1) or f
+    (shift -1) on Sym(L(n))."""
+    return tuple((i, i + shift, c) for i in range(n + 1) if (c := coefficient(n, 2 * i - n)))
 
 
 def adjoint_action(generator: str, p: SymElement) -> SymElement:
@@ -157,9 +160,9 @@ def adjoint_action(generator: str, p: SymElement) -> SymElement:
 
     e and f move one unit of exponent from position i to i + 1 or i - 1,
     scaled by the basis coefficient at weight -n + 2i.  Those nonzero
-    (i, i +- 1, coefficient) steps are built once per key of ``_step_tables``;
-    the coefficient function in the key is the one the module holds at the
-    call, so a coefficient replaced after import gets a table of its own.
+    (i, i +- 1, coefficient) steps are built once per key of ``_steps``; the
+    coefficient function in the key is the one the module holds at the call,
+    so a coefficient replaced after import gets a table of its own.
     """
     if generator not in ("e", "f", "h"):
         raise ValueError("generator must be one of 'e', 'f', 'h'")
@@ -171,13 +174,7 @@ def adjoint_action(generator: str, p: SymElement) -> SymElement:
             if weight:
                 out[exps] = coeff * weight
         return SymElement._derived(n, out)
-    table = (_raise_coefficient, n, 1) if generator == "e" else (_lower_coefficient, n, -1)
-    steps = _step_tables.get(table)
-    if steps is None:
-        coefficient, _, shift = table
-        steps = _step_tables[table] = tuple(
-            (i, i + shift, c) for i in range(n + 1) if (c := coefficient(n, 2 * i - n))
-        )
+    steps = _steps(_raise_coefficient, n, 1) if generator == "e" else _steps(_lower_coefficient, n, -1)
     for exps, coeff in p.terms.items():
         for i, j, step in steps:
             e = exps[i]
