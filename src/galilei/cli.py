@@ -19,7 +19,7 @@ import time
 from typing import Dict, List, Optional
 
 from . import genfun, quiver, sl2rep, symalg, younglat, verify as verify_mod
-from .exact import series_expand
+from .exact import sharing
 from .genfun import DEFAULT_TRUNCATION
 from .sl2rep import SimpleHC
 from .verify import Verdict
@@ -86,15 +86,11 @@ def _cmd_genfun_series(args, rep: Report) -> None:
     # a route asked for by name refuses its own domain; `all` skips it there
     routes = (("enum",) + genfun.series_routes(args.k, args.l)
               if args.method == "all" else (args.method,))
-    methods = {}
-    if "enum" in routes:
-        methods["enum"] = genfun.f_enum(args.k, args.l, args.degree)
-    if "recur" in routes:
-        methods["recur"] = genfun.f_recur(args.k, args.l, args.degree)
-    if "closed" in routes:
-        rf = genfun.f_closed(args.k, args.l)
-        rep.results["closed_form"] = str(rf)
-        methods["closed"] = series_expand(rf, args.degree)
+    # one sharing block, so the closed form is built once for its series and its text
+    with sharing():
+        methods = {name: genfun.route_series(name, args.k, args.l, args.degree) for name in routes}
+        if "closed" in routes:
+            rep.results["closed_form"] = str(genfun.f_closed(args.k, args.l))
     for name, series in methods.items():
         rep.results[f"{name}_coefficients"] = list(series.coeffs)
     if args.method == "all":

@@ -24,7 +24,7 @@ read of a coefficient.  A polynomial's truth value is its one zero test, as
 a ``symalg`` element's is: it is false exactly when the value is zero.
 ``_signed_sum`` is the one printer of a signed sum of terms, used by
 polynomials here and by ``symalg``'s elements, whose coefficients may be
-Fractions; ``_as_scalar`` is their normaliser.
+Fractions.
 
 ``shared`` marks a function whose value no caller changes.  Inside a
 ``sharing()`` block it is memoised, keyed on its arguments; outside every
@@ -79,15 +79,6 @@ class sharing:
     def __exit__(self, *exc_info) -> None:
         global _memo
         _memo = self.outer
-
-
-def _as_scalar(c: ScalarLike) -> ScalarLike:
-    """c as an int when it is integral, else as a Fraction."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
 
 
 def _signed_sum(terms: Iterable[Tuple[ScalarLike, str]]) -> str:
@@ -193,10 +184,11 @@ class Polynomial:
         for shift in range(len(quot) - 1, -1, -1):
             top = rem[shift + d]
             if top:
-                factor = quot[shift] = _as_scalar(Fraction(top, lead))
-                if type(factor) is not int:
+                step = Fraction(top, lead)
+                if step.denominator != 1:
                     raise ArithmeticError(
-                        f"quotient step {factor} at degree {shift} is not an integer")
+                        f"quotient step {step} at degree {shift} is not an integer")
+                factor = quot[shift] = step.numerator
                 for i, c in enumerate(low):
                     rem[shift + i] -= factor * c
         return Polynomial(self.var, quot), Polynomial(self.var, rem[:d])

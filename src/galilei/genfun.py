@@ -15,7 +15,8 @@ This module computes F_l^(k) by three independent routes:
                   l, k=5 for l <= 3, k=6 for l in {0,2,4,6}).
 
 ``series_routes`` is the one rule for which of the last two apply at (k, l),
-read by criterion 1 and by ``genfun series --method all``.
+and ``route_series`` the one dispatch from a route's name to its series;
+criterion 1 and ``genfun series`` read both.
 
 The recursion evaluates one level at a time by running sums over packed
 series, and its memo holds one table only: the level below k, which later
@@ -44,7 +45,7 @@ import sys
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exact import Polynomial, RationalFunction, TruncatedSeries, shared
+from .exact import Polynomial, RationalFunction, TruncatedSeries, series_expand, shared
 
 #: Default truncation degree; every claim checked here manifests by degree 36.
 DEFAULT_TRUNCATION = 60
@@ -60,14 +61,10 @@ def _qpow(n: int) -> Polynomial:
 
 def geometric_den(*degrees: int) -> Polynomial:
     """Product of (1 - q^d) over the given degrees."""
-    out = [1] + [0] * sum(degrees)
-    top = 0
+    out = Polynomial("q", (1,))
     for d in degrees:
-        top += d
-        # times (1 - q^d) in place: top down, each out[i - d] read is not yet changed
-        for i in range(top, d - 1, -1):
-            out[i] -= out[i - d]
-    return Polynomial("q", out)
+        out = out - out.shift(d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +399,18 @@ def series_routes(k: int, l: int) -> Tuple[str, ...]:
     """The routes checked against the enumeration at (k, l), in report order:
     the recursion for k >= 2, the closed form where ``has_closed_form`` holds."""
     return ("recur",) * (k >= 2) + ("closed",) * has_closed_form(k, l)
+
+
+def route_series(route: str, k: int, l: int, degree: int) -> TruncatedSeries:
+    """F_l^(k) to ``degree`` by the named route: "enum", "recur" or "closed"
+    (the closed form expanded); any other name raises ValueError."""
+    if route == "enum":
+        return f_enum(k, l, degree)
+    if route == "recur":
+        return f_recur(k, l, degree)
+    if route == "closed":
+        return series_expand(f_closed(k, l), degree)
+    raise ValueError(f"unknown series route {route!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ is its number of pivots, the determinant its signed last pivot at full
 rank.  A non-integer entry is an error, never truncated.
 
 Determinants of matrices with integer-coefficient polynomial entries are
-found in two steps.  First every row or column with at most one nonzero
-entry is peeled off by Laplace expansion, which is exact for any matrix and
-leaves a smaller core (empty for a triangular matrix up to row and column
-order); the peeled entries are multiplied as int coefficient lists, and no
-polynomial is built until the result.  The core's determinant is then
+found in two steps.  First every column with at most one nonzero entry is
+peeled off by Laplace expansion, which is exact for any matrix and leaves a
+smaller core (empty for a triangular matrix up to row and column order);
+the peeled entries are multiplied as int coefficient lists, and no
+polynomial is built until the result.  Rows are not peeled: every peel of
+the Young-lattice matrices N_n is a column.  The core's determinant is then
 recovered by evaluating at the integer nodes 0..D and Newton-interpolating,
 which keeps every step in the integers: each divided difference on
 consecutive integer nodes is an integer, and every division is checked to
@@ -71,12 +72,14 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square matrix of integer-coefficient polynomials.
 
-    First peels: while some row or column has at most one nonzero entry,
-    Laplace-expands along it.  An empty line makes the determinant zero;
+    First peels: while some column has at most one nonzero entry,
+    Laplace-expands along it.  An empty column makes the determinant zero;
     a single entry goes into a running factor, an int coefficient list
     and a sign, with a sign flip when its current (row + column) position
-    is odd, and its row and column leave the matrix.  What remains is the
-    core (possibly 0x0).  The core is evaluated at the integer nodes 0..D
+    is odd, and its row and column leave the matrix.  Rows are not peeled,
+    as no peel of N_2..N_40 is a row: a matrix whose only singletons are
+    rows is exact too, from a larger core.  What remains is the core
+    (possibly 0x0), evaluated at the integer nodes 0..D
     (D = the sum of its row maxima of degree) and Newton-interpolated; an
     integer polynomial takes an int at an int node, so the evaluations are
     plain integer determinants.  The one polynomial built is the result.
@@ -94,28 +97,24 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
             col_nz[j].add(i)
     rows, cols = list(range(n)), list(range(n))
     factor, sign = [1], 1
-    pending = [(True, i) for i in range(n)] + [(False, j) for j in range(n)]
+    pending = list(range(n))
     while pending:
-        is_row, k = pending.pop()
-        line = row_nz[k] if is_row else col_nz[k]
-        if line is None or len(line) > 1:
+        j = pending.pop()
+        if col_nz[j] is None or len(col_nz[j]) > 1:
             continue
-        if not line:
+        if not col_nz[j]:
             return Polynomial(var)
-        (other,) = line
-        i, j = (k, other) if is_row else (other, k)
+        (i,) = col_nz[j]
         factor = _times(factor, matrix[i][j].coeffs)
         if (rows.index(i) + cols.index(j)) % 2:
             sign = -sign
         rows.remove(i)
         cols.remove(j)
+        # row i leaves: every column it meets loses an entry, j its last
         for jj in row_nz[i]:
             col_nz[jj].discard(i)
-            pending.append((False, jj))
-        for ii in col_nz[j]:
-            row_nz[ii].discard(j)
-            pending.append((True, ii))
-        row_nz[i] = col_nz[j] = None
+            pending.append(jj)
+        col_nz[j] = None
     core = [[matrix[i][j] for j in cols] for i in rows]
     bound = sum(max((e.degree for e in row), default=0) for row in core)
     values = [bareiss_det([[entry(t) for entry in row] for row in core]) for t in range(bound + 1)]

@@ -11,9 +11,9 @@ derivations extending their action on the basis:
 Every weight of L(n) has the parity of n, so these coefficients are
 integers.  The e-coefficients are the fixed convention; the f-coefficients are
 forced by the sl2 relations and certified by the commutator property tests.
-Element coefficients follow ``exact``'s rule: an int when integral, a
-Fraction otherwise, and as for ``exact``'s polynomials an element's truth value
-is its one zero test.  An element is built from its term table alone, the
+An element normalises its own coefficients: an int when integral, a
+Fraction otherwise; as for ``exact``'s polynomials its truth value is its one
+zero test.  An element is built from its term table alone, the
 invariants C2 and C3 of Sym(L(4)) included; a check reads the degrees and
 weights of an element's monomials off its terms (``monomial_weight``), so a
 mixed element is a failed check, not an error.
@@ -42,7 +42,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Dict, List, Tuple
 
-from .exact import ScalarLike, _as_scalar, _signed_sum
+from .exact import ScalarLike, _signed_sum
 from .linalg import bareiss_rank
 
 Exponents = Tuple[int, ...]
@@ -70,7 +70,9 @@ class SymElement:
             if not all(type(e) is int and e >= 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative ints, got {exps!r}")
             if type(coeff) is not int:
-                coeff = _as_scalar(coeff)
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"not an exact scalar: {coeff!r}")
+                coeff = int(coeff) if coeff.denominator == 1 else coeff
             if coeff != 0:
                 clean[tuple(exps)] = coeff
         self.terms = clean

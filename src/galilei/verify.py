@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import genfun, quiver, sl2rep, symalg, younglat
 from .exact import Polynomial, RationalFunction, TruncatedSeries, series_expand, sharing
-from .sl2rep import SimpleHC, V, Vp
+from .sl2rep import V, Vp
 from .younglat import partition
 
 
@@ -97,9 +97,8 @@ def check_triple_agreement(degree: int = 60, k_max: int = 6, l_max: int = 12) ->
         for l in range(l_max + 1):
             enum = genfun.f_enum(k, l, degree)
             for route in genfun.series_routes(k, l):
-                series = (genfun.f_recur(k, l, degree) if route == "recur"
-                          else series_expand(genfun.f_closed(k, l), degree))
-                yield from _coefficient_rows(f"{route} k={k} l={l}", series, enum)
+                yield from _coefficient_rows(
+                    f"{route} k={k} l={l}", genfun.route_series(route, k, l, degree), enum)
 
     return [
         _compare(f"series routes agree for k={k}, l<={l_max}, degree<={degree}", rows(k))
@@ -430,15 +429,12 @@ def check_tensor_calculus(k_max: int = 8, n_max: int = 8) -> List[Verdict]:
     # independent route: a decomposition is pinned down by its type multiset,
     # which must equal L(k) tensored against the types of the input simple
     type_bound = 2 * (k_max + n_max) + 8
-    types: Dict[SimpleHC, range] = {}  # each summand's types, once per label
 
     def type_rows():
         for k, s in product(range(k_max + 1), simples):
             got = [0] * (type_bound + 1)
             for t, mult in sl2rep.hc_tensor(k, s).items():
-                if t not in types:
-                    types[t] = sl2rep.g_types(t, type_bound)
-                for l in types[t]:
+                for l in sl2rep.g_types(t, type_bound):
                     got[l] += mult
             expected = [0] * (type_bound + 1)
             for l0 in sl2rep.g_types(s, type_bound + k):

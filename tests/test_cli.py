@@ -1,8 +1,8 @@
 import argparse
+import importlib.util
 import inspect
 import json
 import re
-import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +23,11 @@ from galilei.cli import (
 from galilei.exact import Polynomial, RationalFunction, TruncatedSeries
 from galilei.sl2rep import V
 from galilei.verify import Verdict
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_output.py"
+_spec = importlib.util.spec_from_file_location("same_output", _TOOL)
+same_output = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_output)
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +64,23 @@ def test_series_all_methods_cross_check(capsys):
     assert code == 0
     assert "recur agrees with enum" in out
     assert "closed agrees with enum" in out
+
+
+def test_series_builds_its_closed_form_once_and_prints_it_first(capsys, monkeypatch):
+    built = []
+    original = genfun._closed_k5
+
+    def counting(l):
+        built.append(l)
+        return original(l)
+
+    monkeypatch.setattr(genfun, "_closed_k5", counting)
+    code, out, _ = run_cli(
+        capsys, "genfun", "series", "--k", "5", "--l", "1", "--degree", "10", "--method", "all"
+    )
+    assert code == 0
+    assert built == [1]
+    assert out.index("closed_form:") < out.index("enum_coefficients:")
 
 
 def test_series_closed_unsupported_is_an_error(capsys):
@@ -933,13 +955,10 @@ def test_every_verdict_pass_flag_is_a_bool(capsys):
         for _, _, verdicts in verify.run_all(quick=quick):
             assert all(type(v.passed) is bool for v in verdicts)
     # the README's commands, without the `verify all [--quick]` synopsis line
-    block = re.search(r"```\n(galilei .*?)```", (Path(__file__).parents[1] / "README.md").read_text(),
-                      re.DOTALL).group(1)
-    for line in block.splitlines():
-        if "[" not in line:
-            _, out, _ = run_cli(capsys, *shlex.split(line)[1:], "--format", "structured")
-            # json prints true or false only for a bool
-            assert all(type(v["passed"]) is bool for v in json.loads(out)["verdicts"]), line
+    for argv in same_output.readme_commands():
+        _, out, _ = run_cli(capsys, *argv, "--format", "structured")
+        # json prints true or false only for a bool
+        assert all(type(v["passed"]) is bool for v in json.loads(out)["verdicts"]), argv
 
 
 class _Built(Exception):

@@ -631,6 +631,27 @@ def test_series_routes_follow_the_recursion_and_closed_form_domains():
     assert genfun.series_routes(7, 0) == ("recur",)
 
 
+@pytest.mark.parametrize("k, l, degree", [(2, 0, 10), (3, 2, 0), (4, 6, 25), (5, 3, 30), (6, 4, 18)])
+def test_route_series_returns_what_each_route_returns(k, l, degree):
+    assert genfun.route_series("enum", k, l, degree) == genfun.f_enum(k, l, degree)
+    assert genfun.route_series("recur", k, l, degree) == genfun.f_recur(k, l, degree)
+    expanded = series_expand(genfun.f_closed(k, l), degree)
+    assert genfun.route_series("closed", k, l, degree) == expanded
+    assert expanded.truncation == degree
+
+
+def test_route_series_refuses_an_unknown_route(monkeypatch):
+    # an unknown name must not fall through to any route
+    def refuse(*args):
+        raise AssertionError("a route ran")
+
+    for name in ("f_enum", "f_recur", "f_closed"):
+        monkeypatch.setattr(genfun, name, refuse)
+    for route in ("", "Enum", "recursion", "all", "sym"):
+        with pytest.raises(ValueError, match="unknown series route"):
+            genfun.route_series(route, 4, 2, 10)
+
+
 def test_planted_non_unit_divisor_fails_the_quotient_verdict(monkeypatch):
     original = genfun._closed_k5
 

@@ -35,10 +35,9 @@ reason.
 """
 
 import ast
+import importlib.util
 import json
 import os
-import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +45,12 @@ from pathlib import Path
 import galilei
 
 PACKAGE = Path(galilei.__file__).parent
+
+# the README's command block is parsed by one reader, the output-comparison tool's
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_output.py"
+_spec = importlib.util.spec_from_file_location("same_output", _TOOL)
+same_output = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_output)
 
 ALLOWED = {
     "clear_memo_caches": "the tests' memo reset between planted-defect runs",
@@ -274,14 +279,6 @@ print(json.dumps(sorted(entered)))
 """
 
 
-def readme_commands():
-    """The argv lists of the README's command-line block, without the
-    ``verify all [--quick]`` synopsis line."""
-    block = re.search(r"```\n(galilei .*?)```", (PACKAGE.parents[1] / "README.md").read_text(),
-                      re.DOTALL).group(1)
-    return [shlex.split(line)[1:] for line in block.splitlines() if "[" not in line]
-
-
 def package_functions():
     """{(file, first line): "module.Class.function"} for every function of the
     package; a decorated function starts at its first decorator, as its code
@@ -311,7 +308,7 @@ def entered_code(commands):
 
 
 def test_every_function_is_entered_by_the_commands():
-    commands = readme_commands() + [["verify", "all"], ["verify", "all", "--quick"],
+    commands = same_output.readme_commands() + [["verify", "all"], ["verify", "all", "--quick"],
                                      ["verify", "all", "--format", "structured"]]
     assert ["quiver", "blocks"] in commands and len(commands) >= 14
     functions = package_functions()

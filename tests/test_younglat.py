@@ -240,6 +240,14 @@ def test_poly_det_peels_permuted_triangular_matrices(monkeypatch, row_perm, col_
     assert sizes == [0]  # peeled to an empty core: one node, det 1
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_poly_det_peels_Nn_to_its_known_core(monkeypatch, n):
+    # every peel of N_n is a column: even n (and n = 3) peel to an empty core,
+    # one node; odd n >= 5 leave an (n-2)x(n-2) core, evaluated at n-2 nodes
+    _, sizes = _core_sizes(monkeypatch, yl.build_Nn(n).entries)
+    assert sizes == ([0] if n % 2 == 0 or n == 3 else [n - 2] * (n - 2))
+
+
 def test_poly_det_peels_N16_without_a_polynomial_product(monkeypatch):
     # N_16 peels to a small core: the peeled factor is an int coefficient
     # list, so the only products are the interpolation's Horner steps
